@@ -6,7 +6,8 @@ with random forests, and emits evaluation tables and correlation plot data.
 """
 
 from .audio import Recording, FrameSequence, load_recording, resample, frame_signal
-from .errors import (AudioError, InsufficientSignalError, ManifestError, PhonassessError)
+from .errors import (AudioError, ConfigError, InsufficientSignalError, ManifestError,
+                     PhonassessError)
 from .evaluation import (ClinicalScale, SCALES, classification_metrics,
                          correlation_graph_data, estimation_errors, loo_validate,
                          regression_metrics, spearman, trade_off_sen_spe)

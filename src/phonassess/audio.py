@@ -95,13 +95,11 @@ def load_recording(
     subject_id: str = "anon",
     vowel: str = "a",
     task: str = "s",
-    peak_normalize: bool = False,
 ) -> Recording:
     """Decode a PCM/float WAV file into a mono Recording in [-1, 1].
 
-    Stereo input is averaged to mono. ``peak_normalize`` rescales the result
-    to unit peak; it is off by default since the effect of normalization on
-    level-dependent measures is deliberately left to the caller.
+    Stereo input is averaged to mono. Peak normalization, if wanted, is
+    ``ExtractionParams.peak_normalize``.
     """
     path = Path(path)
     if not path.exists():
@@ -124,11 +122,6 @@ def load_recording(
 
     if x.ndim == 2:  # average channels
         x = x.mean(axis=1)
-
-    if peak_normalize:
-        peak = np.max(np.abs(x))
-        if peak > 0:
-            x = x / peak
 
     return Recording(samples=x, fs=int(fs), subject_id=subject_id, vowel=vowel, task=task)
 

@@ -1,7 +1,9 @@
 """Command-line pipeline: synth, extract, classify, regress, correlate.
 
 Config values come from an optional key=value file overridden by flags.
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
+file or value, scope token or target, or a missing --manifest), 2 data error
+(any other ``PhonassessError``).
 """
 from __future__ import annotations
 
@@ -10,13 +12,13 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .audio import load_recording
-from .errors import AudioError, ManifestError, PhonassessError
+from .errors import AudioError, ConfigError, PhonassessError
 from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
                          estimation_errors, loo_validate, regression_metrics,
                          round_half_away, spearman)
@@ -62,13 +64,13 @@ def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     p = Path(path)
     if not p.exists():
-        raise PhonassessError(f"no such config file: {path}")
+        raise ConfigError(f"no such config file: {path}")
     for line in p.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise PhonassessError(f"bad config line {line!r} (expected key=value)")
+            raise ConfigError(f"bad config line {line!r} (expected key=value)")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -80,12 +82,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     valid = {f.name: f.type for f in fields(RunConfig)}
     for key, value in file_values.items():
         if key not in valid:
-            raise PhonassessError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
         if isinstance(current, bool):
             value = value.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from None
         setattr(cfg, key, value)
     for key in valid:
         flag = getattr(args, key, None)
@@ -193,10 +198,20 @@ def _select_and_eval(matrix: FeatureMatrix, target_values, spec: LearnerSpec, cf
     return sffs(X, y, names, spec, candidates=candidates, patience=cfg.sffs_patience)
 
 
+def _loo_predictions(X, y, spec: LearnerSpec, cfg: RunConfig, subject_ids, scope: str):
+    """LOO predictions of the selected subset; a fold that cannot train is an error."""
+    loo = loo_validate(X, y, spec.train, predict, seed=cfg.seed)
+    if loo.failed_folds:
+        held_out = ", ".join(subject_ids[loo.failed_folds])
+        raise PhonassessError(f"scope {scope}: {len(loo.failed_folds)} LOO fold(s) could not "
+                              f"be trained (held-out subjects: {held_out})")
+    return loo.predictions
+
+
 def cmd_classify(cfg: RunConfig) -> int:
     scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
     if not scopes:
-        raise PhonassessError("no scopes given and no feature matrices found")
+        raise ConfigError("no scopes given and no feature matrices found")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -211,8 +226,8 @@ def cmd_classify(cfg: RunConfig) -> int:
         ok = drop_incomplete_rows(matrix.values, groups, sel.selected_indices)
         X = matrix.values[np.ix_(ok, sel.selected_indices)]
         y = groups[ok]
-        loo = loo_validate(X, y, spec.train, predict, seed=cfg.seed)
-        metrics = classification_metrics(loo.predictions, y)
+        ids = np.asarray(matrix.subject_ids)[ok]
+        metrics = classification_metrics(_loo_predictions(X, y, spec, cfg, ids, scope), y)
         rows.append({
             "scope": scope,
             "acc": round_half_away(metrics.acc), "sen": round_half_away(metrics.sen),
@@ -235,12 +250,12 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_regress(cfg: RunConfig) -> int:
     if cfg.target in ("", "group"):
-        raise PhonassessError("regress needs --target <clinical scale id>")
+        raise ConfigError("regress needs --target <clinical scale id>")
     if cfg.target not in SCALES:
-        raise PhonassessError(f"unknown clinical scale {cfg.target!r}")
+        raise ConfigError(f"unknown clinical scale {cfg.target!r}")
     scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
     if not scopes:
-        raise PhonassessError("no scopes given and no feature matrices found")
+        raise ConfigError("no scopes given and no feature matrices found")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     scale = SCALES[cfg.target]
@@ -261,8 +276,8 @@ def cmd_regress(cfg: RunConfig) -> int:
         ok = drop_incomplete_rows(sub.values, y[rated], sel.selected_indices)
         X = sub.values[np.ix_(ok, sel.selected_indices)]
         truth = y[rated][ok]
-        loo = loo_validate(X, truth, spec.train, predict, seed=cfg.seed)
-        mae, rho = regression_metrics(loo.predictions, truth)
+        ids = np.asarray(sub.subject_ids)[ok]
+        mae, rho = regression_metrics(_loo_predictions(X, truth, spec, cfg, ids, scope), truth)
         rows.append({
             "scope": scope, "target": cfg.target,
             "mae": round_half_away(mae, 4),
@@ -294,7 +309,7 @@ def cmd_regress(cfg: RunConfig) -> int:
 def cmd_correlate(cfg: RunConfig) -> int:
     scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
     if not scopes:
-        raise PhonassessError("no scopes given and no feature matrices found")
+        raise ConfigError("no scopes given and no feature matrices found")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     panels = []
@@ -382,7 +397,7 @@ def main(argv=None) -> int:
             return cmd_synth(cfg, args)
         if args.command == "extract":
             if not cfg.manifest:
-                raise PhonassessError("extract needs --manifest")
+                raise ConfigError("extract needs --manifest")
             return cmd_extract(cfg)
         if args.command == "classify":
             return cmd_classify(cfg)
@@ -390,16 +405,10 @@ def main(argv=None) -> int:
             return cmd_regress(cfg)
         if args.command == "correlate":
             return cmd_correlate(cfg)
-        raise PhonassessError(f"unknown command {args.command!r}")
-    except (ManifestError, AudioError) as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
+        raise ConfigError(f"unknown command {args.command!r}")
     except PhonassessError as exc:
         log.error("%s", exc)
-        message = str(exc).lower()
-        data_markers = ("matrix", "group present", "rated", "no complete", "one group")
-        return EXIT_DATA if any(m in message for m in data_markers) else EXIT_CONFIG
-    return EXIT_OK
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATA
 
 
 if __name__ == "__main__":

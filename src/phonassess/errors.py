@@ -5,6 +5,10 @@ class PhonassessError(Exception):
     """Base class for toolkit errors."""
 
 
+class ConfigError(PhonassessError):
+    """Bad config file or value, scope token or target; the CLI exits 1 on it."""
+
+
 class AudioError(PhonassessError):
     """Unreadable, empty, or unsupported audio input."""
 

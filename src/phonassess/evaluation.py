@@ -169,7 +169,6 @@ def correlation_graph_data(feature_values, clinical_values) -> CorrelationPanel:
 class LooResult:
     predictions: np.ndarray
     failed_folds: list[int] = field(default_factory=list)
-    n_dropped: int = 0
 
 
 def loo_validate(X, y, train_fn, predict_fn, seed: int = 0) -> LooResult:

@@ -32,10 +32,6 @@ class FormantTrack:
         """Frames carrying at least the first resonance."""
         return ~np.isnan(self.f1)
 
-    def complete(self) -> np.ndarray:
-        """Frames carrying all three resonances."""
-        return ~(np.isnan(self.f1) | np.isnan(self.f2) | np.isnan(self.f3))
-
 
 def lpc_coefficients(x: np.ndarray, order: int) -> np.ndarray:
     """Autocorrelation-method LPC: returns [1, a1..ap]."""

@@ -3,9 +3,12 @@
 Frame-based contours (f0, energies, spectral flux, formants) run over 25 ms
 frames with a 10 ms hop. Block-based contours run the heavier measures over
 500 ms analysis blocks hopped by 250 ms, giving per-block values whose
-spread the summary statistics capture. Failures are per-feature: a failed
-measure yields NaN for that feature (or that block) and a log entry, never
-an aborted recording.
+spread the summary statistics capture.
+
+Failures never abort a recording. A failed recording-level measure yields
+NaN for each of its features plus a failure entry. A failed block measure is
+skipped for that block without a trace; only a contour that no block gave a
+value gets NaN and the failure "no block produced a value".
 """
 from __future__ import annotations
 
@@ -13,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..audio import ANALYSIS_RATE, FrameSequence, Recording, frame_array, frame_signal, resample
-from ..errors import InsufficientSignalError, PhonassessError
-from ..pitch import CycleMarks, F0Contour, detect_cycles, estimate_f0
+from ..audio import ANALYSIS_RATE, Recording, frame_array, frame_signal, resample
+from ..errors import PhonassessError
+from ..pitch import F0Contour, detect_cycles, estimate_f0
 from . import articulation, emd, highorder, nonlinear, phonation, quality
 from .registry import REGISTRY
 
@@ -60,10 +63,15 @@ def _slice_contour(contour: F0Contour, t0: float, t1: float) -> F0Contour:
 JITTER_KEYS = ("jitter_local", "jitter_abs", "jitter_rap", "jitter_ppq5", "jitter_ddp")
 SHIMMER_KEYS = ("shimmer_local", "shimmer_db", "shimmer_apq3", "shimmer_apq5",
                 "shimmer_apq11", "shimmer_dda")
-BIS_KEYS = ("bii", "hfeb", "lfeb", "bmii", "bpii", "lsber", "hsber")
-BIC_KEYS = ("bcii", "hfebc", "lfebc", "cmii", "bcpii", "lcbcer", "hcbcer", "bcmd", "bcpd")
-ENTROPY_KEYS = ("she", "re", "ce", "rbe1", "rbe2", "ae",
-                "se_k1", "se_k2", "se_k3", "se_k4", "se_k5", "se_k6", "se_k7", "se_k8", "pe")
+GQ_KEYS = ("gq_open_std", "gq_closed_std")
+CYCLE_KEYS = JITTER_KEYS + SHIMMER_KEYS + GQ_KEYS
+FORMANT_KEYS = ("f1", "f2", "f3", "bw1", "bw2", "bw3")
+IMF_KEYS = tuple(e.name for e in REGISTRY if e.group == 5)
+
+
+def _named(names, result) -> dict:
+    """A measure's values by name: a tuple is zipped onto ``names``, a dict passes through."""
+    return result if isinstance(result, dict) else dict(zip(names, result))
 
 
 def extract_recording(rec: Recording, params: ExtractionParams | None = None) -> ExtractionResult:
@@ -86,156 +94,104 @@ def extract_recording(rec: Recording, params: ExtractionParams | None = None) ->
     failures: dict[str, str] = {}
 
     def fail(names, exc):
-        for name in ([names] if isinstance(names, str) else names):
+        for name in names:
             failures[name] = str(exc)
             feats.setdefault(name, float("nan"))
 
     contour = estimate_f0(rec, params.f0_min, params.f0_max)
     frames = frame_signal(rec, params.frame_ms, params.hop_ms, "hann")
-
-    # ---- frame-based contours -------------------------------------------
     feats["f0"] = contour.voiced_f0 if np.any(contour.voicing) else np.array([np.nan])
+    tau = nonlinear.fmmi(x)
+    feats["fmmi"] = float(tau)
 
-    try:
-        energy, tkeo, me4, mpsd, lster = phonation.energy_features(frames, rec)
-        feats.update(energy=energy, tkeo=tkeo, me_4hz=me4, mpsd=mpsd, lster=lster)
-    except PhonassessError as exc:
-        fail(["energy", "tkeo", "me_4hz", "mpsd", "lster"], exc)
-
-    try:
-        zcr, hzcrr, fluf = quality.temporal_quality(frames, contour)
-        feats.update(zcr=zcr, hzcrr=hzcrr, fluf=fluf)
-    except PhonassessError as exc:
-        fail(["zcr", "hzcrr", "fluf"], exc)
-
-    try:
-        sf, sdbm, sdbp = quality.spectral_quality(frames)
-        feats.update(sf=sf, sdbm=sdbm, sdbp=sdbp)
-    except PhonassessError as exc:
-        fail(["sf", "sdbm", "sdbp"], exc)
-
-    try:
+    def formants():
         track = articulation.estimate_formants(frames, fs)
         voiced_mask, _ = quality.frame_voicing(frames, contour)
         sel = voiced_mask & track.valid()
         if not np.any(sel):
             sel = track.valid()
-        for key in ("f1", "f2", "f3", "bw1", "bw2", "bw3"):
-            feats[key] = getattr(track, key)[sel]
-    except PhonassessError as exc:
-        fail(["f1", "f2", "f3", "bw1", "bw2", "bw3"], exc)
+        return [getattr(track, key)[sel] for key in FORMANT_KEYS]
 
-    # ---- whole-signal scalars -------------------------------------------
-    try:
-        feats["ppe"] = phonation.ppe(contour)
-    except PhonassessError as exc:
-        fail("ppe", exc)
+    # ---- recording-level measures: a failure leaves NaN and a failure entry.
+    # Rows call measures through their module at call time, so a function
+    # replaced on its module (for instrumentation) is the one that runs.
+    recording_measures = [
+        (("energy", "tkeo", "me_4hz", "mpsd", "lster"),
+         lambda: phonation.energy_features(frames, rec)),
+        (("zcr", "hzcrr", "fluf"), lambda: quality.temporal_quality(frames, contour)),
+        (("sf", "sdbm", "sdbp"), lambda: quality.spectral_quality(frames)),
+        (FORMANT_KEYS, formants),
+        (("ppe",), lambda: [phonation.ppe(contour)]),
+        (("mser", "mfp", "rphm", "icer", "rphic"), lambda: quality.modulation_measures(rec)),
+        (IMF_KEYS, lambda: emd.imf_features(emd.emd(x, params.max_imfs), fs)),
+        (("cd", "he", "lle"), lambda: nonlinear.complexity_features(
+            nonlinear.embed(x, nonlinear.EMBED_DIM, tau), x)),
+    ]
+    for names, measure in recording_measures:
+        try:
+            feats.update(_named(names, measure()))
+        except PhonassessError as exc:
+            fail(names, exc)
 
-    try:
-        mser, mfp, rphm, icer, rphic = quality.modulation_measures(rec)
-        feats.update(mser=mser, mfp=mfp, rphm=rphm, icer=icer, rphic=rphic)
-    except PhonassessError as exc:
-        fail(["mser", "mfp", "rphm", "icer", "rphic"], exc)
-
-    imf_names = [e.name for e in REGISTRY if e.group == 5]
-    try:
-        modes = emd.emd(x, params.max_imfs)
-        feats.update(emd.imf_features(modes, fs))
-    except PhonassessError as exc:
-        fail(imf_names, exc)
-
-    tau = nonlinear.fmmi(x)
-    feats["fmmi"] = float(tau)
-    try:
-        embedding = nonlinear.embed(x, nonlinear.EMBED_DIM, tau)
-        cfeats = nonlinear.complexity_features(embedding, x)
-        feats.update(cd=cfeats["cd"], he=cfeats["he"], lle=cfeats["lle"])
-    except PhonassessError as exc:
-        fail(["cd", "he", "lle"], exc)
-
-    # ---- cycles and per-block contours ----------------------------------
+    # ---- per-block measures: a failure skips that block's values ---------
     try:
         cycles = detect_cycles(rec, contour)
     except PhonassessError as exc:
         cycles = None
-        fail(list(JITTER_KEYS) + list(SHIMMER_KEYS) + ["gq_open_std", "gq_closed_std"], exc)
+        fail(CYCLE_KEYS, exc)
 
-    bounds = _block_bounds(len(x), fs, params)
-    if not bounds:
-        bounds = [(0, len(x))]
-    block_vals: dict[str, list[float]] = {}
-
-    def push(key: str, value: float) -> None:
-        block_vals.setdefault(key, []).append(float(value))
-
+    frame_len = int(params.frame_ms * fs / 1000)
+    frame_hop = int(params.hop_ms * fs / 1000)
     prev_bispec = None
+
+    def higher_order(seg, sub_contour, sub_cycles):
+        # bcmd/bcpd compare with the previous block's estimate: NaN in the
+        # first block and after a failed one, and then not pushed
+        nonlocal prev_bispec
+        prev, prev_bispec = prev_bispec, None
+        est = highorder.estimate_bispectrum(
+            frame_array(seg, fs, highorder.NFFT, highorder.NFFT // 2, "hann"))
+        values = {f"bis_{k}": v for k, v in highorder.bispectral_features(est).items()}
+        values.update((f"bic_{k}", v) for k, v in highorder.bicepstral_features(est, prev).items()
+                      if not np.isnan(v))
+        prev_bispec = est
+        return values
+
+    def nonlinear_block(seg, sub_contour, sub_cycles):
+        values = nonlinear.entropy_features(seg, nonlinear.embed(seg, nonlinear.EMBED_DIM, tau))
+        return {**values, "fd": nonlinear.katz_fd(seg), "zl": nonlinear.normalized_lempel_ziv(seg)}
+
+    # rows take (block samples, block contour, block cycles); rows returning
+    # a dict need no names; the cycle rows are skipped in blocks with no
+    # cycle marks (slice_range gives None under 3 cycles)
+    block_measures = [
+        (JITTER_KEYS, lambda seg, con, cyc: phonation.jitter_features(cyc)),
+        (SHIMMER_KEYS, lambda seg, con, cyc: phonation.shimmer_features(cyc)),
+        (GQ_KEYS, lambda seg, con, cyc: phonation.glottal_quotient_stds(cyc)),
+        (("cpp", "pecm", "vr"), lambda seg, con, cyc: quality.cepstral_quality(
+            frame_array(seg, fs, frame_len, frame_hop, "hann"), con)),
+        (("hnr", "nhr", "nne", "gne", "spi", "vti", "ssd"),
+         lambda seg, con, cyc: quality.noise_measures(
+             Recording(seg, fs, rec.subject_id, rec.vowel, rec.task), con)),
+        ((), higher_order),
+        ((), nonlinear_block),
+    ]
+
+    bounds = _block_bounds(len(x), fs, params) or [(0, len(x))]
+    block_vals: dict[str, list[float]] = {}
     for s0, s1 in bounds:
         seg = x[s0:s1]
-        t0, t1 = s0 / fs, s1 / fs
-        sub_contour = _slice_contour(contour, t0, t1)
-        block_rec = Recording(seg, fs, rec.subject_id, rec.vowel, rec.task)
-
-        if cycles is not None:
-            sub_cycles = cycles.slice_range(s0, s1)
-        else:
-            sub_cycles = None
-
-        if sub_cycles is not None:
+        sub_contour = _slice_contour(contour, s0 / fs, s1 / fs)
+        sub_cycles = cycles.slice_range(s0, s1) if cycles is not None else None
+        for names, measure in block_measures:
+            if sub_cycles is None and names in (JITTER_KEYS, SHIMMER_KEYS, GQ_KEYS):
+                continue
             try:
-                for k, v in phonation.jitter_features(sub_cycles).items():
-                    push(k, v)
+                values = _named(names, measure(seg, sub_contour, sub_cycles))
             except PhonassessError:
-                pass
-            try:
-                for k, v in phonation.shimmer_features(sub_cycles).items():
-                    push(k, v)
-            except PhonassessError:
-                pass
-            try:
-                gqo, gqc = phonation.glottal_quotient_stds(sub_cycles)
-                push("gq_open_std", gqo)
-                push("gq_closed_std", gqc)
-            except PhonassessError:
-                pass
-
-        try:
-            block_frames = frame_array(seg, fs, int(params.frame_ms * fs / 1000),
-                                       int(params.hop_ms * fs / 1000), "hann")
-            cpp, pecm, vr = quality.cepstral_quality(block_frames, sub_contour)
-            push("cpp", cpp)
-            push("pecm", pecm)
-            push("vr", vr)
-        except PhonassessError:
-            pass
-
-        try:
-            hnr, nhr, nne, gne, spi, vti, ssd = quality.noise_measures(block_rec, sub_contour)
-            for k, v in zip(("hnr", "nhr", "nne", "gne", "spi", "vti", "ssd"),
-                            (hnr, nhr, nne, gne, spi, vti, ssd)):
-                push(k, v)
-        except PhonassessError:
-            pass
-
-        try:
-            bframes = frame_array(seg, fs, highorder.NFFT, highorder.NFFT // 2, "hann")
-            est = highorder.estimate_bispectrum(bframes)
-            for k, v in highorder.bispectral_features(est).items():
-                push(f"bis_{k}", v)
-            for k, v in highorder.bicepstral_features(est, prev_bispec).items():
-                if not np.isnan(v):
-                    push(f"bic_{k}", v)
-            prev_bispec = est
-        except PhonassessError:
-            prev_bispec = None
-
-        try:
-            block_emb = nonlinear.embed(seg, nonlinear.EMBED_DIM, tau)
-            for k, v in nonlinear.entropy_features(seg, block_emb).items():
-                push(k, v)
-            push("fd", nonlinear.katz_fd(seg))
-            push("zl", nonlinear.normalized_lempel_ziv(seg))
-        except PhonassessError:
-            pass
+                continue
+            for k, v in values.items():
+                block_vals.setdefault(k, []).append(float(v))
 
     for entry in REGISTRY:
         if entry.kind != "contour" or entry.name in feats:

@@ -109,7 +109,7 @@ def _phase_interference(field: np.ndarray) -> float:
     return float((d1 + d2) / (2.0 * np.pi))
 
 
-def bispectral_features(est: BispectrumEstimate, spectrum: np.ndarray | None = None) -> dict[str, float]:
+def bispectral_features(est: BispectrumEstimate) -> dict[str, float]:
     """Interference indices and spectra/bispectra band-energy ratios."""
     tri = est.triangle
     bico = est.bicoherence
@@ -124,7 +124,7 @@ def bispectral_features(est: BispectrumEstimate, spectrum: np.ndarray | None = N
     bmii = _interference(mag)
     bpii = _phase_interference(np.where(tri, est.grid, 1.0))
 
-    spec = est.mean_spectrum if spectrum is None else np.asarray(spectrum)
+    spec = est.mean_spectrum
     n = min(len(spec), GRID)
     spec_energy = spec[:n] ** 2
     bis_low = float(mag[:fc, :].sum())

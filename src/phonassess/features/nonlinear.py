@@ -301,7 +301,7 @@ def _largest_lyapunov(d_m: np.ndarray, theiler: int, fit_len: int = 40) -> float
 
 
 def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
-    """(cd, fd, zl, he, lle) for one signal and its embedding parameters."""
+    """(cd, he, lle) for one signal and its embedding parameters."""
     x = np.asarray(x, dtype=np.float64)
     m, tau = emb.dimension, emb.delay
     if emb.trajectory.shape[0] < 100:
@@ -322,8 +322,6 @@ def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
 
     return {
         "cd": correlation_dimension(d_m, theiler=tau),
-        "fd": katz_fd(x),
-        "zl": normalized_lempel_ziv(x),
         "he": hurst_exponent(x),
         "lle": _largest_lyapunov(d_m, theiler),
     }

@@ -63,7 +63,7 @@ def shimmer_features(cycles: CycleMarks) -> dict[str, float]:
     }
 
 
-def ppe(contour: F0Contour, reference_f0: float | None = None) -> float:
+def ppe(contour: F0Contour) -> float:
     """Entropy (nats) of the whitened log-semitone pitch deviation.
 
     The semitone sequence is whitened with an order-2 linear predictor fit on
@@ -74,7 +74,7 @@ def ppe(contour: F0Contour, reference_f0: float | None = None) -> float:
     f0 = contour.voiced_f0
     if len(f0) < 50:
         raise InsufficientSignalError(f"need >= 50 voiced frames for ppe, got {len(f0)}")
-    ref = float(np.median(f0)) if reference_f0 is None else float(reference_f0)
+    ref = float(np.median(f0))
     semis = 12.0 * np.log2(f0 / ref)
     # order-2 LP whitening via least squares on the sequence itself
     y = semis[2:]

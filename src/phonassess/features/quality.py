@@ -23,8 +23,8 @@ def _clamp_db(v: float) -> float:
     return float(np.clip(v, *DB_CLAMP))
 
 
-def frame_voicing(frames: FrameSequence, contour: F0Contour) -> np.ndarray:
-    """Voicing flag per frame by nearest contour time."""
+def frame_voicing(frames: FrameSequence, contour: F0Contour) -> tuple[np.ndarray, np.ndarray]:
+    """(voicing flag, f0) per frame, both read at the nearest contour time."""
     idx = np.clip(np.searchsorted(contour.times, frames.times), 0, len(contour.times) - 1)
     left = np.clip(idx - 1, 0, len(contour.times) - 1)
     use_left = np.abs(contour.times[left] - frames.times) < np.abs(contour.times[idx] - frames.times)

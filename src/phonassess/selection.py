@@ -161,7 +161,6 @@ def sffs(
     candidates: list[int] | None = None,
     patience: int = SFFS_PATIENCE_DEFAULT,
     max_features: int | None = None,
-    objective_fn=None,
     floating: bool = True,
 ) -> SelectionResult:
     """Sequential floating forward selection under the LOO objective.
@@ -178,7 +177,6 @@ def sffs(
     pool = list(candidates) if candidates is not None else list(range(X.shape[1]))
     if not pool:
         raise PhonassessError("no candidate features")
-    objective_fn = objective_fn or (lambda cols: _masked_objective(X, y, cols, spec))
     max_features = max_features or min(len(pool), 20)
 
     current: list[int] = []
@@ -191,7 +189,7 @@ def sffs(
         options = [j for j in pool if j not in current]
         if not options:
             break
-        scores = [objective_fn(current + [j]) for j in options]
+        scores = [_masked_objective(X, y, current + [j], spec) for j in options]
         pick = int(np.argmax(scores))  # first max -> lowest registry index
         j = options[pick]
         current = current + [j]
@@ -204,7 +202,7 @@ def sffs(
             improved_removal = False
             for g in list(current[:-1]):  # never immediately drop the newcomer
                 reduced = [c for c in current if c != g]
-                red_obj = objective_fn(reduced)
+                red_obj = _masked_objective(X, y, reduced, spec)
                 if red_obj > obj + 1e-12:
                     current = reduced
                     obj = red_obj

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .audio import Recording, write_wav
+from .audio import write_wav
 
 DEFAULT_FS = 16_000
 
@@ -220,14 +220,3 @@ def make_classification_cohort(
     _write_manifest(manifest, rows, vowels, tasks)
     return manifest
 
-
-def synth_recording(kind: str = "vowel", seed: int = 0, **kwargs) -> Recording:
-    """One-shot helper for tests: returns a Recording instead of a file."""
-    fs = kwargs.pop("fs", DEFAULT_FS)
-    if kind == "vowel":
-        x = synth_vowel(fs=fs, seed=seed, **kwargs)
-    elif kind == "pulses":
-        x = pulse_train(fs, kwargs.pop("duration", 2.0), seed=seed, **kwargs)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return Recording(x, fs)

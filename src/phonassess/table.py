@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PhonassessError
+from .errors import ConfigError
 from .features import articulation
 from .features.registry import REGISTRY, SUMMARY_STATS, column_names
 from .manifest import CohortManifest
@@ -136,9 +136,9 @@ def parse_scope(scope: str) -> tuple[str, str]:
     try:
         vowel, task = scope.split("_", 1)
     except ValueError as exc:
-        raise PhonassessError(f"bad scope {scope!r}; use '<vowel>_<task>' or 'all_<task>'") from exc
+        raise ConfigError(f"bad scope {scope!r}; use '<vowel>_<task>' or 'all_<task>'") from exc
     if vowel not in ("a", "e", "i", "o", "u", "all") or task not in ("s", "l", "ll", "ls"):
-        raise PhonassessError(f"bad scope {scope!r}")
+        raise ConfigError(f"bad scope {scope!r}")
     return vowel, task
 
 

@@ -52,13 +52,6 @@ def test_load_zero_length(tmp_path):
         load_recording(path)
 
 
-def test_load_peak_normalize(tmp_path):
-    path = tmp_path / "p.wav"
-    wavfile.write(path, 16000, (np.sin(np.linspace(0, 20, 400)) * 8000).astype(np.int16))
-    rec = load_recording(path, peak_normalize=True)
-    assert abs(np.max(np.abs(rec.samples)) - 1.0) < 1e-12
-
-
 def test_decode_deterministic(tmp_path):
     x = (np.random.default_rng(1).standard_normal(5000) * 20000).astype(np.int16)
     path = tmp_path / "d.wav"

@@ -113,6 +113,35 @@ def test_unknown_config_key(tmp_path):
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def _write_matrix(directory, groups, values):
+    FeatureMatrix(scope="a_s", subject_ids=[f"S{i:02d}" for i in range(len(groups))],
+                  columns=[f"c{j}" for j in range(values.shape[1])], values=values,
+                  groups=groups).to_csv(directory / "features_a_s.csv")
+
+
+def test_no_usable_columns_is_data_error(tmp_path):
+    _write_matrix(tmp_path, ["PD", "HC"] * 4, np.ones((8, 3)))
+    code = main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
+                 "--scope", "a_s"])
+    assert code == EXIT_DATA
+
+
+def test_failed_loo_fold_is_data_error(tmp_path):
+    """With one HC subject its held-out fold cannot train a two-class forest."""
+    values = np.random.default_rng(0).standard_normal((8, 3))
+    _write_matrix(tmp_path, ["PD"] * 7 + ["HC"], values)
+    code = main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
+                 "--scope", "a_s", "--trees", "3", "--mrmr-k", "2", "--sffs-patience", "1"])
+    assert code == EXIT_DATA
+    assert not (tmp_path / "classification.json").exists()
+
+
+def test_non_integer_config_value(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("trees=abc\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
 def test_synth_regress_manifest(tmp_path):
     code = main(["synth", "--mode", "regress", "--subjects", "6", "--out",
                  str(tmp_path / "c"), "--seed", "1"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phonassess.audio import Recording
-from phonassess.features.extract import extract_recording
+from phonassess.features.extract import ExtractionParams, extract_recording
 from phonassess.features.registry import REGISTRY, entry
 from phonassess.synth import synth_vowel
 
@@ -64,6 +64,28 @@ def test_scale_dependent_features_change(extraction_pair):
         b = np.nanmedian(np.atleast_1d(half.features[name]))
         assert b == pytest.approx(0.25 * a, rel=1e-6), name
     assert entry("energy").scale_invariant is False
+
+
+def test_noise_gate_skips_edge_blocks(extraction_pair):
+    """A block whose noise measures fail is skipped, not NaN-filled."""
+    full, _ = extraction_pair
+    hnr, cpp = full.features["hnr"], full.features["cpp"]
+    assert np.isfinite(hnr).all()
+    assert len(hnr) < len(cpp)
+
+
+def test_first_block_has_no_bicepstral_delta(extraction_pair):
+    """bcmd compares each block with the previous one; block 1 has none."""
+    full, _ = extraction_pair
+    assert len(full.features["bic_bcmd"]) == len(full.features["bic_bcii"]) - 1
+
+
+def test_peak_normalize_removes_gain():
+    x = synth_vowel(fs=FS, seed=33)
+    params = ExtractionParams(peak_normalize=True)
+    a = extract_recording(Recording(x, FS), params).features["energy"]
+    b = extract_recording(Recording(0.5 * x, FS), params).features["energy"]
+    assert np.array_equal(a, b)
 
 
 def test_determinism(extraction_pair):
