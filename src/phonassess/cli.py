@@ -2,8 +2,9 @@
 
 Config values come from an optional key=value file overridden by flags.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
-file or value, scope token or target, or a missing --manifest), 2 data error
-(any other ``PhonassessError``).
+file or value, scope token or target, a missing --manifest, --min-leaf on
+classify; or an argparse usage error), 2 data error (any other
+``PhonassessError``).
 """
 from __future__ import annotations
 
@@ -183,10 +184,25 @@ def _scopes_from_features_dir(cfg: RunConfig) -> list[str]:
     return sorted(p.stem.replace("features_", "", 1) for p in base.glob("features_*.csv"))
 
 
-def _select_and_eval(matrix: FeatureMatrix, target_values, spec: LearnerSpec, cfg: RunConfig):
-    X = matrix.values
-    names = matrix.columns
-    y = np.asarray(target_values)
+def _report_scopes(cfg: RunConfig) -> tuple[list[str], Path]:
+    """Scopes to report on (given, else every matrix found) and the output dir."""
+    scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
+    if not scopes:
+        raise ConfigError("no scopes given and no feature matrices found")
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return scopes, out
+
+
+def _select_and_loo(matrix: FeatureMatrix, target, spec: LearnerSpec, cfg: RunConfig):
+    """mRMR + SFFS on the rows with a target, then LOO of the selected subset.
+
+    Returns (selection, LOO predictions, truth of the evaluated rows); a LOO
+    fold that cannot train is an error naming the held-out subjects.
+    """
+    rows = drop_incomplete_rows(matrix.values, target, [])  # rows with a finite target
+    X, y = matrix.values[rows], np.asarray(target)[rows]
+    ids = np.asarray(matrix.subject_ids)[rows]
     n = X.shape[0]
     # candidates: mostly-present, non-constant columns, mRMR-ranked
     usable = [j for j in range(X.shape[1])
@@ -194,40 +210,29 @@ def _select_and_eval(matrix: FeatureMatrix, target_values, spec: LearnerSpec, cf
     if not usable:
         raise PhonassessError("no usable feature columns (all missing or constant)")
     ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, len(usable)), task=spec.mode)
-    candidates = [usable[j] for j in ranked]
-    return sffs(X, y, names, spec, candidates=candidates, patience=cfg.sffs_patience)
-
-
-def _loo_predictions(X, y, spec: LearnerSpec, cfg: RunConfig, subject_ids, scope: str):
-    """LOO predictions of the selected subset; a fold that cannot train is an error."""
-    loo = loo_validate(X, y, spec.train, predict, seed=cfg.seed)
+    sel = sffs(X, y, matrix.columns, spec, candidates=[usable[j] for j in ranked],
+               patience=cfg.sffs_patience)
+    ok = drop_incomplete_rows(X, y, sel.selected_indices)
+    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec.train, predict,
+                       seed=cfg.seed)
     if loo.failed_folds:
-        held_out = ", ".join(subject_ids[loo.failed_folds])
-        raise PhonassessError(f"scope {scope}: {len(loo.failed_folds)} LOO fold(s) could not "
-                              f"be trained (held-out subjects: {held_out})")
-    return loo.predictions
+        held_out = ", ".join(ids[ok][loo.failed_folds])
+        raise PhonassessError(f"scope {matrix.scope}: {len(loo.failed_folds)} LOO fold(s) "
+                              f"could not be trained (held-out subjects: {held_out})")
+    return sel, loo.predictions, y[ok]
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
-    if not scopes:
-        raise ConfigError("no scopes given and no feature matrices found")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scopes, out = _report_scopes(cfg)
     rows = []
     for scope in scopes:
         matrix = _load_matrix(cfg, scope)
-        groups = np.asarray(matrix.groups)
-        if len(set(groups)) < 2:
+        if len(set(matrix.groups)) < 2:
             raise PhonassessError(f"scope {scope}: only one group present in the cohort")
         spec = LearnerSpec(kind="forest", mode="classification",
                            n_trees=cfg.trees, seed=cfg.seed)
-        sel = _select_and_eval(matrix, groups, spec, cfg)
-        ok = drop_incomplete_rows(matrix.values, groups, sel.selected_indices)
-        X = matrix.values[np.ix_(ok, sel.selected_indices)]
-        y = groups[ok]
-        ids = np.asarray(matrix.subject_ids)[ok]
-        metrics = classification_metrics(_loo_predictions(X, y, spec, cfg, ids, scope), y)
+        sel, preds, truth = _select_and_loo(matrix, matrix.groups, spec, cfg)
+        metrics = classification_metrics(preds, truth)
         rows.append({
             "scope": scope,
             "acc": round_half_away(metrics.acc), "sen": round_half_away(metrics.sen),
@@ -253,11 +258,7 @@ def cmd_regress(cfg: RunConfig) -> int:
         raise ConfigError("regress needs --target <clinical scale id>")
     if cfg.target not in SCALES:
         raise ConfigError(f"unknown clinical scale {cfg.target!r}")
-    scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
-    if not scopes:
-        raise ConfigError("no scopes given and no feature matrices found")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scopes, out = _report_scopes(cfg)
     scale = SCALES[cfg.target]
     rows = []
     for scope in scopes:
@@ -265,19 +266,10 @@ def cmd_regress(cfg: RunConfig) -> int:
         y = matrix.scores.get(cfg.target)
         if y is None or np.isfinite(y).sum() < 10:
             raise PhonassessError(f"scope {scope}: fewer than 10 subjects rated on {cfg.target}")
-        rated = np.isfinite(y)
-        sub = FeatureMatrix(scope=scope,
-                            subject_ids=[s for s, keep in zip(matrix.subject_ids, rated) if keep],
-                            columns=matrix.columns, values=matrix.values[rated],
-                            groups=[g for g, keep in zip(matrix.groups, rated) if keep])
         spec = LearnerSpec(kind="cart", mode="regression",
                            min_leaf=cfg.min_leaf, seed=cfg.seed)
-        sel = _select_and_eval(sub, y[rated], spec, cfg)
-        ok = drop_incomplete_rows(sub.values, y[rated], sel.selected_indices)
-        X = sub.values[np.ix_(ok, sel.selected_indices)]
-        truth = y[rated][ok]
-        ids = np.asarray(sub.subject_ids)[ok]
-        mae, rho = regression_metrics(_loo_predictions(X, truth, spec, cfg, ids, scope), truth)
+        sel, preds, truth = _select_and_loo(matrix, y, spec, cfg)
+        mae, rho = regression_metrics(preds, truth)
         rows.append({
             "scope": scope, "target": cfg.target,
             "mae": round_half_away(mae, 4),
@@ -307,16 +299,12 @@ def cmd_regress(cfg: RunConfig) -> int:
 
 
 def cmd_correlate(cfg: RunConfig) -> int:
-    scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
-    if not scopes:
-        raise ConfigError("no scopes given and no feature matrices found")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scopes, out = _report_scopes(cfg)
+    matrices = [_load_matrix(cfg, scope) for scope in scopes]
     panels = []
     for scale_id in SCALES:
         best = None
-        for scope in scopes:
-            matrix = _load_matrix(cfg, scope)
+        for matrix in matrices:
             y = matrix.scores.get(scale_id)
             if y is None or np.isfinite(y).sum() < 5:
                 continue
@@ -327,7 +315,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
                     continue
                 rho, p = spearman(x[ok], y[ok])
                 if best is None or abs(rho) > abs(best[0]):
-                    best = (rho, p, scope, name, x[ok], y[ok])
+                    best = (rho, p, matrix.scope, name, x[ok], y[ok])
         if best is None:
             log.info("no complete pairs for scale %s; panel skipped", scale_id)
             continue
@@ -388,7 +376,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: usage error (code 2) or --help (code 0)
+        return EXIT_CONFIG if exc.code else EXIT_OK
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
@@ -400,6 +391,8 @@ def main(argv=None) -> int:
                 raise ConfigError("extract needs --manifest")
             return cmd_extract(cfg)
         if args.command == "classify":
+            if args.min_leaf is not None:
+                raise ConfigError("--min-leaf applies to regress; forest trees grow to purity")
             return cmd_classify(cfg)
         if args.command == "regress":
             return cmd_regress(cfg)

@@ -5,12 +5,11 @@ are midpoints between neighboring values, rows equal to a threshold go left,
 ties between equally good splits resolve to the lowest feature index then
 the lowest threshold, and every tree draws its randomness from a stream
 spawned off the master seed so serial and parallel training produce the same
-model. Models serialize to JSON.
+model.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,30 +36,7 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     root: TreeNode
-    mode: str  # "regression" | "classification"
     n_features: int
-    classes: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        def enc(node: TreeNode):
-            if node.is_leaf:
-                return {"predict": node.prediction}
-            return {"feature": node.feature, "threshold": node.threshold,
-                    "left": enc(node.left), "right": enc(node.right)}
-        return json.dumps({"mode": self.mode, "n_features": self.n_features,
-                           "classes": self.classes, "root": enc(self.root)})
-
-    @classmethod
-    def from_json(cls, payload: str) -> "DecisionTree":
-        data = json.loads(payload)
-
-        def dec(obj) -> TreeNode:
-            if "predict" in obj:
-                return TreeNode(prediction=obj["predict"])
-            return TreeNode(feature=obj["feature"], threshold=obj["threshold"],
-                            left=dec(obj["left"]), right=dec(obj["right"]))
-        return cls(root=dec(data["root"]), mode=data["mode"],
-                   n_features=data["n_features"], classes=data.get("classes", []))
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -71,76 +47,61 @@ def _gini(counts: np.ndarray) -> float:
     return 1.0 - float(np.sum(p * p))
 
 
-def _best_split_regression(col: np.ndarray, y: np.ndarray, min_leaf: int):
+def _best_split(col: np.ndarray, y: np.ndarray, n_classes: int, min_leaf: int):
+    """(gain, midpoint threshold) of the best split of one column, or None.
+
+    ``n_classes == 0`` scores variance reduction of a numeric ``y``; otherwise
+    ``y`` holds class codes and the gain is the Gini decrease.
+    """
     order = np.argsort(col, kind="stable")
     xs = col[order]
     ys = y[order]
     n = len(ys)
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys**2)
-    total_sse = csq[-1] - csum[-1] ** 2 / n
     k = np.arange(min_leaf, n - min_leaf + 1)  # left sizes
     if len(k) == 0:
         return None
-    left_sse = csq[k - 1] - csum[k - 1] ** 2 / k
-    right_n = n - k
-    right_sum = csum[-1] - csum[k - 1]
-    right_sse = (csq[-1] - csq[k - 1]) - right_sum**2 / right_n
-    gain = total_sse - (left_sse + right_sse)
     valid = xs[k - 1] < xs[np.minimum(k, n - 1)]  # distinct neighboring values
     if not valid.any():
         return None
+    if n_classes:
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[k - 1]
+        right = cum[-1] - left
+        ln = k.astype(float)
+        rn = (n - k).astype(float)
+        gini_left = 1.0 - np.sum((left / ln[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right / rn[:, None]) ** 2, axis=1)
+        gain = _gini(cum[-1]) - (ln / n) * gini_left - (rn / n) * gini_right
+    else:
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys**2)
+        left_sse = csq[k - 1] - csum[k - 1] ** 2 / k
+        right_sum = csum[-1] - csum[k - 1]
+        right_sse = (csq[-1] - csq[k - 1]) - right_sum**2 / (n - k)
+        gain = (csq[-1] - csum[-1] ** 2 / n) - (left_sse + right_sse)
     gain = np.where(valid, gain, -np.inf)
     best = int(np.argmax(gain))  # first max -> lowest threshold
     thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
     return float(gain[best]), thr
 
 
-def _best_split_classification(col: np.ndarray, y_codes: np.ndarray, n_classes: int, min_leaf: int):
-    order = np.argsort(col, kind="stable")
-    xs = col[order]
-    ys = y_codes[order]
-    n = len(ys)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    total = cum[-1]
-    k = np.arange(min_leaf, n - min_leaf + 1)
-    if len(k) == 0:
-        return None
-    left = cum[k - 1]
-    right = total - left
-    ln = k.astype(float)
-    rn = (n - k).astype(float)
-    gini_left = 1.0 - np.sum((left / ln[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right / rn[:, None]) ** 2, axis=1)
-    parent = _gini(total)
-    gain = parent - (ln / n) * gini_left - (rn / n) * gini_right
-    valid = xs[k - 1] < xs[np.minimum(k, n - 1)]
-    if not valid.any():
-        return None
-    gain = np.where(valid, gain, -np.inf)
-    best = int(np.argmax(gain))
-    thr = 0.5 * (xs[k[best] - 1] + xs[k[best]])
-    return float(gain[best]), thr
-
-
-def _leaf(y, mode: str, classes: list[str]) -> TreeNode:
-    if mode == "regression":
+def _leaf(y, classes: list[str]) -> TreeNode:
+    if not classes:
         return TreeNode(prediction=float(np.mean(y)))
     codes, counts = np.unique(y, return_counts=True)
     best = codes[np.argmax(counts)]  # ties -> lowest code = first class label
     return TreeNode(prediction=classes[int(best)])
 
 
-def _grow(X, y, mode, classes, min_leaf, max_depth, depth, rng, feature_subsample):
+def _grow(X, y, classes, min_leaf, rng, feature_subsample):
+    """Grow a subtree; ``classes`` is empty for regression."""
     n, p = X.shape
-    if n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return _leaf(y, mode, classes)
-    if mode == "regression" and np.all(y == y[0]):
-        return TreeNode(prediction=float(y[0]))
-    if mode == "classification" and np.all(y == y[0]):
-        return TreeNode(prediction=classes[int(y[0])])
+    if n < 2 * min_leaf:
+        return _leaf(y, classes)
+    if np.all(y == y[0]):
+        return TreeNode(prediction=classes[int(y[0])] if classes else float(y[0]))
 
     if feature_subsample is not None and feature_subsample < p:
         candidates = np.sort(rng.choice(p, size=feature_subsample, replace=False))
@@ -153,22 +114,18 @@ def _grow(X, y, mode, classes, min_leaf, max_depth, depth, rng, feature_subsampl
     best_feature = None
     best_thr = None
     for j in candidates:  # ascending index: ties keep the lowest feature
-        col = X[:, j]
-        res = (_best_split_regression(col, y, min_leaf) if mode == "regression"
-               else _best_split_classification(col, y, len(classes), min_leaf))
+        res = _best_split(X[:, j], y, len(classes), min_leaf)
         if res is None:
             continue
         gain, thr = res
         if gain > best_gain + GAIN_TOL:
             best_gain, best_feature, best_thr = gain, j, thr
     if best_feature is None or best_gain < -1e-9:
-        return _leaf(y, mode, classes)
+        return _leaf(y, classes)
 
     go_left = X[:, best_feature] <= best_thr  # ties at the threshold go left
-    left = _grow(X[go_left], y[go_left], mode, classes, min_leaf, max_depth,
-                 depth + 1, rng, feature_subsample)
-    right = _grow(X[~go_left], y[~go_left], mode, classes, min_leaf, max_depth,
-                  depth + 1, rng, feature_subsample)
+    left = _grow(X[go_left], y[go_left], classes, min_leaf, rng, feature_subsample)
+    right = _grow(X[~go_left], y[~go_left], classes, min_leaf, rng, feature_subsample)
     return TreeNode(feature=int(best_feature), threshold=float(best_thr),
                     left=left, right=right)
 
@@ -177,7 +134,6 @@ def train_cart(
     X,
     y,
     mode: str = "regression",
-    max_depth: int | None = None,
     min_leaf: int = MIN_LEAF_DEFAULT,
     rng: np.random.Generator | None = None,
     feature_subsample: int | None = None,
@@ -193,9 +149,8 @@ def train_cart(
         raise PhonassessError("training matrix contains missing values; drop rows first")
     rng = rng or np.random.default_rng(0)
     if mode == "regression":
-        y_arr = np.asarray(y, dtype=np.float64)
         classes: list[str] = []
-        codes = y_arr
+        codes = np.asarray(y, dtype=np.float64)
     elif mode == "classification":
         labels = np.asarray([str(v) for v in y])
         classes = sorted(set(labels))
@@ -203,8 +158,8 @@ def train_cart(
         codes = np.array([lut[v] for v in labels])
     else:
         raise PhonassessError(f"unknown mode {mode!r}")
-    root = _grow(X, codes, mode, classes, min_leaf, max_depth, 0, rng, feature_subsample)
-    return DecisionTree(root=root, mode=mode, n_features=p, classes=classes)
+    return DecisionTree(root=_grow(X, codes, classes, min_leaf, rng, feature_subsample),
+                        n_features=p)
 
 
 def predict_tree(tree: DecisionTree, row) -> float | str:
@@ -228,72 +183,32 @@ def _features_used(node: TreeNode) -> set[int]:
 @dataclass
 class ForestModel:
     trees: list[DecisionTree]
-    mode: str
-    seed: int
-    bootstrap: bool
-    feature_subsample: int | None
-    classes: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode, "seed": self.seed, "bootstrap": self.bootstrap,
-            "feature_subsample": self.feature_subsample, "classes": self.classes,
-            "trees": [json.loads(t.to_json()) for t in self.trees],
-        })
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ForestModel":
-        data = json.loads(payload)
-        trees = [DecisionTree.from_json(json.dumps(t)) for t in data["trees"]]
-        return cls(trees=trees, mode=data["mode"], seed=data["seed"],
-                   bootstrap=data["bootstrap"], feature_subsample=data["feature_subsample"],
-                   classes=data.get("classes", []))
 
 
-def train_forest(
-    X,
-    y,
-    n_trees: int = N_TREES_DEFAULT,
-    feature_subsample: int | str | None = "sqrt",
-    bootstrap: bool = True,
-    seed: int = 0,
-    mode: str = "classification",
-    min_leaf: int = 1,
-    max_depth: int | None = None,
-) -> ForestModel:
-    """Bagged CART ensemble with per-node feature subsampling.
+def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> ForestModel:
+    """Bagged classification CARTs, sqrt(p) candidate features per node.
 
     Every tree gets its own generator spawned from the master seed, so the
     model is identical whether trees are trained serially or in parallel.
+    Trees grow to purity (``min_leaf=1``) on a bootstrap sample.
     """
     X = np.asarray(X, dtype=np.float64)
     y_arr = np.asarray(y)
-    if mode == "classification" and len(set(map(str, y_arr))) < 2:
+    if len(set(map(str, y_arr))) < 2:
         raise PhonassessError("need at least two classes to train a forest")
     n, p = X.shape
-    if feature_subsample == "sqrt":
-        k = max(1, int(np.sqrt(p)))
-    elif feature_subsample in (None, "all"):
-        k = None
-    else:
-        k = int(feature_subsample)
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
+    k = max(1, int(np.sqrt(p)))
     trees = []
-    classes: list[str] = sorted(set(map(str, y_arr))) if mode == "classification" else []
-    for ss in streams:
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        tree = train_cart(X[idx], y_arr[idx], mode=mode, max_depth=max_depth,
-                          min_leaf=min_leaf, rng=rng, feature_subsample=k)
-        trees.append(tree)
-    return ForestModel(trees=trees, mode=mode, seed=seed, bootstrap=bootstrap,
-                       feature_subsample=k, classes=classes)
+        idx = rng.integers(0, n, size=n)
+        trees.append(train_cart(X[idx], y_arr[idx], mode="classification", min_leaf=1,
+                                rng=rng, feature_subsample=k))
+    return ForestModel(trees=trees)
 
 
-def predict_forest(model: ForestModel, row) -> float | str:
+def predict_forest(model: ForestModel, row) -> str:
     votes = [predict_tree(t, row) for t in model.trees]
-    if model.mode == "regression":
-        return float(np.mean(votes))
     labels, counts = np.unique(votes, return_counts=True)
     return str(labels[np.argmax(counts)])  # tie -> lexicographically smallest
 

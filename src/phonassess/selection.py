@@ -20,6 +20,7 @@ log = logging.getLogger(__name__)
 
 MRMR_BINS = 10
 SFFS_PATIENCE_DEFAULT = 3
+SFFS_MAX_FEATURES = 20
 
 
 def quantile_discretize(col: np.ndarray, bins: int = MRMR_BINS) -> np.ndarray:
@@ -114,21 +115,21 @@ class SelectionResult:
 
 @dataclass
 class LearnerSpec:
-    """What to train inside the wrapper and the final evaluation."""
+    """What to train inside the wrapper and the final evaluation.
+
+    A forest always classifies; ``min_leaf`` applies to a single CART only.
+    """
 
     kind: str = "cart"             # "cart" | "forest"
     mode: str = "regression"       # "regression" | "classification"
     n_trees: int = 50
     min_leaf: int = 3
-    max_depth: int | None = None
     seed: int = 0
 
     def train(self, X, y, seed: int):
         if self.kind == "forest":
-            return train_forest(X, y, n_trees=self.n_trees, seed=seed, mode=self.mode,
-                                min_leaf=1)
-        return train_cart(X, y, mode=self.mode, min_leaf=self.min_leaf,
-                          max_depth=self.max_depth)
+            return train_forest(X, y, n_trees=self.n_trees, seed=seed)
+        return train_cart(X, y, mode=self.mode, min_leaf=self.min_leaf)
 
 
 def drop_incomplete_rows(X: np.ndarray, y: np.ndarray, cols: list[int]):
@@ -141,16 +142,17 @@ def drop_incomplete_rows(X: np.ndarray, y: np.ndarray, cols: list[int]):
 
 
 def loo_objective(X, y, spec: LearnerSpec) -> float:
-    """LOO objective: TSS for classification, negative MAE for regression."""
+    """LOO objective: TSS for classification, negative MAE for regression.
+
+    A subset on which any fold fails to train scores ``-inf``.
+    """
     result = loo_validate(X, y, spec.train, predict, seed=spec.seed)
+    if result.failed_folds:
+        return -np.inf
     preds = result.predictions
     if spec.mode == "classification":
-        metrics = classification_metrics(preds, y)
-        return metrics.tss
-    ok = np.isfinite(preds)
-    if ok.sum() < 3:
-        return -np.inf
-    return -float(np.mean(np.abs(preds[ok] - np.asarray(y, dtype=np.float64)[ok])))
+        return classification_metrics(preds, y).tss
+    return -float(np.mean(np.abs(preds - np.asarray(y, dtype=np.float64))))
 
 
 def sffs(
@@ -160,8 +162,6 @@ def sffs(
     spec: LearnerSpec,
     candidates: list[int] | None = None,
     patience: int = SFFS_PATIENCE_DEFAULT,
-    max_features: int | None = None,
-    floating: bool = True,
 ) -> SelectionResult:
     """Sequential floating forward selection under the LOO objective.
 
@@ -169,15 +169,14 @@ def sffs(
     not improve (plateaus count against ``patience``); after every addition,
     features whose removal strictly improves the objective are floated out.
     The best subset ever seen is returned, so the result's objective is
-    always at least the best single feature's. ``floating=False`` disables
-    the removal pass, reducing the procedure to plain forward selection.
+    always at least the best single feature's. Subsets grow to at most
+    ``SFFS_MAX_FEATURES`` columns.
     """
     X = np.asarray(X, dtype=np.float64)
     names = list(names)
     pool = list(candidates) if candidates is not None else list(range(X.shape[1]))
     if not pool:
         raise PhonassessError("no candidate features")
-    max_features = max_features or min(len(pool), 20)
 
     current: list[int] = []
     best_subset: list[int] = []
@@ -185,7 +184,7 @@ def sffs(
     trace: list[tuple[str, str, float]] = []
     stall = 0
 
-    while len(current) < max_features and stall < patience:
+    while len(current) < SFFS_MAX_FEATURES and stall < patience:
         options = [j for j in pool if j not in current]
         if not options:
             break
@@ -197,7 +196,7 @@ def sffs(
         trace.append(("add", names[j], obj))
 
         # floating removal: drop features whose exclusion strictly improves
-        improved_removal = floating
+        improved_removal = True
         while improved_removal and len(current) > 2:
             improved_removal = False
             for g in list(current[:-1]):  # never immediately drop the newcomer

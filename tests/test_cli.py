@@ -142,6 +142,27 @@ def test_non_integer_config_value(tmp_path):
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_usage_error_is_config_error(capsys):
+    assert main(["classify", "--trees", "abc"]) == EXIT_CONFIG
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    assert main(["classify", "--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_min_leaf_on_classify_is_config_error(tmp_path):
+    """Forest trees always grow to purity, so --min-leaf would be ignored."""
+    values = np.random.default_rng(1).standard_normal((8, 3))
+    _write_matrix(tmp_path, ["PD", "HC"] * 4, values)
+    code = main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
+                 "--scope", "a_s", "--trees", "3", "--mrmr-k", "2", "--sffs-patience", "1",
+                 "--min-leaf", "9"])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "classification.json").exists()
+
+
 def test_synth_regress_manifest(tmp_path):
     code = main(["synth", "--mode", "regress", "--subjects", "6", "--out",
                  str(tmp_path / "c"), "--seed", "1"])

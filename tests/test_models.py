@@ -3,7 +3,7 @@ import pytest
 
 from phonassess.errors import PhonassessError
 from phonassess.models import (DecisionTree, ForestModel, TreeNode, predict,
-                               predict_forest, predict_tree, train_cart, train_forest)
+                               predict_forest, train_cart, train_forest)
 
 
 class TestCart:
@@ -63,34 +63,12 @@ class TestCart:
         for row in X:
             assert predict(t_raw, row) == predict(t_exp, np.exp(row))
 
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(3)
-        X = rng.uniform(0, 1, (30, 4))
-        y = np.array(["PD" if v > 0.5 else "HC" for v in X[:, 1]])
-        tree = train_cart(X, y, mode="classification")
-        clone = DecisionTree.from_json(tree.to_json())
-        for row in X:
-            assert predict(tree, row) == predict(clone, row)
-
 
 class TestForest:
-    def test_degenerate_equals_cart(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(0, 1, (30, 3))
-        y = np.array(["PD" if v > 0.5 else "HC" for v in X[:, 0]])
-        forest = train_forest(X, y, n_trees=1, bootstrap=False, feature_subsample=None,
-                              seed=0, min_leaf=3)
-        cart = train_cart(X, y, mode="classification", min_leaf=3)
-        for row in X:
-            assert predict_forest(forest, row) == predict_tree(cart, row)
-
     def test_majority_vote(self):
-        leaf_a = DecisionTree(root=TreeNode(prediction="A"), mode="classification",
-                              n_features=1, classes=["A", "B"])
-        leaf_b = DecisionTree(root=TreeNode(prediction="B"), mode="classification",
-                              n_features=1, classes=["A", "B"])
-        forest = ForestModel(trees=[leaf_a, leaf_a, leaf_b], mode="classification",
-                             seed=0, bootstrap=True, feature_subsample=None)
+        leaf_a = DecisionTree(root=TreeNode(prediction="A"), n_features=1)
+        leaf_b = DecisionTree(root=TreeNode(prediction="B"), n_features=1)
+        forest = ForestModel(trees=[leaf_a, leaf_a, leaf_b])
         assert predict_forest(forest, [0.0]) == "A"
 
     def test_single_class_error(self):
@@ -104,23 +82,6 @@ class TestForest:
         y = np.array(["HC"] * 12 + ["PD"] * 12)
         a = train_forest(X, y, n_trees=15, seed=42)
         b = train_forest(X, y, n_trees=15, seed=42)
-        assert a.to_json() == b.to_json()
+        assert a == b
         probe = rng.normal(1.5, 1, (20, 4))
         assert [predict_forest(a, r) for r in probe] == [predict_forest(b, r) for r in probe]
-
-    def test_forest_json_roundtrip(self):
-        rng = np.random.default_rng(7)
-        X = np.vstack([rng.normal(0, 1, (10, 3)), rng.normal(4, 1, (10, 3))])
-        y = np.array(["HC"] * 10 + ["PD"] * 10)
-        forest = train_forest(X, y, n_trees=5, seed=9)
-        clone = ForestModel.from_json(forest.to_json())
-        for row in X:
-            assert predict_forest(forest, row) == predict_forest(clone, row)
-
-    def test_regression_forest_mean(self):
-        rng = np.random.default_rng(8)
-        X = rng.uniform(0, 1, (40, 2))
-        y = 3 * X[:, 0]
-        forest = train_forest(X, y, n_trees=10, seed=1, mode="regression")
-        preds = [predict_forest(forest, r) for r in X]
-        assert np.corrcoef(preds, y)[0, 1] > 0.9

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from phonassess.errors import PhonassessError
 from phonassess.selection import (LearnerSpec, _masked_objective, drop_incomplete_rows,
-                                  mrmr_rank, quantile_discretize, sffs)
+                                  loo_objective, mrmr_rank, quantile_discretize, sffs)
 
 
 class TestMrmr:
@@ -123,29 +123,6 @@ class TestSffs:
         res = sffs(X, y, list("abcde"), SPEC)
         assert res.objective >= max(singles) - 1e-12
 
-    def test_floating_disabled_equals_plain_forward(self):
-        rng = np.random.default_rng(49)
-        X = rng.normal(0, 1, (24, 4))
-        X[:12, 0] += 2.0
-        y = np.array(["PD"] * 12 + ["HC"] * 12)
-        res = sffs(X, y, list("abcd"), SPEC, floating=False, patience=2)
-        # brute-force plain sequential forward selection, same tie rules
-        current, best_obj, best_sub, stall = [], -np.inf, [], 0
-        while len(current) < 4 and stall < 2:
-            options = [j for j in range(4) if j not in current]
-            if not options:
-                break
-            scores = [_masked_objective(X, y, current + [j], SPEC) for j in options]
-            j = options[int(np.argmax(scores))]
-            current = current + [j]
-            obj = max(scores)
-            if obj > best_obj + 1e-12:
-                best_obj, best_sub, stall = obj, list(current), 0
-            else:
-                stall += 1
-        assert res.selected == [list("abcd")[j] for j in best_sub]
-        assert res.objective == pytest.approx(best_obj)
-
     def test_tie_break_lowest_index(self):
         # all candidates identical -> first column chosen
         X = np.tile(np.array([0.0] * 8 + [1.0] * 8).reshape(-1, 1), (1, 3))
@@ -174,3 +151,30 @@ def test_regression_objective_path():
     spec = LearnerSpec(kind="cart", mode="regression", min_leaf=2)
     res = sffs(X, y, list("abcd"), spec, patience=2)
     assert "c" in res.selected
+
+
+class _FailsOnFold(LearnerSpec):
+    """A learner whose training fails for one LOO fold (fold i trains with seed i)."""
+
+    def train(self, X, y, seed):
+        if seed == 3:
+            raise PhonassessError("cannot train this fold")
+        return super().train(X, y, seed)
+
+
+class TestFailedFolds:
+    def test_lone_hc_fold_scores_minus_inf(self):
+        # holding out the only HC leaves a one-class training set
+        X = np.random.default_rng(0).standard_normal((8, 2))
+        y = np.array(["PD"] * 7 + ["HC"])
+        spec = LearnerSpec(kind="forest", mode="classification", n_trees=5)
+        assert loo_objective(X, y, spec) == -np.inf
+
+    @pytest.mark.parametrize("mode", ["classification", "regression"])
+    def test_any_failed_fold_scores_minus_inf(self, mode):
+        rng = np.random.default_rng(51)
+        X = rng.uniform(0, 1, (12, 2))
+        y = (np.where(X[:, 0] > 0.5, "PD", "HC") if mode == "classification"
+             else 10 * X[:, 0])
+        assert np.isfinite(loo_objective(X, y, LearnerSpec(mode=mode, min_leaf=2)))
+        assert loo_objective(X, y, _FailsOnFold(mode=mode, min_leaf=2)) == -np.inf
