@@ -1,7 +1,10 @@
-"""Audio decoding, resampling, and short-time framing.
+"""Audio decoding, resampling, short-time framing and the frame-level kernels.
 
 All downstream analysis runs at ANALYSIS_RATE (16 kHz). Decoding is
 bit-deterministic: the same file always yields the same float buffer.
+Feature frames are FRAME_MS (25 ms) long every HOP_MS (10 ms). The FFT
+autocorrelation and the 1 s context sums shared by the feature families
+live here.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ from .errors import AudioError, InsufficientSignalError
 VOWELS = ("a", "e", "i", "o", "u")
 TASKS = ("s", "l", "ll", "ls")
 ANALYSIS_RATE = 16_000
+FRAME_MS = 25.0
+HOP_MS = 10.0
 
 # Integer PCM is scaled by the full-scale divisor of its width (asymmetric
 # full scale accepted), so golden files are stable across platforms.
@@ -85,8 +90,6 @@ def window_taper(name: str, length: int) -> np.ndarray:
         return np.ones(length)
     if name == "hann":
         return np.hanning(length)
-    if name == "hamming":
-        return np.hamming(length)
     raise ValueError(f"unknown window {name!r}")
 
 
@@ -99,7 +102,7 @@ def load_recording(
     """Decode a PCM/float WAV file into a mono Recording in [-1, 1].
 
     Stereo input is averaged to mono. Peak normalization, if wanted, is
-    ``ExtractionParams.peak_normalize``.
+    ``extract_recording(peak_normalize=True)``.
     """
     path = Path(path)
     if not path.exists():
@@ -175,3 +178,29 @@ def frame_array(x: np.ndarray, fs: int, frame_length: int, hop: int, window: str
         window=window,
         fs=fs,
     )
+
+
+def autocorrelation(x: np.ndarray) -> np.ndarray:
+    """Linear autocorrelation along the last axis, lags 0 .. n-1.
+
+    Zero-padded FFT of length 2^ceil(log2(2n)), so no circular wrap-around.
+    """
+    n = x.shape[-1]
+    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    spec = np.fft.rfft(x, nfft)
+    return np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[..., :n]
+
+
+def context_sums(values: np.ndarray, hop: int, fs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum, frame count) of each frame value's centred 1 s context, cut at the edges.
+
+    Callers form the context mean as sum / count themselves, so each keeps
+    its own rounding order (1.5 * sum / count is not 1.5 * (sum / count)).
+    """
+    half = max(1, int(round(fs / hop))) // 2
+    n = len(values)
+    cums = np.concatenate(([0.0], np.cumsum(values)))
+    i = np.arange(n)
+    a = np.maximum(0, i - half)
+    b = np.minimum(n, i + half + 1)
+    return cums[b] - cums[a], b - a

@@ -1,10 +1,11 @@
 """Command-line pipeline: synth, extract, classify, regress, correlate.
 
 Config values come from an optional key=value file overridden by flags.
+Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
-file or value, scope token or target, a missing --manifest, --min-leaf on
-classify; or an argparse usage error), 2 data error (any other
-``PhonassessError``).
+file or value, scope token or target, a missing --manifest; or an argparse
+usage error such as a flag the subcommand does not take), 2 data error (any
+other ``PhonassessError``).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .errors import AudioError, ConfigError, PhonassessError
 from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
                          estimation_errors, loo_validate, regression_metrics,
                          round_half_away, spearman)
-from .features.extract import ExtractionParams, extract_recording
+from .features.extract import extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
 from .manifest import load_manifest
 from .models import predict
@@ -129,7 +130,6 @@ def cmd_extract(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     scopes = cfg.scopes() or _default_scopes(manifest)
-    params = ExtractionParams(peak_normalize=cfg.peak_normalize)
 
     needed: set[tuple[str, str]] = set()
     for scope in scopes:
@@ -150,7 +150,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             except AudioError as exc:
                 log.warning("unreadable audio for %s (%s,%s): %s", row.subject_id, v, t, exc)
                 continue
-            result = extract_recording(rec, params)
+            result = extract_recording(rec, peak_normalize=cfg.peak_normalize)
             extracted[(row.subject_id, v, t)] = result.features
             for name in result.failures:
                 failure_counts[name] = failure_counts.get(name, 0) + 1
@@ -343,35 +343,47 @@ def cmd_correlate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# flag -> add_argument keywords; --config, --out and --seed go on every subcommand
+FLAGS = {
+    "--config": {"help": "key=value config file"},
+    "--out": {},
+    "--seed": {"type": int},
+    "--manifest": {},
+    "--peak-normalize": {"action": "store_const", "const": True},
+    "--features": {"help": "directory holding features_<scope>.csv"},
+    "--scope": {"help": "comma-separated scopes like a_s,all_ls"},
+    "--target": {},
+    "--mrmr-k": {"type": int},
+    "--sffs-patience": {"type": int},
+    "--trees": {"type": int},
+    "--min-leaf": {"type": int},
+}
+SUBCOMMAND_FLAGS = {
+    "synth": ("--target",),
+    "extract": ("--manifest", "--scope", "--peak-normalize"),
+    "classify": ("--features", "--scope", "--mrmr-k", "--sffs-patience", "--trees"),
+    "regress": ("--features", "--scope", "--target", "--mrmr-k", "--sffs-patience",
+                "--min-leaf"),
+    "correlate": ("--features", "--scope"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phonassess",
                                      description="Vowel-phonation biomarker pipeline")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        p = sub.add_parser(name, help="generate a synthetic cohort" if name == "synth"
+                           else f"run the {name} stage")
+        for flag in ("--config", "--out", "--seed", *flags):
+            p.add_argument(flag, **FLAGS[flag])
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--manifest")
-        p.add_argument("--features", help="directory holding features_<scope>.csv")
-        p.add_argument("--out")
-        p.add_argument("--scope", help="comma-separated scopes like a_s,all_ls")
-        p.add_argument("--target")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mrmr-k", dest="mrmr_k", type=int)
-        p.add_argument("--sffs-patience", dest="sffs_patience", type=int)
-        p.add_argument("--trees", type=int)
-        p.add_argument("--min-leaf", dest="min_leaf", type=int)
-        p.add_argument("--peak-normalize", dest="peak_normalize", action="store_const", const=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic cohort")
-    add_common(p_synth)
+    p_synth = sub.choices["synth"]
     p_synth.add_argument("--mode", choices=("regress", "classify"), default="regress")
     p_synth.add_argument("--subjects", type=int, default=40)
     p_synth.add_argument("--vowels", default="a")
     p_synth.add_argument("--tasks", default="s")
-
-    for name in ("extract", "classify", "regress", "correlate"):
-        add_common(sub.add_parser(name, help=f"run the {name} stage"))
     return parser
 
 
@@ -391,8 +403,6 @@ def main(argv=None) -> int:
                 raise ConfigError("extract needs --manifest")
             return cmd_extract(cfg)
         if args.command == "classify":
-            if args.min_leaf is not None:
-                raise ConfigError("--min-leaf applies to regress; forest trees grow to purity")
             return cmd_classify(cfg)
         if args.command == "regress":
             return cmd_regress(cfg)

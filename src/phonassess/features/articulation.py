@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_toeplitz
 
-from ..audio import FrameSequence, window_taper
+from ..audio import FrameSequence, autocorrelation, window_taper
 from ..errors import InsufficientSignalError
 
 PREEMPHASIS = 0.97
@@ -35,10 +35,9 @@ class FormantTrack:
 
 def lpc_coefficients(x: np.ndarray, order: int) -> np.ndarray:
     """Autocorrelation-method LPC: returns [1, a1..ap]."""
-    x = np.asarray(x, dtype=np.float64)
-    nfft = 1 << int(np.ceil(np.log2(2 * len(x))))
-    spec = np.fft.rfft(x, nfft)
-    r = np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[: order + 1]
+    if len(x) <= order:
+        raise np.linalg.LinAlgError("frame not longer than the model order")
+    r = autocorrelation(np.asarray(x, dtype=np.float64))[: order + 1]
     if r[0] <= 0:
         raise np.linalg.LinAlgError("zero-energy frame")
     r = r + np.finfo(float).eps * r[0] * np.arange(order + 1)  # tiny ridge for stability
@@ -70,19 +69,17 @@ def _frame_formants(frame: np.ndarray, fs: int, order: int, taper: np.ndarray):
     return freqs[order_idx][:3], bws[order_idx][:3]
 
 
-def estimate_formants(frames: FrameSequence, fs: int, order: int | None = None) -> FormantTrack:
+def estimate_formants(frames: FrameSequence, fs: int) -> FormantTrack:
     """All-pole resonance tracking over a frame sequence.
 
     Each raw frame is pre-emphasized, tapered, and fit with an LPC model of
-    order 2 + fs/1000 by default; pole angles give frequencies and pole radii
-    bandwidths. A frame contributes its (up to three) lowest resonances in
-    [90, 5500] Hz with bandwidth < 600 Hz; absent ones are NaN. Raises when
-    no frame yields any valid resonance (e.g. constant input).
+    order 2 + fs/1000, rounded up to even; pole angles give frequencies and
+    pole radii bandwidths. A frame contributes its (up to three) lowest
+    resonances in [90, 5500] Hz with bandwidth < 600 Hz; absent ones are NaN.
+    Raises when no frame yields any valid resonance (e.g. constant input).
     """
-    if order is None:
-        order = 2 + fs // 1000
-    if order % 2:
-        order += 1
+    order = 2 + fs // 1000
+    order += order % 2
     n = len(frames)
     out = np.full((6, n), np.nan)
     taper = window_taper("hann", frames.frame_length)

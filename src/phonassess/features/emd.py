@@ -2,7 +2,7 @@
 
 Standard sifting: cubic-spline envelopes through mirrored extrema, Cauchy
 stop criterion SD < 0.2 or 10 sift iterations per mode, decomposition ends
-when the residual has fewer than 4 extrema or max_imfs modes exist. The
+when the residual has fewer than 4 extrema or MAX_IMFS (10) modes exist. The
 reconstruction Sum(IMFs) + residual == input holds algebraically.
 """
 from __future__ import annotations
@@ -12,11 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ..errors import InsufficientSignalError
+from .. import pitch
+from ..audio import FRAME_MS, HOP_MS, Recording, frame_signal
+from ..errors import InsufficientSignalError, PhonassessError
+from . import nonlinear, phonation, quality
 
 SIFT_SD = 0.2
 SIFT_MAX_ITER = 10
-MAX_IMFS_DEFAULT = 10
+MAX_IMFS = 10
 MIRROR = 2
 
 
@@ -106,7 +109,7 @@ def _sift(x: np.ndarray) -> np.ndarray | None:
     return h
 
 
-def emd(samples: np.ndarray, max_imfs: int = MAX_IMFS_DEFAULT) -> ImfSet:
+def emd(samples: np.ndarray) -> ImfSet:
     """Decompose a signal into intrinsic mode functions plus a residual."""
     x = np.asarray(samples, dtype=np.float64)
     maxima, minima = _extrema(x)
@@ -114,7 +117,7 @@ def emd(samples: np.ndarray, max_imfs: int = MAX_IMFS_DEFAULT) -> ImfSet:
         raise InsufficientSignalError("signal has fewer than 4 extrema")
     imfs: list[np.ndarray] = []
     residual = x.copy()
-    while len(imfs) < max_imfs:
+    while len(imfs) < MAX_IMFS:
         maxima, minima = _extrema(residual)
         if len(maxima) + len(minima) < 4:
             break
@@ -126,24 +129,13 @@ def emd(samples: np.ndarray, max_imfs: int = MAX_IMFS_DEFAULT) -> ImfSet:
     return ImfSet(imfs=imfs, residual=residual)
 
 
-def _hist_entropy(x: np.ndarray, bins: int = 64, order: int = 1) -> float:
-    hist, _ = np.histogram(x, bins=bins)
-    total = hist.sum()
-    if total == 0:
-        return 0.0
-    p = hist[hist > 0] / total
-    if order == 1:
-        return float(-(p * np.log(p)).sum())
-    return float(-np.log(np.sum(p**2)))
-
-
 def _zcr_rate(x: np.ndarray) -> float:
     pos = x >= 0
     return float(np.mean(pos[1:] != pos[:-1]))
 
 
 def _mean_abs_tkeo(x: np.ndarray) -> float:
-    return float(np.mean(np.abs(x[1:-1] ** 2 - x[:-2] * x[2:])))
+    return float(np.mean(np.abs(phonation.teager_kaiser(x))))
 
 
 def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
@@ -161,20 +153,19 @@ def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
     noise = imf_set.imfs[0]
     signal = np.sum(imf_set.imfs[1:], axis=0)
 
-    def ratio(f) -> float:
-        lo = f(noise)
-        hi = f(signal)
+    def ratio(lo: float, hi: float) -> float:
         if lo <= 0:
             return float("inf") if hi > 0 else 1.0
         return float(hi / lo)
 
-    snr_tkeo = ratio(_mean_abs_tkeo)
-    snr_seo = ratio(lambda v: float(np.mean(v**2)))
-    snr_se = ratio(lambda v: max(_hist_entropy(v, order=1), 1e-12))
-    snr_re = ratio(lambda v: max(_hist_entropy(v, order=2), 1e-12))
-    snr_zcr = ratio(lambda v: max(_zcr_rate(v), 1e-12))
+    se_n, re_n = nonlinear.histogram_entropies(noise)
+    se_s, re_s = nonlinear.histogram_entropies(signal)
+    snr_tkeo = ratio(_mean_abs_tkeo(noise), _mean_abs_tkeo(signal))
+    snr_seo = ratio(float(np.mean(noise**2)), float(np.mean(signal**2)))
+    snr_se = ratio(max(se_n, 1e-12), max(se_s, 1e-12))
+    snr_re = ratio(max(re_n, 1e-12), max(re_s, 1e-12))
+    snr_zcr = ratio(max(_zcr_rate(noise), 1e-12), max(_zcr_rate(signal), 1e-12))
 
-    from .nonlinear import katz_fd
     out = {
         "imf_snr_tkeo": snr_tkeo,
         "imf_snr_seo": snr_seo,
@@ -185,7 +176,7 @@ def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
         "imf_nsr_seo": 1.0 / snr_seo if snr_seo > 0 else float("inf"),
         "imf_nsr_se": 1.0 / snr_se if snr_se > 0 else float("inf"),
         "imf_nsr_re": 1.0 / snr_re if snr_re > 0 else float("inf"),
-        "imf_fd": katz_fd(noise),
+        "imf_fd": nonlinear.katz_fd(noise),
         "imf_cpp": imf1_cpp(noise, fs),
         "imf_gne": _safe_gne(noise, fs),
     }
@@ -193,25 +184,24 @@ def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
 
 
 def _safe_gne(x: np.ndarray, fs: int) -> float:
-    from .quality import glottal_noise_excitation
+    """GNE of IMF1, NaN when the signal does not support the measure."""
     try:
-        return glottal_noise_excitation(x, fs)
-    except Exception:
+        return quality.glottal_noise_excitation(x, fs)
+    except PhonassessError:
         return float("nan")
 
 
 def imf1_cpp(imf1: np.ndarray, fs: int) -> float:
-    """Cepstral peak prominence of IMF1 via the quality module's routine."""
-    from ..audio import Recording, frame_array
-    from ..pitch import estimate_f0
-    from .quality import cepstral_quality
+    """Cepstral peak prominence of IMF1 via the quality module's routine.
+
+    NaN when IMF1 has no voiced frame or does not support the measure.
+    """
     try:
         rec = Recording(imf1, fs)
-        contour = estimate_f0(rec)
+        contour = pitch.estimate_f0(rec)
         if not np.any(contour.voicing):
             return float("nan")
-        frames = frame_array(imf1, fs, int(0.025 * fs), int(0.010 * fs), "hann")
-        cpp, _, _ = cepstral_quality(frames, contour)
-        return cpp
-    except Exception:
+        frames = frame_signal(rec, FRAME_MS, HOP_MS, "hann")
+        return quality.cepstral_quality(frames, contour)[0]
+    except PhonassessError:
         return float("nan")

@@ -1,9 +1,13 @@
 """Per-recording extraction: one value or contour per registry entry.
 
-Frame-based contours (f0, energies, spectral flux, formants) run over 25 ms
-frames with a 10 ms hop. Block-based contours run the heavier measures over
-500 ms analysis blocks hopped by 250 ms, giving per-block values whose
-spread the summary statistics capture.
+Every recording is resampled to ANALYSIS_RATE (16 kHz) first. Frame-based
+contours (energies, spectral flux, formants) run over FRAME_MS (25 ms)
+frames with a HOP_MS (10 ms) hop; the f0 contour uses the pitch tracker's
+F0_FRAME_MS (40 ms) frames in [F0_MIN, F0_MAX] = [60, 400] Hz. Block-based
+contours run the heavier measures over BLOCK_LEN_S (500 ms) analysis blocks
+hopped by BLOCK_HOP_S (250 ms), giving per-block values whose spread the
+summary statistics capture. EMD keeps at most MAX_IMFS (10) modes. The one
+option is ``peak_normalize``: scale the resampled recording to unit peak.
 
 Failures never abort a recording. A failed recording-level measure yields
 NaN for each of its features plus a failure entry. A failed block measure is
@@ -16,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..audio import ANALYSIS_RATE, Recording, frame_array, frame_signal, resample
+from ..audio import (ANALYSIS_RATE, FRAME_MS, HOP_MS, Recording, frame_array, frame_signal,
+                     resample)
 from ..errors import PhonassessError
 from ..pitch import F0Contour, detect_cycles, estimate_f0
 from . import articulation, emd, highorder, nonlinear, phonation, quality
@@ -27,26 +32,14 @@ BLOCK_HOP_S = 0.25
 
 
 @dataclass
-class ExtractionParams:
-    f0_min: float = 60.0
-    f0_max: float = 400.0
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
-    block_len_s: float = BLOCK_LEN_S
-    block_hop_s: float = BLOCK_HOP_S
-    max_imfs: int = 10
-    peak_normalize: bool = False
-
-
-@dataclass
 class ExtractionResult:
     features: dict[str, float | np.ndarray]
     failures: dict[str, str] = field(default_factory=dict)
 
 
-def _block_bounds(n: int, fs: int, params: ExtractionParams) -> list[tuple[int, int]]:
-    blen = int(params.block_len_s * fs)
-    bhop = int(params.block_hop_s * fs)
+def _block_bounds(n: int, fs: int) -> list[tuple[int, int]]:
+    blen = int(BLOCK_LEN_S * fs)
+    bhop = int(BLOCK_HOP_S * fs)
     if n < blen:
         return []
     count = (n - blen) // bhop + 1
@@ -74,17 +67,17 @@ def _named(names, result) -> dict:
     return result if isinstance(result, dict) else dict(zip(names, result))
 
 
-def extract_recording(rec: Recording, params: ExtractionParams | None = None) -> ExtractionResult:
+def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> ExtractionResult:
     """Run the full measure battery on one recording.
 
-    The recording is resampled to the 16 kHz analysis rate first. Returns
-    per-registry-name scalars and contours plus a failure log mapping feature
-    names to the reason they are missing.
+    The recording is resampled to the 16 kHz analysis rate first and, with
+    ``peak_normalize``, scaled to unit peak. Returns per-registry-name
+    scalars and contours plus a failure log mapping feature names to the
+    reason they are missing.
     """
-    params = params or ExtractionParams()
     if rec.fs != ANALYSIS_RATE:
         rec = resample(rec, ANALYSIS_RATE)
-    if params.peak_normalize:
+    if peak_normalize:
         peak = np.max(np.abs(rec.samples))
         if peak > 0:
             rec = Recording(rec.samples / peak, rec.fs, rec.subject_id, rec.vowel, rec.task)
@@ -98,8 +91,8 @@ def extract_recording(rec: Recording, params: ExtractionParams | None = None) ->
             failures[name] = str(exc)
             feats.setdefault(name, float("nan"))
 
-    contour = estimate_f0(rec, params.f0_min, params.f0_max)
-    frames = frame_signal(rec, params.frame_ms, params.hop_ms, "hann")
+    contour = estimate_f0(rec)
+    frames = frame_signal(rec, FRAME_MS, HOP_MS, "hann")
     feats["f0"] = contour.voiced_f0 if np.any(contour.voicing) else np.array([np.nan])
     tau = nonlinear.fmmi(x)
     feats["fmmi"] = float(tau)
@@ -123,7 +116,7 @@ def extract_recording(rec: Recording, params: ExtractionParams | None = None) ->
         (FORMANT_KEYS, formants),
         (("ppe",), lambda: [phonation.ppe(contour)]),
         (("mser", "mfp", "rphm", "icer", "rphic"), lambda: quality.modulation_measures(rec)),
-        (IMF_KEYS, lambda: emd.imf_features(emd.emd(x, params.max_imfs), fs)),
+        (IMF_KEYS, lambda: emd.imf_features(emd.emd(x), fs)),
         (("cd", "he", "lle"), lambda: nonlinear.complexity_features(
             nonlinear.embed(x, nonlinear.EMBED_DIM, tau), x)),
     ]
@@ -140,54 +133,54 @@ def extract_recording(rec: Recording, params: ExtractionParams | None = None) ->
         cycles = None
         fail(CYCLE_KEYS, exc)
 
-    frame_len = int(params.frame_ms * fs / 1000)
-    frame_hop = int(params.hop_ms * fs / 1000)
-    prev_bispec = None
+    prev_cep = None
 
-    def higher_order(seg, sub_contour, sub_cycles):
-        # bcmd/bcpd compare with the previous block's estimate: NaN in the
+    def higher_order(blk, con, cyc):
+        # bcmd/bcpd compare with the previous block's bicepstrum: NaN in the
         # first block and after a failed one, and then not pushed
-        nonlocal prev_bispec
-        prev, prev_bispec = prev_bispec, None
+        nonlocal prev_cep
+        prev, prev_cep = prev_cep, None
         est = highorder.estimate_bispectrum(
-            frame_array(seg, fs, highorder.NFFT, highorder.NFFT // 2, "hann"))
+            frame_array(blk.samples, fs, highorder.NFFT, highorder.NFFT // 2, "hann"))
+        cep = highorder.bicepstrum(est)
         values = {f"bis_{k}": v for k, v in highorder.bispectral_features(est).items()}
-        values.update((f"bic_{k}", v) for k, v in highorder.bicepstral_features(est, prev).items()
+        values.update((f"bic_{k}", v)
+                      for k, v in highorder.bicepstral_features(est, cep, prev).items()
                       if not np.isnan(v))
-        prev_bispec = est
+        prev_cep = cep
         return values
 
-    def nonlinear_block(seg, sub_contour, sub_cycles):
+    def nonlinear_block(blk, con, cyc):
+        seg = blk.samples
         values = nonlinear.entropy_features(seg, nonlinear.embed(seg, nonlinear.EMBED_DIM, tau))
         return {**values, "fd": nonlinear.katz_fd(seg), "zl": nonlinear.normalized_lempel_ziv(seg)}
 
-    # rows take (block samples, block contour, block cycles); rows returning
-    # a dict need no names; the cycle rows are skipped in blocks with no
-    # cycle marks (slice_range gives None under 3 cycles)
+    # rows take (block recording, block contour, block cycles); rows
+    # returning a dict need no names; the cycle rows are skipped in blocks
+    # with no cycle marks (slice_range gives None under 3 cycles)
     block_measures = [
-        (JITTER_KEYS, lambda seg, con, cyc: phonation.jitter_features(cyc)),
-        (SHIMMER_KEYS, lambda seg, con, cyc: phonation.shimmer_features(cyc)),
-        (GQ_KEYS, lambda seg, con, cyc: phonation.glottal_quotient_stds(cyc)),
-        (("cpp", "pecm", "vr"), lambda seg, con, cyc: quality.cepstral_quality(
-            frame_array(seg, fs, frame_len, frame_hop, "hann"), con)),
+        (JITTER_KEYS, lambda blk, con, cyc: phonation.jitter_features(cyc)),
+        (SHIMMER_KEYS, lambda blk, con, cyc: phonation.shimmer_features(cyc)),
+        (GQ_KEYS, lambda blk, con, cyc: phonation.glottal_quotient_stds(cyc)),
+        (("cpp", "pecm", "vr"), lambda blk, con, cyc: quality.cepstral_quality(
+            frame_signal(blk, FRAME_MS, HOP_MS, "hann"), con)),
         (("hnr", "nhr", "nne", "gne", "spi", "vti", "ssd"),
-         lambda seg, con, cyc: quality.noise_measures(
-             Recording(seg, fs, rec.subject_id, rec.vowel, rec.task), con)),
+         lambda blk, con, cyc: quality.noise_measures(blk, con)),
         ((), higher_order),
         ((), nonlinear_block),
     ]
 
-    bounds = _block_bounds(len(x), fs, params) or [(0, len(x))]
+    bounds = _block_bounds(len(x), fs) or [(0, len(x))]
     block_vals: dict[str, list[float]] = {}
     for s0, s1 in bounds:
-        seg = x[s0:s1]
+        block = Recording(x[s0:s1], fs, rec.subject_id, rec.vowel, rec.task)
         sub_contour = _slice_contour(contour, s0 / fs, s1 / fs)
         sub_cycles = cycles.slice_range(s0, s1) if cycles is not None else None
         for names, measure in block_measures:
             if sub_cycles is None and names in (JITTER_KEYS, SHIMMER_KEYS, GQ_KEYS):
                 continue
             try:
-                values = _named(names, measure(seg, sub_contour, sub_cycles))
+                values = _named(names, measure(block, sub_contour, sub_cycles))
             except PhonassessError:
                 continue
             for k, v in values.items():

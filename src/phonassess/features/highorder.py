@@ -156,15 +156,16 @@ def _cepstrum_1d(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.log(np.maximum(spec, floor)))
 
 
-def bicepstral_features(est: BispectrumEstimate, prev: BispectrumEstimate | None = None) -> dict[str, float]:
-    """Bicepstral indices; bcmd/bcpd need the previous analysis block.
+def bicepstral_features(est: BispectrumEstimate, c: np.ndarray,
+                        prev: np.ndarray | None = None) -> dict[str, float]:
+    """Bicepstral indices of ``est`` from its bicepstrum ``c``.
 
-    The zero-quefrency cell carries the overall gain and is excluded
-    everywhere, making the indices invariant to amplitude scaling. With no
-    previous block the two distances are NaN (the caller builds the contour
-    from consecutive blocks).
+    bcmd/bcpd compare ``c`` with ``prev``, the previous analysis block's
+    bicepstrum. The zero-quefrency cell carries the overall gain and is
+    excluded everywhere, making the indices invariant to amplitude scaling.
+    With no previous block the two distances are NaN (the caller builds the
+    contour from consecutive blocks).
     """
-    c = bicepstrum(est)
     mag = np.abs(c)
     mag0 = mag.copy()
     mag0[0, 0] = 0.0
@@ -191,11 +192,10 @@ def bicepstral_features(est: BispectrumEstimate, prev: BispectrumEstimate | None
     hcbcer = float(cep_sq[split:].sum() / max(bic_high, _EPS))
 
     if prev is not None:
-        cp = bicepstrum(prev)
-        dmag = np.abs(cp)
+        dmag = np.abs(prev)
         dmag[0, 0] = 0.0
         bcmd = float(np.mean(np.abs(mag0 - dmag)))
-        dphi = np.angle(c) - np.angle(cp)
+        dphi = np.angle(c) - np.angle(prev)
         dphi = np.abs((dphi + np.pi) % (2 * np.pi) - np.pi)
         dphi[0, 0] = 0.0
         bcpd = float(np.mean(dphi))

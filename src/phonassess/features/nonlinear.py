@@ -17,10 +17,14 @@ from ..errors import InsufficientSignalError
 
 HIST_BINS = 64
 MI_BINS = 16
+MI_MAX_LAG = 400
 MI_FLAT = 0.1  # nats; below this at lag 1 the samples are already independent
 EMBED_DIM = 3
 PAIR_CAP = 1200
 ENTROPY_CAP = 1000
+LLE_FIT_LEN = 40  # divergence-curve steps fit for the Lyapunov slope
+PE_ORDER = 3
+RBE_BLOCK = 3
 
 
 @dataclass
@@ -72,14 +76,11 @@ def _mi_bin_indices(x: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, x, side="right")
 
 
-def _mutual_information(x: np.ndarray, lag: int, bins: int = MI_BINS,
-                        idx: np.ndarray | None = None) -> float:
-    """Histogram MI of (x[n], x[n+lag]) with equiprobable marginal bins."""
-    if idx is None:
-        idx = _mi_bin_indices(x, bins)
+def _mutual_information(idx: np.ndarray, lag: int) -> float:
+    """Histogram MI of (x[n], x[n+lag]) from the samples' MI_BINS bin indices."""
     ia = idx[:-lag]
     ib = idx[lag:]
-    joint = np.bincount(ia * bins + ib, minlength=bins * bins).reshape(bins, bins)
+    joint = np.bincount(ia * MI_BINS + ib, minlength=MI_BINS**2).reshape(MI_BINS, MI_BINS)
     total = joint.sum()
     if total == 0:
         return 0.0
@@ -105,26 +106,25 @@ def first_acf_zero(x: np.ndarray, max_lag: int) -> int:
     return 1
 
 
-def fmmi(x: np.ndarray, max_lag: int | None = None) -> int:
-    """First minimum of the lagged mutual information.
+def fmmi(x: np.ndarray) -> int:
+    """First minimum of the lagged mutual information over lags 1 .. max_lag.
 
-    Rule, in order: (1) if MI(1) < 0.1 nats the dependence is already gone
-    and the delay is 1 (white noise, constants). (2) Otherwise the MI curve's
-    minimum, provided the near-minimal lags (within 2 % of the curve's range)
-    form one tight cluster; the earliest lag of that cluster is returned.
+    max_lag = min(MI_MAX_LAG, n // 4, n // 2 - 1). Rule, in order: (1) if
+    MI(1) < 0.1 nats the dependence is already gone and the delay is 1 (white
+    noise, constants). (2) Otherwise the MI curve's minimum, provided the
+    near-minimal lags (within 2 % of the curve's range) form one tight
+    cluster; the earliest lag of that cluster is returned.
     (3) A wide or scattered near-minimal region means the histogram estimator
     has no well-defined minimum (pure tones oscillate around a flat valley),
     and the lag of the first autocorrelation zero crossing is used instead,
     which is the quarter period for narrowband signals; failing that, 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    if max_lag is None:
-        max_lag = min(len(x) // 4, 400)
-    max_lag = min(max_lag, len(x) // 2 - 1)
+    max_lag = min(len(x) // 4, MI_MAX_LAG, len(x) // 2 - 1)
     if max_lag < 3 or np.all(x == x[0]):
         return 1
     idx = _mi_bin_indices(x, MI_BINS)
-    mi = np.array([_mutual_information(x, lag, idx=idx) for lag in range(1, max_lag + 1)])
+    mi = np.array([_mutual_information(idx, lag) for lag in range(1, max_lag + 1)])
     if mi[0] < MI_FLAT:
         return 1
     rng_mi = mi.max() - mi.min()
@@ -228,13 +228,9 @@ def hurst_exponent(x: np.ndarray) -> float:
     return float(slope)
 
 
-def _theiler_mask_triu(n: int, theiler: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=theiler + 1)
-
-
 def correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
     """Grassberger-Procaccia slope of log C(r) over log r from a distance matrix."""
-    i, j = _theiler_mask_triu(d_m.shape[0], theiler)
+    i, j = np.triu_indices(d_m.shape[0], k=theiler + 1)
     d = d_m[i, j]
     d = d[d > 0]
     if len(d) < 10:
@@ -254,7 +250,7 @@ def correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
 def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> float:
     """K2 estimate: mean ln C_m(r)/C_{m+1}(r) over the scaling region."""
     n1 = d_m1.shape[0]
-    i, j = _theiler_mask_triu(n1, theiler)
+    i, j = np.triu_indices(n1, k=theiler + 1)
     dm = d_m[:n1, :n1][i, j]
     dm1 = d_m1[i, j]
     pos = dm[dm > 0]
@@ -273,7 +269,7 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
     return float(np.mean(vals)) if vals else 0.0
 
 
-def _largest_lyapunov(d_m: np.ndarray, theiler: int, fit_len: int = 40) -> float:
+def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float:
     """Divergence-rate fit (nearest-neighbor method), nats per sample."""
     n = d_m.shape[0]
     if n < 100:
@@ -283,7 +279,7 @@ def _largest_lyapunov(d_m: np.ndarray, theiler: int, fit_len: int = 40) -> float
     d[np.abs(idx[:, None] - idx[None, :]) <= theiler] = np.inf
     nn = np.argmin(d, axis=1)
     finite = np.isfinite(d[idx, nn])
-    horizon = min(fit_len, n // 4)
+    horizon = min(LLE_FIT_LEN, n // 4)
     curve = []
     for k in range(horizon):
         valid = finite & (idx + k < n) & (nn + k < n)
@@ -342,61 +338,47 @@ SE_KERNELS = {
 }
 
 
-def permutation_entropy(x: np.ndarray, order: int = 3) -> float:
-    """Shannon entropy (nats) of ordinal patterns; ties broken by position."""
-    x = np.asarray(x, dtype=np.float64)
-    n = len(x) - order + 1
-    if n < 1:
-        raise InsufficientSignalError("signal shorter than pattern order")
-    windows = np.lib.stride_tricks.sliding_window_view(x, order)
-    patterns = np.argsort(windows, axis=1, kind="stable")
-    radix = order ** np.arange(order)
-    codes = patterns @ radix
-    _, counts = np.unique(codes, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
-
-
-def histogram_entropies(x: np.ndarray, bins: int = HIST_BINS) -> tuple[float, float]:
-    """(Shannon, order-2 Renyi) of the amplitude histogram, in nats."""
-    hist, _ = np.histogram(x, bins=bins)
-    total = hist.sum()
+def count_entropies(counts: np.ndarray) -> tuple[float, float]:
+    """(Shannon, order-2 Renyi) entropy in nats of a count vector; (0, 0) if empty."""
+    total = counts.sum()
     if total == 0:
         return 0.0, 0.0
-    p = hist[hist > 0] / total
-    she = float(-(p * np.log(p)).sum())
-    re = float(-np.log(np.sum(p**2)))
-    return she, re
+    p = counts[counts > 0] / total
+    return float(-(p * np.log(p)).sum()), float(-np.log(np.sum(p**2)))
 
 
-def renyi_block_entropies(x: np.ndarray, block: int = 3) -> tuple[float, float]:
-    """Block entropies of the median-binarized sequence (orders 1 and 2)."""
-    bits = (np.asarray(x, dtype=np.float64) > np.median(x)).astype(int)
-    n = len(bits) - block + 1
+def permutation_entropy(x: np.ndarray) -> float:
+    """Shannon entropy (nats) of order-PE_ORDER ordinal patterns; ties broken by position."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x) - PE_ORDER + 1
     if n < 1:
-        return 0.0, 0.0
-    windows = np.lib.stride_tricks.sliding_window_view(bits, block)
-    codes = windows @ (2 ** np.arange(block))
+        raise InsufficientSignalError("signal shorter than pattern order")
+    windows = np.lib.stride_tricks.sliding_window_view(x, PE_ORDER)
+    patterns = np.argsort(windows, axis=1, kind="stable")
+    codes = patterns @ (PE_ORDER ** np.arange(PE_ORDER))
     _, counts = np.unique(codes, return_counts=True)
-    p = counts / counts.sum()
-    rbe1 = float(-(p * np.log(p)).sum())
-    rbe2 = float(-np.log(np.sum(p**2)))
-    return rbe1, rbe2
+    return count_entropies(counts)[0]
 
 
-def approximate_entropy(x: np.ndarray, m: int = 2, r_factor: float = 0.2) -> float:
-    """Pincus ApEn(m, 0.2 std) with self-matches, 0 for constant input."""
-    x = _cap_window(np.asarray(x, dtype=np.float64), ENTROPY_CAP)
-    if len(x) < 500:
-        raise InsufficientSignalError("need >= 500 samples for approximate entropy")
-    sd = np.std(x)
-    if sd == 0:
-        return 0.0
-    base = _abs_diff(x)
-    return _apen_from_base(base, len(x), m, r_factor * sd)
+def histogram_entropies(x: np.ndarray) -> tuple[float, float]:
+    """(Shannon, order-2 Renyi) of the HIST_BINS-bin amplitude histogram, in nats."""
+    hist, _ = np.histogram(x, bins=HIST_BINS)
+    return count_entropies(hist)
+
+
+def renyi_block_entropies(x: np.ndarray) -> tuple[float, float]:
+    """Block entropies (orders 1 and 2) of RBE_BLOCK-bit words of the
+    median-binarized sequence."""
+    bits = (np.asarray(x, dtype=np.float64) > np.median(x)).astype(int)
+    if len(bits) < RBE_BLOCK:
+        return 0.0, 0.0
+    windows = np.lib.stride_tricks.sliding_window_view(bits, RBE_BLOCK)
+    _, counts = np.unique(windows @ (2 ** np.arange(RBE_BLOCK)), return_counts=True)
+    return count_entropies(counts)
 
 
 def _apen_from_base(base: np.ndarray, n: int, m: int, r: float) -> float:
+    """Pincus ApEn(m, r) with self-matches."""
     def phi(mm: int) -> float:
         cnt = n - mm + 1
         d = _embed_cheb(base, cnt, mm, 1)
@@ -406,25 +388,13 @@ def _apen_from_base(base: np.ndarray, n: int, m: int, r: float) -> float:
     return phi(m) - phi(m + 1)
 
 
-def sample_entropies(x: np.ndarray, m: int = 2, r_factor: float = 0.2) -> dict[str, float]:
+def _sampen_from_base(base: np.ndarray, n: int, m: int, r: float) -> dict[str, float]:
     """Sample entropy under the eight kernel variants.
 
     se = -ln(sum K(d_{m+1}/r) / sum K(d_m/r)) over distinct template pairs;
-    the Heaviside kernel recovers classic SampEn. A constant signal returns 0
-    for every kernel; an empty match count falls back to the ln of the pair
-    count (the conventional ceiling).
+    the Heaviside kernel recovers classic SampEn. An empty match count falls
+    back to the ln of the pair count (the conventional ceiling).
     """
-    x = _cap_window(np.asarray(x, dtype=np.float64), ENTROPY_CAP)
-    if len(x) < 500:
-        raise InsufficientSignalError("need >= 500 samples for sample entropy")
-    sd = np.std(x)
-    if sd == 0:
-        return {f"se_{k}": 0.0 for k in SE_KERNELS}
-    base = _abs_diff(x)
-    return _sampen_from_base(base, len(x), m, r_factor * sd)
-
-
-def _sampen_from_base(base: np.ndarray, n: int, m: int, r: float) -> dict[str, float]:
     cnt = n - m
     d_m = _embed_cheb(base, cnt, m, 1)
     d_m1 = _embed_cheb(base, cnt, m + 1, 1)

@@ -9,12 +9,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import welch
 
-from ..audio import FrameSequence, Recording
+from ..audio import FrameSequence, Recording, context_sums
 from ..errors import InsufficientSignalError
 from ..pitch import CycleMarks, F0Contour
+from .nonlinear import count_entropies
 
 PPE_BINS = 30
 PPE_SPAN_SEMITONES = 6.0
+ME_BAND = (3.0, 5.0)  # Hz, around the 4 Hz syllabic rate
 
 
 def _moving_mean(x: np.ndarray, width: int) -> np.ndarray:
@@ -82,11 +84,7 @@ def ppe(contour: F0Contour) -> float:
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
     hist, _ = np.histogram(resid, bins=PPE_BINS, range=(-PPE_SPAN_SEMITONES, PPE_SPAN_SEMITONES))
-    total = hist.sum()
-    if total == 0:
-        return 0.0
-    p = hist[hist > 0] / total
-    return float(-(p * np.log(p)).sum())
+    return count_entropies(hist)[0]
 
 
 def glottal_quotient_stds(cycles: CycleMarks) -> tuple[float, float]:
@@ -100,9 +98,9 @@ def glottal_quotient_stds(cycles: CycleMarks) -> tuple[float, float]:
 
 
 def teager_kaiser(x: np.ndarray) -> np.ndarray:
-    """psi[n] = x[n]^2 - x[n-1]*x[n+1] on the interior samples."""
+    """psi[n] = x[n]^2 - x[n-1]*x[n+1] on the interior samples of the last axis."""
     x = np.asarray(x, dtype=np.float64)
-    return x[1:-1] ** 2 - x[:-2] * x[2:]
+    return x[..., 1:-1] ** 2 - x[..., :-2] * x[..., 2:]
 
 
 def energy_features(frames: FrameSequence, rec: Recording):
@@ -115,7 +113,7 @@ def energy_features(frames: FrameSequence, rec: Recording):
         raise InsufficientSignalError("need >= 1 s of signal for modulation energy")
     raw = frames.raw
     energy = np.mean(raw**2, axis=1)
-    tkeo = np.array([np.mean(teager_kaiser(f)) for f in raw])
+    tkeo = np.mean(teager_kaiser(raw), axis=1)
 
     me = modulation_energy_4hz(rec.samples, rec.fs)
     freqs, pxx = welch(rec.samples, fs=rec.fs, nperseg=min(1024, len(rec.samples)))
@@ -124,8 +122,8 @@ def energy_features(frames: FrameSequence, rec: Recording):
     return energy, tkeo, me, mpsd, lster
 
 
-def modulation_energy_4hz(x: np.ndarray, fs: int, band=(3.0, 5.0)) -> float:
-    """Energy fraction of the intensity envelope in a band around 4 Hz.
+def modulation_energy_4hz(x: np.ndarray, fs: int) -> float:
+    """Energy fraction of the intensity envelope in the ME_BAND around 4 Hz.
 
     Envelope = frame RMS at a 100 Hz rate, mean removed; the ratio is band
     energy over total envelope AC energy.
@@ -144,21 +142,14 @@ def modulation_energy_4hz(x: np.ndarray, fs: int, band=(3.0, 5.0)) -> float:
     total = max(spec[freqs > 0].sum(), 1e-10 * dc_energy)
     if total <= 0:
         return 0.0
-    in_band = spec[(freqs >= band[0]) & (freqs <= band[1])].sum()
+    in_band = spec[(freqs >= ME_BAND[0]) & (freqs <= ME_BAND[1])].sum()
     return float(in_band / total)
 
 
 def low_energy_ratio(frame_energy: np.ndarray, hop: int, fs: int) -> float:
     """Fraction of frames below half the mean energy of their 1 s context."""
-    frames_per_sec = max(1, int(round(fs / hop)))
-    half = frames_per_sec // 2
     n = len(frame_energy)
-    cums = np.concatenate(([0.0], np.cumsum(frame_energy)))
-    low = 0
-    for i in range(n):
-        a = max(0, i - half)
-        b = min(n, i + half + 1)
-        avg = (cums[b] - cums[a]) / (b - a)
-        if frame_energy[i] < 0.5 * avg:
-            low += 1
-    return low / n if n else 0.0
+    if n == 0:
+        return 0.0
+    sums, counts = context_sums(frame_energy, hop, fs)
+    return np.count_nonzero(frame_energy < 0.5 * (sums / counts)) / n

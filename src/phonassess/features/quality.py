@@ -4,19 +4,34 @@ Several of these exist only in the specialist literature; the formulas
 actually implemented are written out in docs/features.md, and the registry
 carries a definition_version so later corrections do not silently change
 outputs.
+
+Constants: spectra use SPECTRUM_NFFT (512) points and a SMOOTH_BINS (15)
+bin envelope smoother; cepstra use CEPSTRUM_NFFT (1024) points. The
+harmonicity r is read on the pitch tracker's F0_FRAME_MS (40 ms) frames,
+the dysperiodicity on FRAME_MS (25 ms) frames, both every HOP_MS (10 ms).
+GNE inverse-filters with GNE_LPC_ORDER (12) and correlates GNE_BAND_HZ
+(1 kHz) bands stepped by GNE_STEP_HZ (300 Hz). dB values are clamped to
+DB_CLAMP.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.signal import hilbert, resample_poly, welch
 
-from ..audio import FrameSequence, Recording, frame_array, window_taper
+from ..audio import (FRAME_MS, HOP_MS, FrameSequence, Recording, autocorrelation,
+                     context_sums, frame_signal)
 from ..errors import InsufficientSignalError
-from ..pitch import F0Contour, _corrected_acf, _parabolic
+from ..pitch import F0_FRAME_MS, F0Contour, _parabolic
 from .articulation import lpc_coefficients
 
 DB_CLAMP = (-20.0, 60.0)
 TINY = 1e-300
+SPECTRUM_NFFT = 512
+SMOOTH_BINS = 15
+CEPSTRUM_NFFT = 1024
+GNE_BAND_HZ = 1000.0
+GNE_STEP_HZ = 300.0
+GNE_LPC_ORDER = 12
 
 
 def _clamp_db(v: float) -> float:
@@ -44,31 +59,15 @@ def temporal_quality(frames: FrameSequence, contour: F0Contour):
     raw = frames.raw
     pos = raw >= 0
     zcr = np.sum(pos[:, 1:] != pos[:, :-1], axis=1) / frames.frame_length
-
-    frames_per_sec = max(1, int(round(frames.fs / frames.hop)))
-    half = frames_per_sec // 2
-    cums = np.concatenate(([0.0], np.cumsum(zcr)))
-    n = len(zcr)
-    high = 0
-    for i in range(n):
-        a, b = max(0, i - half), min(n, i + half + 1)
-        if zcr[i] > 1.5 * (cums[b] - cums[a]) / (b - a):
-            high += 1
-    hzcrr = high / n
+    sums, counts = context_sums(zcr, frames.hop, frames.fs)
+    hzcrr = np.count_nonzero(zcr > 1.5 * sums / counts) / len(zcr)
 
     voiced, _ = frame_voicing(frames, contour)
     fluf = float(np.mean(~voiced))
     return zcr, float(hzcrr), fluf
 
 
-def _unit_spectra(frames: FrameSequence, nfft: int = 512) -> np.ndarray:
-    mags = np.abs(np.fft.rfft(frames.frames, nfft))
-    norms = np.linalg.norm(mags, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return mags / norms
-
-
-def spectral_quality(frames: FrameSequence, smooth_bins: int = 15):
+def spectral_quality(frames: FrameSequence):
     """(sf contour, sdbm, sdbp).
 
     sf is the L2 distance between successive unit-norm magnitude spectra.
@@ -78,14 +77,16 @@ def spectral_quality(frames: FrameSequence, smooth_bins: int = 15):
     """
     if len(frames) < 2:
         raise InsufficientSignalError("need >= 2 frames for spectral flux")
-    unit = _unit_spectra(frames)
-    sf = np.linalg.norm(np.diff(unit, axis=0), axis=1)
+    spec = np.fft.rfft(frames.frames, SPECTRUM_NFFT)
+    mags = np.abs(spec)
+    norms = np.linalg.norm(mags, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    sf = np.linalg.norm(np.diff(mags / norms, axis=0), axis=1)
 
-    spec = np.fft.rfft(frames.frames, 512)
-    logmag = 20.0 * np.log10(np.maximum(np.abs(spec), TINY))
+    logmag = 20.0 * np.log10(np.maximum(mags, TINY))
     phase = np.unwrap(np.angle(spec), axis=1)
-    kernel = np.ones(smooth_bins) / smooth_bins
-    half = smooth_bins // 2
+    kernel = np.ones(SMOOTH_BINS) / SMOOTH_BINS
+    half = SMOOTH_BINS // 2
 
     def rms_dist(rows):
         out = np.empty(rows.shape[0])
@@ -102,13 +103,14 @@ def spectral_quality(frames: FrameSequence, smooth_bins: int = 15):
     return sf, sdbm, sdbp
 
 
-def _cepstrum(frame: np.ndarray, nfft: int = 1024) -> np.ndarray:
+def _cepstrum(frame: np.ndarray) -> np.ndarray:
     """Inverse transform of the dB magnitude spectrum (linear units)."""
-    mag = np.abs(np.fft.rfft(frame, nfft))
-    return np.fft.irfft(20.0 * np.log10(np.maximum(mag, TINY)), nfft)[: nfft // 2]
+    mag = np.abs(np.fft.rfft(frame, CEPSTRUM_NFFT))
+    cep = np.fft.irfft(20.0 * np.log10(np.maximum(mag, TINY)), CEPSTRUM_NFFT)
+    return cep[: CEPSTRUM_NFFT // 2]
 
 
-def cepstral_quality(frames: FrameSequence, contour: F0Contour, nfft: int = 1024):
+def cepstral_quality(frames: FrameSequence, contour: F0Contour):
     """(cpp, pecm, vr) over the voiced frames of a frame sequence.
 
     The power cepstra of the voiced frames are averaged across frames (which
@@ -125,8 +127,8 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour, nfft: int = 1024
     q_lo = int(1e-3 * fs)  # 1 ms
     half_ms = max(1, int(0.5e-3 * fs))
 
-    spec_all = np.abs(np.fft.rfft(frames.frames, nfft))
-    freq_axis = np.fft.rfftfreq(nfft, 1.0 / fs)
+    spec_all = np.abs(np.fft.rfft(frames.frames, CEPSTRUM_NFFT))
+    freq_axis = np.fft.rfftfreq(CEPSTRUM_NFFT, 1.0 / fs)
     powers = []
     f0_used = []
     h2h1 = []
@@ -134,7 +136,7 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour, nfft: int = 1024
         f0 = f0_per_frame[i]
         if f0 <= 0:
             continue
-        cep = _cepstrum(frames.frames[i], nfft)
+        cep = _cepstrum(frames.frames[i])
         powers.append(cep**2)
         f0_used.append(f0)
         h1 = _harmonic_db(spec_all[i], freq_axis, f0)
@@ -184,9 +186,7 @@ def _nccf_rows(raw: np.ndarray) -> np.ndarray:
     correction is needed.
     """
     n = raw.shape[1]
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(raw, nfft)
-    num = np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[:, :n]
+    num = autocorrelation(raw)
     sq = np.concatenate([np.zeros((raw.shape[0], 1)), np.cumsum(raw**2, axis=1)], axis=1)
     taus = np.arange(n)
     e0 = sq[:, n - taus] - sq[:, 0:1]      # energy of x[0 : n-tau]
@@ -196,12 +196,10 @@ def _nccf_rows(raw: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def harmonicity_r(rec_or_samples, fs: int, contour: F0Contour,
-                  frame_ms: float = 40.0, hop_ms: float = 10.0) -> np.ndarray:
+def harmonicity_r(rec: Recording, contour: F0Contour) -> np.ndarray:
     """Normalized cross-correlation at the pitch lag, per voiced frame."""
-    x = rec_or_samples.samples if isinstance(rec_or_samples, Recording) else rec_or_samples
-    frames = frame_array(x, fs, int(round(frame_ms * fs / 1000)), int(round(hop_ms * fs / 1000)),
-                         "rectangular")
+    fs = rec.fs
+    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS, "rectangular")
     raw = frames.raw - frames.raw.mean(axis=1, keepdims=True)
     nccf = _nccf_rows(raw)
     voiced, f0s = frame_voicing(frames, contour)
@@ -235,7 +233,7 @@ def noise_measures(rec: Recording, contour: F0Contour) -> tuple[float, float, fl
     if voiced_dur < 0.5:
         raise InsufficientSignalError(f"need >= 0.5 s voiced, got {voiced_dur:.2f} s")
 
-    r_vals = harmonicity_r(rec, rec.fs, contour)
+    r_vals = harmonicity_r(rec, contour)
     if len(r_vals) == 0:
         raise InsufficientSignalError("no usable voiced frames")
     # median over frames: robust to partial cycles at the signal edges
@@ -265,13 +263,11 @@ def _band_ratios(x: np.ndarray, fs: int) -> tuple[float, float]:
     return float(spi), float(vti)
 
 
-def _dysperiodicity(rec: Recording, contour: F0Contour,
-                    frame_ms: float = 25.0, hop_ms: float = 10.0) -> float:
+def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
     """Mean segmental signal-to-dysperiodicity ratio in dB (clamped)."""
     fs = rec.fs
     x = rec.samples
-    frames = frame_array(x, fs, int(round(frame_ms * fs / 1000)), int(round(hop_ms * fs / 1000)),
-                         "rectangular")
+    frames = frame_signal(rec, FRAME_MS, HOP_MS, "rectangular")
     voiced, f0s = frame_voicing(frames, contour)
     vals = []
     for i in np.flatnonzero(voiced):
@@ -303,8 +299,7 @@ def _analytic_band(spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float, n:
     return np.abs(np.fft.ifft(full))
 
 
-def glottal_noise_excitation(x: np.ndarray, fs: int, band_width: float = 1000.0,
-                             step: float = 300.0, lpc_order: int = 12) -> float:
+def glottal_noise_excitation(x: np.ndarray, fs: int) -> float:
     """Glottal-to-noise excitation ratio in [0, 1].
 
     LPC inverse filtering yields the excitation; Hilbert envelopes of 1 kHz
@@ -314,28 +309,29 @@ def glottal_noise_excitation(x: np.ndarray, fs: int, band_width: float = 1000.0,
     1); turbulent noise decorrelates them.
     """
     x = np.asarray(x, dtype=np.float64)
-    if len(x) < lpc_order * 4:
+    if len(x) < GNE_LPC_ORDER * 4:
         raise InsufficientSignalError("too short for excitation analysis")
     try:
-        a = lpc_coefficients(x * np.hanning(len(x)), lpc_order)
+        a = lpc_coefficients(x * np.hanning(len(x)), GNE_LPC_ORDER)
     except np.linalg.LinAlgError:
         return 0.0
     excitation = np.convolve(x, a, mode="same")
     n = len(excitation)
     spec = np.fft.fft(excitation)
     freqs = np.fft.fftfreq(n, 1.0 / fs)
-    top = min(4500.0, fs / 2 - band_width / 2)
-    centers = np.arange(band_width / 2, top + 1, step)
+    half = GNE_BAND_HZ / 2
+    top = min(4500.0, fs / 2 - half)
+    centers = np.arange(half, top + 1, GNE_STEP_HZ)
     envs = []
     for c in centers:
-        env = _analytic_band(spec, freqs, c - band_width / 2, c + band_width / 2, n)
+        env = _analytic_band(spec, freqs, c - half, c + half, n)
         env = env - env.mean()
         norm = np.sqrt(np.sum(env**2))
         envs.append(env / norm if norm > 0 else env)
     best = 0.0
     for i in range(len(envs)):
         for j in range(i + 1, len(envs)):
-            if centers[j] - centers[i] < band_width / 2:
+            if centers[j] - centers[i] < half:
                 continue
             best = max(best, float(np.dot(envs[i], envs[j])))
     return min(max(best, 0.0), 1.0)

@@ -1,22 +1,25 @@
 """Fundamental-frequency tracking and glottal-cycle marking.
 
-The tracker is a frame-wise normalized autocorrelation method. The raw
-autocorrelation of a tapered frame is divided by the taper's own
-autocorrelation to remove the window bias, which matters for the
+The tracker is a frame-wise normalized autocorrelation method over
+F0_FRAME_MS (40 ms) rectangular frames every HOP_MS (10 ms), searching
+[F0_MIN, F0_MAX] = [60, 400] Hz. Frames below ENERGY_THRESHOLD mean power
+are unvoiced; a frame is voiced when its peak reaches VOICING_THRESHOLD.
+The raw autocorrelation of a Hann-tapered frame is divided by the taper's
+own autocorrelation to remove the window bias, which matters for the
 harmonics-to-noise measures built on the same peak values downstream.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Recording, frame_array, window_taper
+from .audio import HOP_MS, Recording, autocorrelation, frame_signal, window_taper
 from .errors import InsufficientSignalError
 
-F0_MIN_DEFAULT = 60.0
-F0_MAX_DEFAULT = 400.0
+F0_MIN = 60.0
+F0_MAX = 400.0
+F0_FRAME_MS = 40.0
 VOICING_THRESHOLD = 0.45
 ENERGY_THRESHOLD = 1e-6
 
@@ -78,16 +81,12 @@ class CycleMarks:
 
 def _corrected_acf(frames: np.ndarray, taper: np.ndarray) -> np.ndarray:
     """Normalized autocorrelation of tapered frames, window bias removed."""
-    n = frames.shape[1]
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(frames * taper, nfft)
-    acf = np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[:, :n]
+    acf = autocorrelation(frames * taper)
     norm = acf[:, :1].copy()
     norm[norm <= 0] = 1.0
     acf = acf / norm
 
-    wspec = np.fft.rfft(taper, nfft)
-    wacf = np.fft.irfft(wspec.real**2 + wspec.imag**2, nfft)[:n]
+    wacf = autocorrelation(taper)
     wacf = wacf / wacf[0]
     wacf[wacf < 1e-6] = 1e-6
     return acf / wacf
@@ -111,7 +110,8 @@ def acf_peak_in_range(acf_row: np.ndarray, lag_min: int, lag_max: int) -> tuple[
 
     Local maxima within 85 % of the strongest are octave candidates; the
     shortest such lag wins, which suppresses period doubling on clean
-    periodic signals.
+    periodic signals. A range whose strongest peak is negative holds no
+    periodicity and gives no candidate, like an empty range.
     """
     lo = max(1, lag_min)
     hi = min(len(acf_row) - 2, lag_max)
@@ -123,34 +123,25 @@ def acf_peak_in_range(acf_row: np.ndarray, lag_min: int, lag_max: int) -> tuple[
     if len(peaks) == 0:
         peaks = np.array([int(np.argmax(seg))])
     best = float(seg[peaks].max())
+    if best < 0:
+        return 0.0, 0.0
     chosen = peaks[seg[peaks] >= 0.85 * best][0]
     lag, value = _parabolic(acf_row, lo + int(chosen))
     return lag, min(value, 1.0 - 1e-9)
 
 
-def estimate_f0(
-    rec: Recording,
-    f0_min: float = F0_MIN_DEFAULT,
-    f0_max: float = F0_MAX_DEFAULT,
-    frame_ms: float = 40.0,
-    hop_ms: float = 10.0,
-    voicing_threshold: float = VOICING_THRESHOLD,
-    energy_threshold: float = ENERGY_THRESHOLD,
-) -> F0Contour:
-    """Track f0 in [f0_min, f0_max] Hz; silence and noise come out unvoiced."""
-    if not f0_min < f0_max:
-        raise ValueError("need f0_min < f0_max")
-    if rec.fs <= 2 * f0_max:
-        raise ValueError("sampling rate too low for requested f0_max")
+def estimate_f0(rec: Recording) -> F0Contour:
+    """Track f0 in [F0_MIN, F0_MAX] Hz; silence and noise come out unvoiced."""
+    if rec.fs <= 2 * F0_MAX:
+        raise ValueError(f"sampling rate must exceed {2 * F0_MAX:g} Hz for f0 tracking")
 
-    frames = frame_array(rec.samples, rec.fs, int(round(frame_ms * rec.fs / 1000)),
-                         int(round(hop_ms * rec.fs / 1000)), "rectangular")
+    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS, "rectangular")
     raw = frames.raw - frames.raw.mean(axis=1, keepdims=True)
     taper = window_taper("hann", frames.frame_length)
     acf = _corrected_acf(raw, taper)
 
-    lag_min = int(np.floor(rec.fs / f0_max))
-    lag_max = int(np.ceil(rec.fs / f0_min))
+    lag_min = int(np.floor(rec.fs / F0_MAX))
+    lag_max = int(np.ceil(rec.fs / F0_MIN))
     energy = np.mean(frames.raw**2, axis=1)
 
     n = len(frames)
@@ -158,13 +149,13 @@ def estimate_f0(
     voicing = np.zeros(n, dtype=bool)
     peaks = np.zeros(n)
     for i in range(n):
-        if energy[i] < energy_threshold:
+        if energy[i] < ENERGY_THRESHOLD:
             continue
         lag, value = acf_peak_in_range(acf[i], lag_min, lag_max)
         peaks[i] = value
-        if lag > 0 and value >= voicing_threshold:
+        if lag > 0 and value >= VOICING_THRESHOLD:
             cand = rec.fs / lag
-            if f0_min <= cand <= f0_max:
+            if F0_MIN <= cand <= F0_MAX:
                 f0[i] = cand
                 voicing[i] = True
     return F0Contour(times=frames.times, f0=f0, voicing=voicing, acf_peak=peaks)
@@ -261,18 +252,3 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
         positions=np.asarray(positions, dtype=int),
     )
 
-
-def dump_contour_csv(contour: F0Contour, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "f0", "voiced"])
-        for t, f, v in zip(contour.times, contour.f0, contour.voicing):
-            w.writerow([f"{t:.6f}", f"{f:.4f}", int(v)])
-
-
-def dump_cycles_csv(cycles: CycleMarks, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cycle", "period_s", "peak_amplitude", "open_fraction"])
-        for i, (t, a, o) in enumerate(zip(cycles.periods, cycles.peak_amplitudes, cycles.open_fractions)):
-            w.writerow([i, f"{t:.8f}", f"{a:.8f}", f"{o:.6f}"])

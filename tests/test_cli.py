@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phonassess.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from phonassess.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, make_parser
 from phonassess.synth import make_classification_cohort, make_regression_cohort
 from phonassess.table import FeatureMatrix
 
@@ -153,7 +153,7 @@ def test_help_exits_ok(capsys):
 
 
 def test_min_leaf_on_classify_is_config_error(tmp_path):
-    """Forest trees always grow to purity, so --min-leaf would be ignored."""
+    """Forest trees always grow to purity, so classify takes no --min-leaf."""
     values = np.random.default_rng(1).standard_normal((8, 3))
     _write_matrix(tmp_path, ["PD", "HC"] * 4, values)
     code = main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
@@ -161,6 +161,52 @@ def test_min_leaf_on_classify_is_config_error(tmp_path):
                  "--min-leaf", "9"])
     assert code == EXIT_CONFIG
     assert not (tmp_path / "classification.json").exists()
+
+
+def test_trees_on_regress_is_config_error(tmp_path):
+    """regress grows CART trees only, so it takes no --trees."""
+    rng = np.random.default_rng(1)
+    FeatureMatrix(scope="a_s", subject_ids=[f"S{i:02d}" for i in range(14)],
+                  columns=["c0", "c1"], values=rng.standard_normal((14, 2)), groups=["PD"] * 14,
+                  scores={"updrs3": rng.uniform(10, 40, 14)}).to_csv(tmp_path / "features_a_s.csv")
+    argv = ["regress", "--features", str(tmp_path), "--out", str(tmp_path), "--scope", "a_s",
+            "--target", "updrs3", "--mrmr-k", "2", "--sffs-patience", "1"]
+    assert main(argv + ["--trees", "7"]) == EXIT_CONFIG
+    assert not list(tmp_path.glob("regression_*"))
+    assert main(argv) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--manifest", "in/manifest.csv", "--scope", "a_s,all_s",
+     "--out", "out", "--seed", "1"],
+    ["regress", "--target", "updrs3", "--mrmr-k", "30", "--sffs-patience", "1",
+     "--features", "in", "--scope", "a_s", "--out", "out", "--seed", "1"],
+    ["correlate", "--features", "in", "--scope", "a_s", "--out", "out", "--seed", "1"],
+    ["classify", "--trees", "5", "--mrmr-k", "16", "--sffs-patience", "1",
+     "--features", "in", "--scope", "all_s", "--out", "out", "--seed", "1"],
+    ["extract", "--manifest", "m.csv", "--peak-normalize", "--config", "c.cfg"],
+    ["regress", "--min-leaf", "2", "--target", "updrs3"],
+    ["synth", "--mode", "classify", "--subjects", "6", "--target", "updrs3",
+     "--out", "c", "--seed", "1"],
+])
+def test_subcommand_flags_parse(argv):
+    """The benchmark's command lines and each subcommand's own flags parse."""
+    args = make_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--scope", "a_s"],
+    ["extract", "--features", "f"],
+    ["extract", "--target", "updrs3"],
+    ["classify", "--peak-normalize"],
+    ["classify", "--target", "updrs3"],
+    ["correlate", "--mrmr-k", "3"],
+    ["correlate", "--manifest", "m.csv"],
+])
+def test_foreign_flag_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_synth_regress_manifest(tmp_path):

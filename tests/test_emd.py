@@ -3,6 +3,7 @@ import pytest
 
 from phonassess.audio import Recording, frame_signal
 from phonassess.errors import InsufficientSignalError
+from phonassess.features import emd as emd_module, quality
 from phonassess.features.emd import emd, imf1_cpp, imf_features
 from phonassess.features.quality import cepstral_quality
 from phonassess.pitch import estimate_f0
@@ -73,11 +74,14 @@ def test_imf_oscillation_property():
     assert checked >= 2
 
 
-def test_max_imfs_monotone():
+def test_max_imfs_monotone(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.standard_normal(4000)
-    few = emd(x, max_imfs=3)
-    many = emd(x, max_imfs=6)
+    monkeypatch.setattr(emd_module, "MAX_IMFS", 3)
+    few = emd(x)
+    monkeypatch.setattr(emd_module, "MAX_IMFS", 6)
+    many = emd(x)
+    assert len(few) == 3
     for a, b in zip(few.imfs, many.imfs):
         assert np.array_equal(a, b)
 
@@ -124,3 +128,16 @@ class TestImfFeatures:
         if np.any(contour.voicing):
             direct = cepstral_quality(frame_signal(rec, 25, 10), contour)[0]
             assert expected == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("measure", ["glottal_noise_excitation", "cepstral_quality"])
+def test_imf_measure_bug_is_not_a_nan(monkeypatch, measure):
+    """Only signal-level failures read as NaN; a programming error propagates."""
+    def broken(*args):
+        raise TypeError("broken measure")
+
+    t = np.arange(2 * FS) / FS
+    modes = emd(np.sin(2 * np.pi * 120 * t) + 0.2 * np.sin(2 * np.pi * 700 * t))
+    monkeypatch.setattr(quality, measure, broken)
+    with pytest.raises(TypeError):
+        imf_features(modes, FS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phonassess.audio import Recording
-from phonassess.features.extract import ExtractionParams, extract_recording
+from phonassess.features.extract import extract_recording
 from phonassess.features.registry import REGISTRY, entry
 from phonassess.synth import synth_vowel
 
@@ -82,9 +82,8 @@ def test_first_block_has_no_bicepstral_delta(extraction_pair):
 
 def test_peak_normalize_removes_gain():
     x = synth_vowel(fs=FS, seed=33)
-    params = ExtractionParams(peak_normalize=True)
-    a = extract_recording(Recording(x, FS), params).features["energy"]
-    b = extract_recording(Recording(0.5 * x, FS), params).features["energy"]
+    a = extract_recording(Recording(x, FS), peak_normalize=True).features["energy"]
+    b = extract_recording(Recording(0.5 * x, FS), peak_normalize=True).features["energy"]
     assert np.array_equal(a, b)
 
 

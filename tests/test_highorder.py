@@ -108,7 +108,7 @@ def test_recompute_from_grid_oracle():
 def test_bicepstral_identical_blocks_zero_distance():
     frames, _ = coupled_triple_frames(seed=5)
     est = estimate_bispectrum(frames)
-    feats = bicepstral_features(est, est)
+    feats = bicepstral_features(est, bicepstrum(est), bicepstrum(est))
     assert feats["bcmd"] == 0.0
     assert feats["bcpd"] == 0.0
 
@@ -118,8 +118,8 @@ def test_bicepstral_distance_brute_force():
     frames_b, _ = coupled_triple_frames(seed=7)
     est_a = estimate_bispectrum(frames_a)
     est_b = estimate_bispectrum(frames_b)
-    feats = bicepstral_features(est_b, est_a)
     ca, cb = bicepstrum(est_a), bicepstrum(est_b)
+    feats = bicepstral_features(est_b, cb, ca)
     # brute-force double loop over the quefrency grid
     md = 0.0
     pd_ = 0.0
@@ -141,13 +141,14 @@ def test_high_quefrency_indicator():
     # flat log-bispectrum -> bicepstrum concentrated at (0,0): no high quefrency
     est.grid[:, :] = 1.0
     est.mean_spectrum[:] = 1.0  # flat spectrum -> zero cepstral energy off DC
-    feats = bicepstral_features(est)
+    feats = bicepstral_features(est, bicepstrum(est))
     assert feats["hcbcer"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bicepstral_finite_on_real_signal(vowel_rec):
     frames = frame_array(vowel_rec.samples, FS, 2 * GRID, GRID, "hann")
     est = estimate_bispectrum(frames)
-    feats = {**bispectral_features(est), **bicepstral_features(est, est)}
+    cep = bicepstrum(est)
+    feats = {**bispectral_features(est), **bicepstral_features(est, cep, cep)}
     for key, value in feats.items():
         assert np.isfinite(value), key

@@ -3,11 +3,10 @@ import pytest
 
 from phonassess.errors import InsufficientSignalError
 from phonassess.features.nonlinear import (MI_BINS, MI_FLAT, MI_VALLEY_SPAN, MI_VALLEY_TOL,
-                                           _mi_bin_indices, _mutual_information,
-                                           approximate_entropy, complexity_features, embed,
+                                           _mi_bin_indices, complexity_features, embed,
                                            entropy_features, first_acf_zero, fmmi, katz_fd,
                                            lz76_count, normalized_lempel_ziv,
-                                           permutation_entropy, sample_entropies)
+                                           permutation_entropy)
 
 
 def brute_force_fmmi(x, max_lag):
@@ -112,7 +111,7 @@ class TestEntropies:
 
     def test_pe_bound(self):
         x = np.random.default_rng(24).standard_normal(5000)
-        assert 0 <= permutation_entropy(x, order=3) <= np.log(6) + 1e-12
+        assert 0 <= permutation_entropy(x) <= np.log(6) + 1e-12
 
     def test_pe_monotone_transform_invariance(self):
         x = np.random.default_rng(25).standard_normal(2000)
@@ -121,18 +120,17 @@ class TestEntropies:
     def test_noise_exceeds_sine_every_kernel(self):
         sine = np.sin(2 * np.pi * np.arange(2000) / 160)
         noise = np.random.default_rng(26).standard_normal(2000)
-        se_s = sample_entropies(sine)
-        se_n = sample_entropies(noise)
+        se_s = entropy_features(sine, embed(sine, 3, 1))
+        se_n = entropy_features(noise, embed(noise, 3, 1))
         for k in range(1, 9):
             assert se_n[f"se_k{k}"] > se_s[f"se_k{k}"], k
 
     def test_amplitude_scale_invariance(self):
         x = np.sin(2 * np.pi * np.arange(1500) / 90) + 0.05 * np.random.default_rng(27).standard_normal(1500)
-        a = sample_entropies(x)
-        b = sample_entropies(0.5 * x)
-        for key in a:
+        a = entropy_features(x, embed(x, 3, 1))
+        b = entropy_features(0.5 * x, embed(0.5 * x, 3, 1))
+        for key in ["ae", *(f"se_k{k}" for k in range(1, 9))]:
             assert a[key] == pytest.approx(b[key], rel=1e-9), key
-        assert approximate_entropy(x) == pytest.approx(approximate_entropy(0.5 * x), rel=1e-9)
 
     def test_entropies_nonnegative(self):
         x = np.random.default_rng(28).standard_normal(1200)

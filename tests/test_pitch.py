@@ -4,7 +4,7 @@ from scipy.signal import sawtooth
 
 from phonassess.audio import Recording
 from phonassess.errors import InsufficientSignalError
-from phonassess.pitch import detect_cycles, dump_contour_csv, dump_cycles_csv, estimate_f0
+from phonassess.pitch import F0_MAX, F0_MIN, acf_peak_in_range, detect_cycles, estimate_f0
 from phonassess.synth import duty_train, pulse_train
 
 from conftest import FS, alternating_pulse_train
@@ -30,17 +30,21 @@ class TestEstimateF0:
 
     def test_f0_in_range_invariant(self):
         x = np.random.default_rng(0).standard_normal(FS)
-        contour = estimate_f0(Recording(x, FS), f0_min=60, f0_max=400)
+        contour = estimate_f0(Recording(x, FS))
         voiced = contour.f0[contour.voicing]
-        assert np.all((voiced >= 60) & (voiced <= 400))
+        assert np.all((voiced >= F0_MIN) & (voiced <= F0_MAX))
         assert np.all(contour.f0[~contour.voicing] == 0)
 
     def test_preconditions(self):
-        rec = Recording(np.ones(FS), FS)
         with pytest.raises(ValueError):
-            estimate_f0(rec, f0_min=400, f0_max=100)
-        with pytest.raises(ValueError):
-            estimate_f0(Recording(np.ones(1000), 700), f0_min=60, f0_max=400)
+            estimate_f0(Recording(np.ones(1000), 700))
+
+    def test_negative_peaks_give_no_candidate(self):
+        """A lag range whose every local maximum is negative holds no period."""
+        row = -0.5 + 0.1 * np.cos(2 * np.pi * np.arange(200) / 20)
+        row[0] = 1.0
+        assert acf_peak_in_range(row, 10, 150) == (0.0, 0.0)
+        assert acf_peak_in_range(row + 0.6, 10, 150)[0] == pytest.approx(20.0)
 
 
 class TestDetectCycles:
@@ -104,14 +108,3 @@ class TestDetectCycles:
         f0_tracked = np.median(pulse_contour.voiced_f0)
         assert abs(f0_from_cycles - f0_tracked) / f0_tracked < 0.02
 
-
-def test_debug_dumps(tmp_path, pulse_rec, pulse_contour):
-    cycles = detect_cycles(pulse_rec, pulse_contour)
-    cpath = tmp_path / "contour.csv"
-    ypath = tmp_path / "cycles.csv"
-    dump_contour_csv(pulse_contour, cpath)
-    dump_cycles_csv(cycles, ypath)
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "time,f0,voiced"
-    assert len(lines) == len(pulse_contour.times) + 1
-    assert ypath.read_text().splitlines()[0].startswith("cycle,")
