@@ -2,9 +2,10 @@
 
 All downstream analysis runs at ANALYSIS_RATE (16 kHz). Decoding is
 bit-deterministic: the same file always yields the same float buffer.
-Feature frames are FRAME_MS (25 ms) long every HOP_MS (10 ms). The FFT
-autocorrelation and the 1 s context sums shared by the feature families
-live here.
+Feature frames are FRAME_MS (25 ms) long every HOP_MS (10 ms); every frame
+sequence carries both the plain slices and their Hann-tapered copies. The
+FFT autocorrelation and the 1 s context sums shared by the feature families
+live here. VOWELS and TASKS are the cohort's vowel and task tokens.
 """
 from __future__ import annotations
 
@@ -34,13 +35,10 @@ _PCM_SCALE = {
 
 @dataclass
 class Recording:
-    """Mono sample buffer with its sampling rate and cohort labels."""
+    """Mono sample buffer with its sampling rate."""
 
     samples: np.ndarray
     fs: int
-    subject_id: str = "anon"
-    vowel: str = "a"
-    task: str = "s"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -48,10 +46,6 @@ class Recording:
             raise ValueError(f"sampling rate must be positive, got {self.fs}")
         if self.samples.size == 0:
             raise AudioError("empty sample buffer")
-        if self.vowel not in VOWELS:
-            raise ValueError(f"vowel must be one of {VOWELS}, got {self.vowel!r}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
 
     @property
     def duration(self) -> float:
@@ -62,16 +56,16 @@ class Recording:
 class FrameSequence:
     """Short-time frames of a signal.
 
-    ``frames`` holds the tapered frames, ``raw`` the same slices before the
-    taper (some measures, e.g. energy and TKEO, are defined on the plain
-    waveform). Frame count is floor((N - frame_length) / hop) + 1.
+    ``frames`` holds the Hann-tapered frames, ``raw`` the same slices before
+    the taper (some measures, e.g. energy, TKEO and the pitch tracker, are
+    defined on the plain waveform). Frame count is
+    floor((N - frame_length) / hop) + 1.
     """
 
     frames: np.ndarray
     raw: np.ndarray
     frame_length: int
     hop: int
-    window: str
     fs: int
     times: np.ndarray = field(default=None)  # frame centers in seconds
 
@@ -84,21 +78,7 @@ class FrameSequence:
         return self.frames.shape[0]
 
 
-def window_taper(name: str, length: int) -> np.ndarray:
-    """Return the named symmetric taper of the given length."""
-    if name == "rectangular":
-        return np.ones(length)
-    if name == "hann":
-        return np.hanning(length)
-    raise ValueError(f"unknown window {name!r}")
-
-
-def load_recording(
-    path,
-    subject_id: str = "anon",
-    vowel: str = "a",
-    task: str = "s",
-) -> Recording:
+def load_recording(path) -> Recording:
     """Decode a PCM/float WAV file into a mono Recording in [-1, 1].
 
     Stereo input is averaged to mono. Peak normalization, if wanted, is
@@ -126,7 +106,7 @@ def load_recording(
     if x.ndim == 2:  # average channels
         x = x.mean(axis=1)
 
-    return Recording(samples=x, fs=int(fs), subject_id=subject_id, vowel=vowel, task=task)
+    return Recording(samples=x, fs=int(fs))
 
 
 def write_wav(path, samples: np.ndarray, fs: int) -> None:
@@ -145,22 +125,22 @@ def resample(rec: Recording, target_fs: int) -> Recording:
     if target_fs <= 0:
         raise ValueError(f"target_fs must be positive, got {target_fs}")
     if rec.fs == target_fs:
-        return Recording(rec.samples.copy(), rec.fs, rec.subject_id, rec.vowel, rec.task)
+        return Recording(rec.samples.copy(), rec.fs)
     ratio = Fraction(int(target_fs), int(rec.fs))
     y = resample_poly(rec.samples, ratio.numerator, ratio.denominator, window=("kaiser", 9.0))
-    return Recording(y, target_fs, rec.subject_id, rec.vowel, rec.task)
+    return Recording(y, target_fs)
 
 
-def frame_signal(rec: Recording, frame_ms: float, hop_ms: float, window: str = "hann") -> FrameSequence:
-    """Slice a recording into tapered frames of frame_ms every hop_ms."""
+def frame_signal(rec: Recording, frame_ms: float, hop_ms: float) -> FrameSequence:
+    """Slice a recording into frames of frame_ms every hop_ms."""
     if hop_ms <= 0 or frame_ms < hop_ms:
         raise ValueError("require frame_ms >= hop_ms > 0")
     frame_length = int(round(frame_ms * rec.fs / 1000.0))
     hop = int(round(hop_ms * rec.fs / 1000.0))
-    return frame_array(rec.samples, rec.fs, frame_length, hop, window)
+    return frame_array(rec.samples, rec.fs, frame_length, hop)
 
 
-def frame_array(x: np.ndarray, fs: int, frame_length: int, hop: int, window: str = "hann") -> FrameSequence:
+def frame_array(x: np.ndarray, fs: int, frame_length: int, hop: int) -> FrameSequence:
     """frame_signal on a bare sample array (internal plumbing)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -169,13 +149,11 @@ def frame_array(x: np.ndarray, fs: int, frame_length: int, hop: int, window: str
     count = (n - frame_length) // hop + 1
     idx = np.arange(frame_length)[None, :] + hop * np.arange(count)[:, None]
     raw = x[idx]
-    taper = window_taper(window, frame_length)
     return FrameSequence(
-        frames=raw * taper,
+        frames=raw * np.hanning(frame_length),
         raw=raw,
         frame_length=frame_length,
         hop=hop,
-        window=window,
         fs=fs,
     )
 

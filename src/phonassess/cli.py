@@ -2,6 +2,8 @@
 
 Config values come from an optional key=value file overridden by flags.
 Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
+``trees``, ``mrmr_k``, ``sffs_patience`` and ``min_leaf`` must be at least 1;
+a boolean config value is one of 1/true/yes/0/false/no.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
 file or value, scope token or target, a missing --manifest; or an argparse
 usage error such as a flag the subcommand does not take), 2 data error (any
@@ -30,7 +32,7 @@ from .manifest import load_manifest
 from .models import predict
 from .selection import LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
 from .synth import make_classification_cohort, make_regression_cohort
-from .table import FeatureMatrix, build_matrix, parse_scope
+from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
 
 log = logging.getLogger("phonassess")
 
@@ -39,6 +41,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 
 WIDTH_BAND = (300, 400)
+POSITIVE_KEYS = ("mrmr_k", "sffs_patience", "trees", "min_leaf")
+BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass
@@ -87,7 +91,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
         if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "yes")
+            if value.lower() not in BOOLEAN_WORDS:
+                raise ConfigError(f"config key {key!r} needs one of "
+                                  f"{'/'.join(BOOLEAN_WORDS)}, got {value!r}")
+            value = BOOLEAN_WORDS[value.lower()]
         elif isinstance(current, int):
             try:
                 value = int(value)
@@ -98,13 +105,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    for key in POSITIVE_KEYS:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     return cfg
-
-
-def _default_scopes(manifest) -> list[str]:
-    scopes = [f"{v}_{t}" for (v, t) in manifest.pairs_present()]
-    scopes += [f"all_{t}" for t in manifest.tasks_present()]
-    return scopes
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
@@ -129,14 +133,8 @@ def cmd_extract(cfg: RunConfig) -> int:
     manifest = load_manifest(cfg.manifest)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    scopes = cfg.scopes() or _default_scopes(manifest)
-
-    needed: set[tuple[str, str]] = set()
-    for scope in scopes:
-        vowel, task = parse_scope(scope)
-        vs = ("a", "e", "i", "o", "u") if vowel == "all" else (vowel,)
-        needed.update((v, task) for v in vs)
-        needed.update((v, task) for v in ("a", "i", "u"))  # cross-vowel corners
+    scopes = cfg.scopes() or default_scopes(manifest)
+    needed = {vt for scope in scopes for vt in scope_recordings(scope)}
 
     extracted: dict[tuple[str, str, str], dict] = {}
     failure_counts: dict[str, int] = {}
@@ -146,7 +144,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             if path is None:
                 continue
             try:
-                rec = load_recording(path, row.subject_id, v, t)
+                rec = load_recording(path)
             except AudioError as exc:
                 log.warning("unreadable audio for %s (%s,%s): %s", row.subject_id, v, t, exc)
                 continue
@@ -209,7 +207,7 @@ def _select_and_loo(matrix: FeatureMatrix, target, spec: LearnerSpec, cfg: RunCo
               if np.isfinite(X[:, j]).sum() >= max(3, n // 2) and np.nanstd(X[:, j]) > 0]
     if not usable:
         raise PhonassessError("no usable feature columns (all missing or constant)")
-    ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, len(usable)), task=spec.mode)
+    ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, len(usable)))
     sel = sffs(X, y, matrix.columns, spec, candidates=[usable[j] for j in ranked],
                patience=cfg.sffs_patience)
     ok = drop_incomplete_rows(X, y, sel.selected_indices)
@@ -229,8 +227,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         matrix = _load_matrix(cfg, scope)
         if len(set(matrix.groups)) < 2:
             raise PhonassessError(f"scope {scope}: only one group present in the cohort")
-        spec = LearnerSpec(kind="forest", mode="classification",
-                           n_trees=cfg.trees, seed=cfg.seed)
+        spec = LearnerSpec(kind="forest", n_trees=cfg.trees, seed=cfg.seed)
         sel, preds, truth = _select_and_loo(matrix, matrix.groups, spec, cfg)
         metrics = classification_metrics(preds, truth)
         rows.append({
@@ -266,8 +263,7 @@ def cmd_regress(cfg: RunConfig) -> int:
         y = matrix.scores.get(cfg.target)
         if y is None or np.isfinite(y).sum() < 10:
             raise PhonassessError(f"scope {scope}: fewer than 10 subjects rated on {cfg.target}")
-        spec = LearnerSpec(kind="cart", mode="regression",
-                           min_leaf=cfg.min_leaf, seed=cfg.seed)
+        spec = LearnerSpec(kind="cart", min_leaf=cfg.min_leaf, seed=cfg.seed)
         sel, preds, truth = _select_and_loo(matrix, y, spec, cfg)
         mae, rho = regression_metrics(preds, truth)
         rows.append({

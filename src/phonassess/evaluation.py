@@ -9,6 +9,7 @@ import numpy as np
 from scipy.stats import rankdata, t as t_dist
 
 from .errors import PhonassessError
+from .models import is_regression_target
 
 POSITIVE_CLASS = "PD"
 
@@ -176,7 +177,8 @@ def loo_validate(X, y, train_fn, predict_fn, seed: int = 0) -> LooResult:
 
     ``train_fn(X, y, seed)`` returns a model; ``predict_fn(model, row)`` a
     prediction. Deterministic given the seed (each fold derives its own
-    stream). Folds whose training fails are recorded and predict NaN.
+    stream). Folds whose training fails are recorded and predict NaN. A
+    numeric ``y`` gives float predictions, class labels object ones.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
@@ -195,6 +197,6 @@ def loo_validate(X, y, train_fn, predict_fn, seed: int = 0) -> LooResult:
             failed.append(i)
             preds[i] = float("nan")
         mask[i] = True
-    if np.issubdtype(y.dtype, np.number):
+    if is_regression_target(y):
         preds = preds.astype(np.float64)
     return LooResult(predictions=preds, failed_folds=failed)

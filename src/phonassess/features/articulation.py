@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_toeplitz
 
-from ..audio import FrameSequence, autocorrelation, window_taper
+from ..audio import FrameSequence, autocorrelation
 from ..errors import InsufficientSignalError
 
 PREEMPHASIS = 0.97
@@ -82,7 +82,7 @@ def estimate_formants(frames: FrameSequence, fs: int) -> FormantTrack:
     order += order % 2
     n = len(frames)
     out = np.full((6, n), np.nan)
-    taper = window_taper("hann", frames.frame_length)
+    taper = np.hanning(frames.frame_length)
     for i in range(n):
         res = _frame_formants(frames.raw[i], fs, order, taper)
         if res is None:

@@ -138,7 +138,7 @@ def _mean_abs_tkeo(x: np.ndarray) -> float:
     return float(np.mean(np.abs(phonation.teager_kaiser(x))))
 
 
-def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
+def imf_features(imf_set: ImfSet, fs: int, failures: dict[str, str]) -> dict[str, float]:
     """SNR/NSR functional ratios between the IMF groups plus IMF1 measures.
 
     IMF1 (highest-frequency mode) is the noise proxy; the sum of the
@@ -146,7 +146,9 @@ def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
     the signal group by the same functional of IMF1; NSR variants are exact
     reciprocals. Fractal dimension, cepstral peak prominence, and
     glottal-to-noise excitation are computed on IMF1 by delegating to the
-    respective feature modules.
+    respective feature modules. ``imf_cpp`` and ``imf_gne`` are NaN when IMF1
+    does not support the measure, and ``failures`` gets the reason under the
+    feature's name.
     """
     if len(imf_set) < 2:
         raise InsufficientSignalError("need >= 2 IMFs for IMF features")
@@ -177,31 +179,23 @@ def imf_features(imf_set: ImfSet, fs: int) -> dict[str, float]:
         "imf_nsr_se": 1.0 / snr_se if snr_se > 0 else float("inf"),
         "imf_nsr_re": 1.0 / snr_re if snr_re > 0 else float("inf"),
         "imf_fd": nonlinear.katz_fd(noise),
-        "imf_cpp": imf1_cpp(noise, fs),
-        "imf_gne": _safe_gne(noise, fs),
     }
+    for name, measure in (("imf_cpp", imf1_cpp), ("imf_gne", quality.glottal_noise_excitation)):
+        try:
+            out[name] = measure(noise, fs)
+        except PhonassessError as exc:
+            out[name] = float("nan")
+            failures[name] = str(exc)
     return out
-
-
-def _safe_gne(x: np.ndarray, fs: int) -> float:
-    """GNE of IMF1, NaN when the signal does not support the measure."""
-    try:
-        return quality.glottal_noise_excitation(x, fs)
-    except PhonassessError:
-        return float("nan")
 
 
 def imf1_cpp(imf1: np.ndarray, fs: int) -> float:
     """Cepstral peak prominence of IMF1 via the quality module's routine.
 
-    NaN when IMF1 has no voiced frame or does not support the measure.
+    Raises InsufficientSignalError when IMF1 has no voiced frame.
     """
-    try:
-        rec = Recording(imf1, fs)
-        contour = pitch.estimate_f0(rec)
-        if not np.any(contour.voicing):
-            return float("nan")
-        frames = frame_signal(rec, FRAME_MS, HOP_MS, "hann")
-        return quality.cepstral_quality(frames, contour)[0]
-    except PhonassessError:
-        return float("nan")
+    rec = Recording(imf1, fs)
+    contour = pitch.estimate_f0(rec)
+    if not np.any(contour.voicing):
+        raise InsufficientSignalError("IMF1 has no voiced frame")
+    return quality.cepstral_quality(frame_signal(rec, FRAME_MS, HOP_MS), contour)[0]

@@ -10,7 +10,8 @@ summary statistics capture. EMD keeps at most MAX_IMFS (10) modes. The one
 option is ``peak_normalize``: scale the resampled recording to unit peak.
 
 Failures never abort a recording. A failed recording-level measure yields
-NaN for each of its features plus a failure entry. A failed block measure is
+NaN for each of its features plus a failure entry; so does an IMF1 measure
+(``imf_cpp``, ``imf_gne``) that fails while the other IMF features succeed. A failed block measure is
 skipped for that block without a trace; only a contour that no block gave a
 value gets NaN and the failure "no block produced a value".
 """
@@ -80,7 +81,7 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
     if peak_normalize:
         peak = np.max(np.abs(rec.samples))
         if peak > 0:
-            rec = Recording(rec.samples / peak, rec.fs, rec.subject_id, rec.vowel, rec.task)
+            rec = Recording(rec.samples / peak, rec.fs)
     x = rec.samples
     fs = rec.fs
     feats: dict[str, float | np.ndarray] = {}
@@ -92,7 +93,7 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
             feats.setdefault(name, float("nan"))
 
     contour = estimate_f0(rec)
-    frames = frame_signal(rec, FRAME_MS, HOP_MS, "hann")
+    frames = frame_signal(rec, FRAME_MS, HOP_MS)
     feats["f0"] = contour.voiced_f0 if np.any(contour.voicing) else np.array([np.nan])
     tau = nonlinear.fmmi(x)
     feats["fmmi"] = float(tau)
@@ -116,7 +117,7 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
         (FORMANT_KEYS, formants),
         (("ppe",), lambda: [phonation.ppe(contour)]),
         (("mser", "mfp", "rphm", "icer", "rphic"), lambda: quality.modulation_measures(rec)),
-        (IMF_KEYS, lambda: emd.imf_features(emd.emd(x), fs)),
+        (IMF_KEYS, lambda: emd.imf_features(emd.emd(x), fs, failures)),
         (("cd", "he", "lle"), lambda: nonlinear.complexity_features(
             nonlinear.embed(x, nonlinear.EMBED_DIM, tau), x)),
     ]
@@ -141,7 +142,7 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
         nonlocal prev_cep
         prev, prev_cep = prev_cep, None
         est = highorder.estimate_bispectrum(
-            frame_array(blk.samples, fs, highorder.NFFT, highorder.NFFT // 2, "hann"))
+            frame_array(blk.samples, fs, highorder.NFFT, highorder.NFFT // 2))
         cep = highorder.bicepstrum(est)
         values = {f"bis_{k}": v for k, v in highorder.bispectral_features(est).items()}
         values.update((f"bic_{k}", v)
@@ -163,7 +164,7 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
         (SHIMMER_KEYS, lambda blk, con, cyc: phonation.shimmer_features(cyc)),
         (GQ_KEYS, lambda blk, con, cyc: phonation.glottal_quotient_stds(cyc)),
         (("cpp", "pecm", "vr"), lambda blk, con, cyc: quality.cepstral_quality(
-            frame_signal(blk, FRAME_MS, HOP_MS, "hann"), con)),
+            frame_signal(blk, FRAME_MS, HOP_MS), con)),
         (("hnr", "nhr", "nne", "gne", "spi", "vti", "ssd"),
          lambda blk, con, cyc: quality.noise_measures(blk, con)),
         ((), higher_order),
@@ -173,7 +174,7 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
     bounds = _block_bounds(len(x), fs) or [(0, len(x))]
     block_vals: dict[str, list[float]] = {}
     for s0, s1 in bounds:
-        block = Recording(x[s0:s1], fs, rec.subject_id, rec.vowel, rec.task)
+        block = Recording(x[s0:s1], fs)
         sub_contour = _slice_contour(contour, s0 / fs, s1 / fs)
         sub_cycles = cycles.slice_range(s0, s1) if cycles is not None else None
         for names, measure in block_measures:

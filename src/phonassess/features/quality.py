@@ -199,7 +199,7 @@ def _nccf_rows(raw: np.ndarray) -> np.ndarray:
 def harmonicity_r(rec: Recording, contour: F0Contour) -> np.ndarray:
     """Normalized cross-correlation at the pitch lag, per voiced frame."""
     fs = rec.fs
-    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS, "rectangular")
+    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS)
     raw = frames.raw - frames.raw.mean(axis=1, keepdims=True)
     nccf = _nccf_rows(raw)
     voiced, f0s = frame_voicing(frames, contour)
@@ -267,7 +267,7 @@ def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
     """Mean segmental signal-to-dysperiodicity ratio in dB (clamped)."""
     fs = rec.fs
     x = rec.samples
-    frames = frame_signal(rec, FRAME_MS, HOP_MS, "rectangular")
+    frames = frame_signal(rec, FRAME_MS, HOP_MS)
     voiced, f0s = frame_voicing(frames, contour)
     vals = []
     for i in np.flatnonzero(voiced):

@@ -1,8 +1,9 @@
 """Cohort manifest loading and validation.
 
-CSV header: subject_id,group,sex,age,duration,updrs3,updrs4,rbdsq,fog,nmss,
-bdi,mmse,acer,led followed by one column per (vowel, task) recording named
-path_<vowel>_<task>. Empty cells are missing values and stay missing.
+CSV header: subject_id,group,sex,age, one column per clinical score
+(SCORE_COLUMNS, the ids of ``evaluation.SCALES`` in order), then one column
+per (vowel, task) recording named path_<vowel>_<task>. Empty cells are
+missing values and stay missing.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from .errors import ManifestError
 from .evaluation import SCALES
 
 GROUPS = ("PD", "HC")
-SCORE_COLUMNS = ("duration", "updrs3", "updrs4", "rbdsq", "fog", "nmss",
-                 "bdi", "mmse", "acer", "led")
+SCORE_COLUMNS = tuple(SCALES)
 
 
 @dataclass
@@ -39,9 +39,6 @@ class CohortManifest:
         for row in self.rows:
             counts[row.group] += 1
         return counts
-
-    def score_names(self) -> tuple[str, ...]:
-        return SCORE_COLUMNS
 
     def tasks_present(self) -> list[str]:
         seen = {t for row in self.rows for (_, t) in row.recordings}

@@ -5,7 +5,8 @@ are midpoints between neighboring values, rows equal to a threshold go left,
 ties between equally good splits resolve to the lowest feature index then
 the lowest threshold, and every tree draws its randomness from a stream
 spawned off the master seed so serial and parallel training produce the same
-model.
+model. The target's dtype picks the task (``is_regression_target``): numbers
+are regressed, anything else (class labels such as "PD"/"HC") is classified.
 """
 from __future__ import annotations
 
@@ -18,6 +19,11 @@ from .errors import PhonassessError
 MIN_LEAF_DEFAULT = 3
 N_TREES_DEFAULT = 500
 GAIN_TOL = 1e-12
+
+
+def is_regression_target(y) -> bool:
+    """True for a numeric target (regression), False for class labels."""
+    return bool(np.issubdtype(np.asarray(y).dtype, np.number))
 
 
 @dataclass
@@ -133,12 +139,12 @@ def _grow(X, y, classes, min_leaf, rng, feature_subsample):
 def train_cart(
     X,
     y,
-    mode: str = "regression",
     min_leaf: int = MIN_LEAF_DEFAULT,
     rng: np.random.Generator | None = None,
     feature_subsample: int | None = None,
 ) -> DecisionTree:
-    """Greedy binary CART; variance reduction / Gini, mean / majority leaves."""
+    """Greedy binary CART: variance reduction and mean leaves for a numeric
+    ``y``, Gini decrease and majority leaves for class labels."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise PhonassessError("X must be 2-D")
@@ -148,16 +154,14 @@ def train_cart(
     if np.isnan(X).any():
         raise PhonassessError("training matrix contains missing values; drop rows first")
     rng = rng or np.random.default_rng(0)
-    if mode == "regression":
+    if is_regression_target(y):
         classes: list[str] = []
         codes = np.asarray(y, dtype=np.float64)
-    elif mode == "classification":
+    else:
         labels = np.asarray([str(v) for v in y])
         classes = sorted(set(labels))
         lut = {c: i for i, c in enumerate(classes)}
         codes = np.array([lut[v] for v in labels])
-    else:
-        raise PhonassessError(f"unknown mode {mode!r}")
     return DecisionTree(root=_grow(X, codes, classes, min_leaf, rng, feature_subsample),
                         n_features=p)
 
@@ -188,13 +192,15 @@ class ForestModel:
 def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> ForestModel:
     """Bagged classification CARTs, sqrt(p) candidate features per node.
 
+    The trees get ``y`` as string labels, so they classify whatever its dtype.
+
     Every tree gets its own generator spawned from the master seed, so the
     model is identical whether trees are trained serially or in parallel.
     Trees grow to purity (``min_leaf=1``) on a bootstrap sample.
     """
     X = np.asarray(X, dtype=np.float64)
-    y_arr = np.asarray(y)
-    if len(set(map(str, y_arr))) < 2:
+    y_arr = np.asarray([str(v) for v in y])
+    if len(set(y_arr)) < 2:
         raise PhonassessError("need at least two classes to train a forest")
     n, p = X.shape
     k = max(1, int(np.sqrt(p)))
@@ -202,8 +208,8 @@ def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> ForestM
     for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
         idx = rng.integers(0, n, size=n)
-        trees.append(train_cart(X[idx], y_arr[idx], mode="classification", min_leaf=1,
-                                rng=rng, feature_subsample=k))
+        trees.append(train_cart(X[idx], y_arr[idx], min_leaf=1, rng=rng,
+                                feature_subsample=k))
     return ForestModel(trees=trees)
 
 

@@ -1,7 +1,7 @@
 """Fundamental-frequency tracking and glottal-cycle marking.
 
-The tracker is a frame-wise normalized autocorrelation method over
-F0_FRAME_MS (40 ms) rectangular frames every HOP_MS (10 ms), searching
+The tracker is a frame-wise normalized autocorrelation method over the
+plain (untapered) F0_FRAME_MS (40 ms) frames every HOP_MS (10 ms), searching
 [F0_MIN, F0_MAX] = [60, 400] Hz. Frames below ENERGY_THRESHOLD mean power
 are unvoiced; a frame is voiced when its peak reaches VOICING_THRESHOLD.
 The raw autocorrelation of a Hann-tapered frame is divided by the taper's
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import HOP_MS, Recording, autocorrelation, frame_signal, window_taper
+from .audio import HOP_MS, Recording, autocorrelation, frame_signal
 from .errors import InsufficientSignalError
 
 F0_MIN = 60.0
@@ -135,10 +135,9 @@ def estimate_f0(rec: Recording) -> F0Contour:
     if rec.fs <= 2 * F0_MAX:
         raise ValueError(f"sampling rate must exceed {2 * F0_MAX:g} Hz for f0 tracking")
 
-    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS, "rectangular")
+    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS)
     raw = frames.raw - frames.raw.mean(axis=1, keepdims=True)
-    taper = window_taper("hann", frames.frame_length)
-    acf = _corrected_acf(raw, taper)
+    acf = _corrected_acf(raw, np.hanning(frames.frame_length))
 
     lag_min = int(np.floor(rec.fs / F0_MAX))
     lag_max = int(np.ceil(rec.fs / F0_MIN))

@@ -4,6 +4,8 @@ Mutual information for mRMR runs on 10-quantile-discretized values, which
 makes the ranking invariant to strictly monotone transforms of any feature.
 The SFFS wrapper evaluates candidate subsets with the same leave-one-out
 protocol the final report uses; all ties break to the lowest column index.
+The target's dtype picks the task (``models.is_regression_target``): a
+numeric target is regressed, class labels are classified.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import PhonassessError
 from .evaluation import classification_metrics, loo_validate
-from .models import predict, train_cart, train_forest
+from .models import is_regression_target, predict, train_cart, train_forest
 
 log = logging.getLogger(__name__)
 
@@ -44,30 +46,31 @@ def _discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
 
 
-def _target_codes(y, task: str) -> np.ndarray:
-    if task == "classification":
-        labels = sorted(set(map(str, y)))
-        if len(labels) < 2:
+def _target_codes(y) -> np.ndarray:
+    if is_regression_target(y):
+        y = np.asarray(y, dtype=np.float64)
+        if np.all(y == y[0]):
             raise PhonassessError("constant target: nothing to rank against")
-        lut = {c: i for i, c in enumerate(labels)}
-        return np.array([lut[str(v)] for v in y])
-    y = np.asarray(y, dtype=np.float64)
-    if np.all(y == y[0]):
+        return quantile_discretize(y)
+    labels = sorted(set(map(str, y)))
+    if len(labels) < 2:
         raise PhonassessError("constant target: nothing to rank against")
-    return quantile_discretize(y)
+    lut = {c: i for i, c in enumerate(labels)}
+    return np.array([lut[str(v)] for v in y])
 
 
-def mrmr_rank(X, y, k: int, task: str = "classification") -> list[int]:
+def mrmr_rank(X, y, k: int) -> list[int]:
     """Greedy max-relevance min-redundancy ranking; returns top-k indices.
 
     Step objective: MI(feature, target) - mean MI(feature, already chosen).
+    A numeric target is quantile-discretized, class labels are coded as-is.
     Missing feature values are handled pairwise-complete; the target must be
     complete. Ties resolve to the lowest column index.
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
     k = min(k, p)
-    target = _target_codes(y, task)
+    target = _target_codes(y)
     finite = np.isfinite(X)
     codes = np.zeros((n, p), dtype=np.int64)
     for j in range(p):
@@ -117,11 +120,11 @@ class SelectionResult:
 class LearnerSpec:
     """What to train inside the wrapper and the final evaluation.
 
-    A forest always classifies; ``min_leaf`` applies to a single CART only.
+    The target's dtype picks what a CART does; a forest always classifies.
+    ``min_leaf`` applies to a single CART only.
     """
 
     kind: str = "cart"             # "cart" | "forest"
-    mode: str = "regression"       # "regression" | "classification"
     n_trees: int = 50
     min_leaf: int = 3
     seed: int = 0
@@ -129,20 +132,20 @@ class LearnerSpec:
     def train(self, X, y, seed: int):
         if self.kind == "forest":
             return train_forest(X, y, n_trees=self.n_trees, seed=seed)
-        return train_cart(X, y, mode=self.mode, min_leaf=self.min_leaf)
+        return train_cart(X, y, min_leaf=self.min_leaf)
 
 
 def drop_incomplete_rows(X: np.ndarray, y: np.ndarray, cols: list[int]):
     """Remove rows with missing values in the candidate columns or target."""
     sub = X[:, cols] if cols else X[:, :0]
     ok = ~np.isnan(sub).any(axis=1)
-    if np.issubdtype(np.asarray(y).dtype, np.number):
+    if is_regression_target(y):
         ok &= np.isfinite(np.asarray(y, dtype=np.float64))
     return ok
 
 
 def loo_objective(X, y, spec: LearnerSpec) -> float:
-    """LOO objective: TSS for classification, negative MAE for regression.
+    """LOO objective: negative MAE for a numeric target, TSS for class labels.
 
     A subset on which any fold fails to train scores ``-inf``.
     """
@@ -150,9 +153,9 @@ def loo_objective(X, y, spec: LearnerSpec) -> float:
     if result.failed_folds:
         return -np.inf
     preds = result.predictions
-    if spec.mode == "classification":
-        return classification_metrics(preds, y).tss
-    return -float(np.mean(np.abs(preds - np.asarray(y, dtype=np.float64))))
+    if is_regression_target(y):
+        return -float(np.mean(np.abs(preds - np.asarray(y, dtype=np.float64))))
+    return classification_metrics(preds, y).tss
 
 
 def sffs(

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio import write_wav
+from .manifest import SCORE_COLUMNS
 
 DEFAULT_FS = 16_000
 
@@ -124,13 +125,9 @@ VOWEL_FORMANTS = {
     "u": (350.0, 800.0, 2300.0),
 }
 
-MANIFEST_SCORE_COLUMNS = [
-    "duration", "updrs3", "updrs4", "rbdsq", "fog", "nmss", "bdi", "mmse", "acer", "led",
-]
-
 
 def _write_manifest(path: Path, rows: list[dict], vowels, tasks) -> None:
-    header = ["subject_id", "group", "sex", "age"] + MANIFEST_SCORE_COLUMNS
+    header = ["subject_id", "group", "sex", "age", *SCORE_COLUMNS]
     header += [f"path_{v}_{t}" for v in vowels for t in tasks]
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=header)

@@ -6,6 +6,10 @@ registry. Cross-vowel articulation indices are computed here from the
 summarized corner-vowel formants and appear once per task in whole-task
 scope. Missing values stay missing (empty CSV cells), never silently
 imputed.
+
+Scope grammar: ``<vowel>_<task>`` names one vowel's matrix, ``all_<task>``
+the five vowels' matrix; either reads the task's corner vowels as well
+(``scope_recordings``).
 """
 from __future__ import annotations
 
@@ -15,13 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import TASKS, VOWELS
 from .errors import ConfigError
 from .features import articulation
 from .features.registry import REGISTRY, SUMMARY_STATS, column_names
-from .manifest import CohortManifest
+from .manifest import SCORE_COLUMNS, CohortManifest
 
 log = logging.getLogger(__name__)
 
+WHOLE_TASK = "all"  # the scope vowel token meaning every vowel
 VOWELS_FOR_CROSS = ("a", "i", "u")
 CROSS_VOWEL_NAMES = ("vsa", "ln_vsa", "fcr", "vai", "f2i_f2u")
 
@@ -72,7 +78,7 @@ def cross_vowel_features(per_vowel_columns: dict[str, dict[str, float]]) -> dict
             cols_i["f1_median"], cols_i["f2_median"],
             cols_u["f1_median"], cols_u["f2_median"],
         )
-    except (KeyError, ValueError, TypeError):
+    except (KeyError, ValueError):  # a missing corner vowel, unusable formants
         return {name: float("nan") for name in CROSS_VOWEL_NAMES}
 
 
@@ -113,8 +119,7 @@ class FeatureMatrix:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         header = rows[0]
-        from .evaluation import SCALES
-        score_names = [h for h in header[2:] if h in SCALES]
+        score_names = [h for h in header[2:] if h in SCORE_COLUMNS]
         n_meta = 2 + len(score_names)
         columns = header[n_meta:]
         ids, groups = [], []
@@ -137,9 +142,28 @@ def parse_scope(scope: str) -> tuple[str, str]:
         vowel, task = scope.split("_", 1)
     except ValueError as exc:
         raise ConfigError(f"bad scope {scope!r}; use '<vowel>_<task>' or 'all_<task>'") from exc
-    if vowel not in ("a", "e", "i", "o", "u", "all") or task not in ("s", "l", "ll", "ls"):
+    if vowel not in (*VOWELS, WHOLE_TASK) or task not in TASKS:
         raise ConfigError(f"bad scope {scope!r}")
     return vowel, task
+
+
+def _scope_vowels(vowel: str) -> tuple[str, ...]:
+    return VOWELS if vowel == WHOLE_TASK else (vowel,)
+
+
+def scope_recordings(scope: str) -> list[tuple[str, str]]:
+    """The (vowel, task) recordings a scope reads: its own vowels and the
+    corner vowels its cross-vowel columns need, in ``VOWELS`` order."""
+    vowel, task = parse_scope(scope)
+    wanted = set(_scope_vowels(vowel)) | set(VOWELS_FOR_CROSS)
+    return [(v, task) for v in VOWELS if v in wanted]
+
+
+def default_scopes(manifest: CohortManifest) -> list[str]:
+    """Every (vowel, task) pair the cohort recorded, then each task's whole-task scope."""
+    scopes = [f"{v}_{t}" for (v, t) in manifest.pairs_present()]
+    scopes += [f"{WHOLE_TASK}_{t}" for t in manifest.tasks_present()]
+    return scopes
 
 
 def build_matrix(
@@ -153,11 +177,12 @@ def build_matrix(
     Subjects missing a recording keep their row with missing cells (warned).
     """
     vowel_sel, task = parse_scope(scope)
-    vowels = ("a", "e", "i", "o", "u") if vowel_sel == "all" else (vowel_sel,)
+    whole_task = vowel_sel == WHOLE_TASK
+    vowels = _scope_vowels(vowel_sel)
 
     base_cols = column_names(include_cross_vowel=False)
     cross_cols = list(CROSS_VOWEL_NAMES)
-    if vowel_sel == "all":
+    if whole_task:
         columns = [f"{v}_{c}" for v in vowels for c in base_cols] + cross_cols
     else:
         # single vowel: registry order with cross-vowel features in place
@@ -169,8 +194,8 @@ def build_matrix(
 
     for i, row in enumerate(manifest.rows):
         per_vowel: dict[str, dict[str, float]] = {}
-        for v in set(vowels) | set(VOWELS_FOR_CROSS):
-            feats = extracted.get((row.subject_id, v, task))
+        for v, t in scope_recordings(scope):
+            feats = extracted.get((row.subject_id, v, t))
             if feats is not None:
                 per_vowel[v] = summarize_features(feats)
         cross = cross_vowel_features(per_vowel)
@@ -181,7 +206,7 @@ def build_matrix(
                             row.subject_id, v, task)
                 continue
             cols = per_vowel[v]
-            prefix = f"{v}_" if vowel_sel == "all" else ""
+            prefix = f"{v}_" if whole_task else ""
             for name, val in cols.items():
                 key = f"{prefix}{name}"
                 if key in col_index:
@@ -190,9 +215,9 @@ def build_matrix(
             if name in col_index:
                 values[i, col_index[name]] = val
 
-    scores = {s: np.array([row.scores.get(s, float("nan")) if row.scores.get(s) is not None
-                           else float("nan") for row in manifest.rows])
-              for s in manifest.score_names()}
+    scores = {s: np.array([float("nan") if row.scores.get(s) is None else row.scores[s]
+                           for row in manifest.rows])
+              for s in SCORE_COLUMNS}
     matrix = FeatureMatrix(
         scope=scope,
         subject_ids=subject_ids,

@@ -171,7 +171,7 @@ def test_criterion_6_emd():
 
 def test_criterion_7_selection_oracles():
     start = time.perf_counter()
-    spec = LearnerSpec(kind="cart", mode="classification", min_leaf=2)
+    spec = LearnerSpec(kind="cart", min_leaf=2)
     rng = np.random.default_rng(47)
 
     # SFFS vs exhaustive search on an XOR construction
@@ -213,7 +213,7 @@ def test_criterion_7_selection_oracles():
         scores = [rel[j] - np.mean([_discrete_mi(disc[j], disc[s]) for s in selected])
                   for j in remaining]
         selected.append(remaining.pop(int(np.argmax(scores))))
-    mrmr_ok = mrmr_rank(Xm, yr, k=5, task="regression") == selected
+    mrmr_ok = mrmr_rank(Xm, yr, k=5) == selected
 
     elapsed = time.perf_counter() - start
     ok = xor_ok and sep_ok and mrmr_ok and elapsed < 30.0
@@ -236,7 +236,7 @@ def test_criterion_8_model_protocol():
     yp = np.full(12, 5.0)
     yp[4] = 500.0
     from phonassess.models import train_cart
-    loo_p = loo_validate(Xp, yp, lambda a, b, s: train_cart(a, b, mode="regression", min_leaf=6),
+    loo_p = loo_validate(Xp, yp, lambda a, b, s: train_cart(a, b, min_leaf=6),
                          predict, seed=0)
     poison_ok = abs(loo_p.predictions[4] - 5.0) < 1.0
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from phonassess import cli
 from phonassess.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, make_parser
+from phonassess.errors import AudioError
 from phonassess.synth import make_classification_cohort, make_regression_cohort
 from phonassess.table import FeatureMatrix
 
@@ -140,6 +142,65 @@ def test_non_integer_config_value(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("trees=abc\n")
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("classify", ["--trees", "0"]),
+    ("classify", ["--mrmr-k", "0"]),
+    ("regress", ["--sffs-patience", "0"]),
+    ("regress", ["--min-leaf", "0"]),
+], ids=["trees", "mrmr_k", "sffs_patience", "min_leaf"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_out_of_range_value_is_config_error(tmp_path, command, flags, source):
+    """Tree counts, mRMR size, SFFS patience and leaf size must be at least 1."""
+    rng = np.random.default_rng(2)
+    FeatureMatrix(scope="a_s", subject_ids=[f"S{i:02d}" for i in range(14)],
+                  columns=["c0", "c1"], values=rng.standard_normal((14, 2)),
+                  groups=["PD", "HC"] * 7,
+                  scores={"updrs3": rng.uniform(10, 40, 14)}).to_csv(tmp_path / "features_a_s.csv")
+    argv = [command, "--features", str(tmp_path), "--out", str(tmp_path / "rep"),
+            "--scope", "a_s"] + (["--target", "updrs3"] if command == "regress" else [])
+    if source == "flag":
+        argv += flags
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flags[0][2:].replace('-', '_')}={flags[1]}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("value", ["ture", "2", "on"])
+def test_bad_boolean_config_value(tmp_path, value):
+    manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1,
+                                          duration=1.0, seed=4)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"peak_normalize={value}\n")
+    argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats"),
+            "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "feats").exists()
+
+
+@pytest.mark.parametrize("scope, decoded", [
+    ("e_s", ["a", "e", "i", "u"]),
+    ("all_s", ["a", "e", "i", "o", "u"]),
+], ids=["e_s", "all_s"])
+def test_extract_reads_scope_recordings(tmp_path, monkeypatch, scope, decoded):
+    """A scope decodes its own vowels plus the a/i/u corners, nothing else."""
+    manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=0,
+                                          vowels=("a", "e", "i", "o", "u"),
+                                          duration=0.6, seed=4)
+    paths = []
+
+    def recording(path):
+        paths.append(path)
+        raise AudioError("not decoded in this test")
+
+    monkeypatch.setattr(cli, "load_recording", recording)
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats"),
+                 "--scope", scope]) == EXIT_OK
+    assert sorted(p.name for p in paths) == [f"P000_{v}_s.wav" for v in decoded]
 
 
 def test_usage_error_is_config_error(capsys):

@@ -96,7 +96,7 @@ class TestImfFeatures:
         t = np.arange(2 * FS) / FS
         x = np.sin(2 * np.pi * 120 * t)
         x = add_noise_snr(x, snr, np.random.default_rng(10))
-        return imf_features(emd(x), FS)
+        return imf_features(emd(x), FS, {})
 
     def test_snr_ordering(self):
         clean = self.make(40.0)
@@ -115,7 +115,7 @@ class TestImfFeatures:
         modes = emd(x)
         if len(modes) < 2:
             with pytest.raises(InsufficientSignalError):
-                imf_features(modes, FS)
+                imf_features(modes, FS, {})
 
     def test_cpp_delegation_identity(self):
         t = np.arange(2 * FS) / FS
@@ -140,4 +140,4 @@ def test_imf_measure_bug_is_not_a_nan(monkeypatch, measure):
     modes = emd(np.sin(2 * np.pi * 120 * t) + 0.2 * np.sin(2 * np.pi * 700 * t))
     monkeypatch.setattr(quality, measure, broken)
     with pytest.raises(TypeError):
-        imf_features(modes, FS)
+        imf_features(modes, FS, {})

@@ -180,7 +180,7 @@ class TestLoo:
     def test_constant_target(self):
         X = np.random.default_rng(63).uniform(0, 1, (8, 2))
         y = np.full(8, 3.0)
-        result = loo_validate(X, y, lambda a, b, s: train_cart(a, b, mode="regression"), predict)
+        result = loo_validate(X, y, lambda a, b, s: train_cart(a, b), predict)
         assert np.all(result.predictions == 3.0)
 
     def test_fold_isolation_poisoning(self):
@@ -192,7 +192,7 @@ class TestLoo:
         y_poisoned = y.copy()
         y_poisoned[4] = 500.0
         result = loo_validate(X, y_poisoned,
-                              lambda a, b, s: train_cart(a, b, mode="regression", min_leaf=6),
+                              lambda a, b, s: train_cart(a, b, min_leaf=6),
                               predict)
         assert result.predictions[4] == pytest.approx(5.0, abs=1.0)
 
@@ -200,7 +200,7 @@ class TestLoo:
         rng = np.random.default_rng(65)
         X = rng.uniform(0, 1, (9, 2))
         y = X[:, 0]
-        result = loo_validate(X, y, lambda a, b, s: train_cart(a, b, mode="regression"), predict)
+        result = loo_validate(X, y, lambda a, b, s: train_cart(a, b), predict)
         assert len(result.predictions) == 9
 
     def test_separable_blobs_forest(self):

@@ -111,3 +111,6 @@ def test_unvoiced_signal_degrades_gracefully():
     assert np.isnan(np.atleast_1d(res.features["jitter_local"])).all()
     assert "jitter_local" in res.failures
     assert np.isfinite(np.atleast_1d(res.features["zcr"])).any()
+    # IMF1 of white noise has no voiced frame: its CPP is missing and says why
+    assert np.isnan(res.features["imf_cpp"])
+    assert "imf_cpp" in res.failures

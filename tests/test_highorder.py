@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonassess.audio import frame_array
+from phonassess.audio import FrameSequence, frame_array
 from phonassess.errors import InsufficientSignalError
 from phonassess.features.highorder import (GRID, BispectrumEstimate, bicepstral_features,
                                            bicepstrum, bispectral_features,
@@ -29,13 +29,13 @@ def coupled_triple_frames(coupled=True, seed=0, n_frames=64, noise=0.05):
                + 0.8 * np.cos(2 * np.pi * (k1 + k2) * t / n + p3)
                + noise * rng.standard_normal(n))
         segs.append(seg)
-    x = np.concatenate(segs)
-    return frame_array(x, FS, n, n, "rectangular"), (k1, k2)
+    raw = np.vstack(segs)
+    return FrameSequence(frames=raw, raw=raw, frame_length=n, hop=n, fs=FS), (k1, k2)
 
 
 def test_noise_bicoherence_low():
     rng = np.random.default_rng(1)
-    frames = frame_array(rng.standard_normal(4 * FS), FS, 2 * GRID, GRID, "hann")
+    frames = frame_array(rng.standard_normal(4 * FS), FS, 2 * GRID, GRID)
     est = estimate_bispectrum(frames)
     assert est.bicoherence[est.triangle].mean() <= 0.2
 
@@ -146,7 +146,7 @@ def test_high_quefrency_indicator():
 
 
 def test_bicepstral_finite_on_real_signal(vowel_rec):
-    frames = frame_array(vowel_rec.samples, FS, 2 * GRID, GRID, "hann")
+    frames = frame_array(vowel_rec.samples, FS, 2 * GRID, GRID)
     est = estimate_bispectrum(frames)
     cep = bicepstrum(est)
     feats = {**bispectral_features(est), **bicepstral_features(est, cep, cep)}

@@ -226,8 +226,7 @@ def test_lpc_coefficients_match_reference(frames, order):
 def test_hzcrr_matches_reference(block, hop, fs, extra_rows):
     rng = np.random.default_rng(extra_rows)
     raw = np.vstack([block, np.round(rng.standard_normal((extra_rows, block.shape[1])))])
-    frames = FrameSequence(frames=raw, raw=raw, frame_length=raw.shape[1], hop=hop,
-                           window="rectangular", fs=fs)
+    frames = FrameSequence(frames=raw, raw=raw, frame_length=raw.shape[1], hop=hop, fs=fs)
     n = len(frames)
     contour = F0Contour(times=frames.times, f0=np.zeros(n), voicing=np.zeros(n, dtype=bool))
     got = quality.temporal_quality(frames, contour)
@@ -250,8 +249,7 @@ def test_low_energy_ratio_matches_reference(energy, hop, fs):
 @settings(max_examples=200, deadline=None)
 @given(frame_block(min_len=3))
 def test_frame_tkeo_matches_per_frame_reference(raw):
-    frames = FrameSequence(frames=raw, raw=raw, frame_length=raw.shape[1], hop=1,
-                           window="rectangular", fs=16000)
+    frames = FrameSequence(frames=raw, raw=raw, frame_length=raw.shape[1], hop=1, fs=16000)
     rec = Recording(np.resize(raw.ravel(), 16000), 16000)
     got = phonation.energy_features(frames, rec)[1]
     expected = np.array([np.mean(ref_teager_kaiser(f)) for f in raw])
@@ -260,7 +258,7 @@ def test_frame_tkeo_matches_per_frame_reference(raw):
 
 
 def test_frame_tkeo_on_analysis_frames(vowel_rec):
-    frames = frame_array(vowel_rec.samples, vowel_rec.fs, 400, 160, "hann")
+    frames = frame_array(vowel_rec.samples, vowel_rec.fs, 400, 160)
     got = phonation.energy_features(frames, vowel_rec)[1]
     expected = np.array([np.mean(ref_teager_kaiser(f)) for f in frames.raw])
     assert _bits(got) == _bits(expected)

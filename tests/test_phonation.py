@@ -189,7 +189,7 @@ class TestEnergyFeatures:
     def test_me4hz_unmodulated_low(self):
         x = 0.5 * np.sin(2 * np.pi * 150 * np.arange(2 * FS) / FS)
         rec = Recording(x, FS)
-        frames = frame_signal(rec, 25, 10, "hann")
+        frames = frame_signal(rec, 25, 10)
         _, _, me, _, _ = energy_features(frames, rec)
         assert me < 0.05
 

@@ -63,7 +63,7 @@ class TestSpectral:
         a = np.sin(2 * np.pi * 500 * t)
         b = np.sin(2 * np.pi * 4000 * t)
         x = np.concatenate([a if i % 2 == 0 else b for i in range(20)])
-        frames = frame_signal(Recording(x, FS), 25, 25, "hann")
+        frames = frame_signal(Recording(x, FS), 25, 25)
         sf, _, _ = spectral_quality(frames)
         assert np.max(sf) == pytest.approx(np.sqrt(2.0), abs=0.05)
 

@@ -12,7 +12,7 @@ class TestMrmr:
         rng = np.random.default_rng(40)
         y = rng.normal(0, 1, 80)
         X = np.column_stack([rng.normal(0, 1, 80), y.copy(), rng.normal(0, 1, 80)])
-        assert mrmr_rank(X, y, k=3, task="regression")[0] == 1
+        assert mrmr_rank(X, y, k=3)[0] == 1
 
     def test_duplicate_penalized(self):
         rng = np.random.default_rng(41)
@@ -21,7 +21,7 @@ class TestMrmr:
         informative = 0.6 * y + rng.normal(0, 0.5, 100)
         X = np.column_stack([best, best.copy(), informative,
                              rng.normal(0, 1, 100), rng.normal(0, 1, 100)])
-        rank = mrmr_rank(X, y, k=5, task="regression")
+        rank = mrmr_rank(X, y, k=5)
         assert rank[0] == 0
         assert rank.index(1) > rank.index(2)  # the exact copy sinks below column 2
 
@@ -58,13 +58,13 @@ class TestMrmr:
                       for j in remaining]
             j = remaining.pop(int(np.argmax(scores)))
             selected.append(j)
-        assert mrmr_rank(X, y, k=5, task="regression") == selected
+        assert mrmr_rank(X, y, k=5) == selected
 
     def test_k_equals_p_is_permutation(self):
         rng = np.random.default_rng(43)
         X = rng.normal(0, 1, (50, 6))
         y = X[:, 2] + rng.normal(0, 0.5, 50)
-        rank = mrmr_rank(X, y, k=6, task="regression")
+        rank = mrmr_rank(X, y, k=6)
         assert sorted(rank) == list(range(6))
 
     def test_monotone_transform_invariance(self):
@@ -80,12 +80,12 @@ class TestMrmr:
     def test_constant_target_error(self):
         X = np.random.default_rng(45).normal(0, 1, (20, 3))
         with pytest.raises(PhonassessError):
-            mrmr_rank(X, np.ones(20), k=3, task="regression")
+            mrmr_rank(X, np.ones(20), k=3)
         with pytest.raises(PhonassessError):
-            mrmr_rank(X, np.array(["PD"] * 20), k=3, task="classification")
+            mrmr_rank(X, np.array(["PD"] * 20), k=3)
 
 
-SPEC = LearnerSpec(kind="cart", mode="classification", min_leaf=2)
+SPEC = LearnerSpec(kind="cart", min_leaf=2)
 
 
 class TestSffs:
@@ -148,7 +148,7 @@ def test_regression_objective_path():
     rng = np.random.default_rng(50)
     X = rng.uniform(0, 1, (24, 4))
     y = 10 * X[:, 2] + rng.normal(0, 0.2, 24)
-    spec = LearnerSpec(kind="cart", mode="regression", min_leaf=2)
+    spec = LearnerSpec(kind="cart", min_leaf=2)
     res = sffs(X, y, list("abcd"), spec, patience=2)
     assert "c" in res.selected
 
@@ -167,7 +167,7 @@ class TestFailedFolds:
         # holding out the only HC leaves a one-class training set
         X = np.random.default_rng(0).standard_normal((8, 2))
         y = np.array(["PD"] * 7 + ["HC"])
-        spec = LearnerSpec(kind="forest", mode="classification", n_trees=5)
+        spec = LearnerSpec(kind="forest", n_trees=5)
         assert loo_objective(X, y, spec) == -np.inf
 
     @pytest.mark.parametrize("mode", ["classification", "regression"])
@@ -176,5 +176,5 @@ class TestFailedFolds:
         X = rng.uniform(0, 1, (12, 2))
         y = (np.where(X[:, 0] > 0.5, "PD", "HC") if mode == "classification"
              else 10 * X[:, 0])
-        assert np.isfinite(loo_objective(X, y, LearnerSpec(mode=mode, min_leaf=2)))
-        assert loo_objective(X, y, _FailsOnFold(mode=mode, min_leaf=2)) == -np.inf
+        assert np.isfinite(loo_objective(X, y, LearnerSpec(min_leaf=2)))
+        assert loo_objective(X, y, _FailsOnFold(min_leaf=2)) == -np.inf

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phonassess.features import articulation
 from phonassess.features.registry import REGISTRY, column_names, per_vowel_width
 from phonassess.manifest import CohortManifest, SubjectRow
 from phonassess.table import (CROSS_VOWEL_NAMES, FeatureMatrix, build_matrix, parse_scope,
@@ -133,6 +134,16 @@ class TestBuildMatrix:
         assert len(matrix.subject_ids) == 3
         row = matrix.values[1]
         assert np.isnan(row[matrix.columns.index("zcr_median")])
+
+    def test_cross_vowel_bug_propagates(self, monkeypatch):
+        """Only a missing corner vowel or unusable formants read as NaN indices."""
+        def broken(*args):
+            raise TypeError("broken measure")
+
+        monkeypatch.setattr(articulation, "vowel_space_features", broken)
+        manifest = small_manifest()
+        with pytest.raises(TypeError):
+            build_matrix(manifest, extraction_for(manifest), "a_s")
 
     def test_csv_deterministic_roundtrip(self, tmp_path):
         manifest = small_manifest()
