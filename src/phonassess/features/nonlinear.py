@@ -4,8 +4,12 @@ The pairwise estimators (correlation dimension, correlation entropy,
 Lyapunov, approximate/sample entropy) are O(N^2); inputs are capped to a
 centered contiguous window and all of them share one |x_i - x_j| base
 matrix, from which the Chebyshev distance of m-dimensional delay vectors is
-a running maximum over shifted submatrices. Caps are deterministic, so every
-estimator is bit-reproducible for fixed parameters.
+a running maximum over shifted submatrices. Each block builds each
+Chebyshev matrix once: the (m+1)-dimensional one is the m-dimensional one
+raised by one more shifted base block, and ApEn and SampEn share theirs.
+The correlation sums count distances below a radius in a pair vector sorted
+once, and the LZ76 parse runs on ``bytes.find``. Caps are deterministic, so
+every estimator is bit-reproducible for fixed parameters.
 """
 from __future__ import annotations
 
@@ -158,30 +162,27 @@ def katz_fd(x: np.ndarray) -> float:
 
 
 def lz76_count(bits: np.ndarray) -> int:
-    """Number of distinct phrases in the LZ76 exhaustive parse."""
-    s = bits.tolist()
+    """Number of distinct phrases in the LZ76 exhaustive parse.
+
+    Kaspar & Schuster (1987): the phrase starting at u grows while
+    s[u:u+l] occurs in s[:u+l-1]; a copy that runs to the end of the
+    sequence is the last phrase. An occurrence of s[u:u+l+1] is one of
+    s[u:u+l], so each search resumes where the shorter one was found.
+    """
+    s = np.asarray(bits, dtype=np.uint8).tobytes()
     n = len(s)
-    i = 0
     c = 1
     u = 1
-    v = 1
-    vmax = 1
-    while u + v <= n:
-        if s[i + v - 1] == s[u + v - 1]:
-            v += 1
-        else:
-            vmax = max(v, vmax)
-            i += 1
-            if i == u:
-                c += 1
-                u += vmax
-                i = 0
-                v = 1
-                vmax = 1
-            else:
-                v = 1
-    if v != 1:
+    while u < n:
+        length = 1
+        at = 0
+        while u + length <= n:
+            at = s.find(s[u : u + length], at, u + length - 1)
+            if at < 0:
+                break
+            length += 1
         c += 1
+        u += length
     return c
 
 
@@ -191,7 +192,8 @@ ZL_CAP = 4000  # bits; the normalized complexity stabilizes well before this
 def normalized_lempel_ziv(x: np.ndarray) -> float:
     """LZ76 phrase count of the median-binarized signal, scaled by log2(n)/n
     so random sequences tend to 1 and periodic ones to ~0. Long signals are
-    capped to a centered 4000-sample window (the parse is quadratic)."""
+    capped to a centered 4000-sample window; the cap is part of the measure's
+    definition and keeps its values unchanged."""
     x = _cap_window(np.asarray(x, dtype=np.float64), ZL_CAP)
     bits = (x > np.median(x)).astype(np.uint8)
     n = len(bits)
@@ -228,18 +230,23 @@ def hurst_exponent(x: np.ndarray) -> float:
     return float(slope)
 
 
+def _pair_mask(n: int, theiler: int) -> np.ndarray:
+    """Upper-triangle mask of the point pairs (i, j) with j - i > theiler;
+    boolean indexing reads them in the row-major order of ``triu_indices``."""
+    return ~np.tri(n, k=theiler, dtype=bool)
+
+
 def correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
     """Grassberger-Procaccia slope of log C(r) over log r from a distance matrix."""
-    i, j = np.triu_indices(d_m.shape[0], k=theiler + 1)
-    d = d_m[i, j]
-    d = d[d > 0]
+    d = d_m[_pair_mask(d_m.shape[0], theiler)]
+    d = np.sort(d[d > 0])
     if len(d) < 10:
         return 0.0
     lo, hi = np.percentile(d, [5, 50])
     if not 0 < lo < hi:
         return 0.0
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 10))
-    c = np.array([np.mean(d < r) for r in rs])
+    c = np.searchsorted(d, rs, "left") / len(d)  # C(r) = share of distances < r
     good = c > 0
     if good.sum() < 3:
         return 0.0
@@ -250,9 +257,8 @@ def correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
 def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> float:
     """K2 estimate: mean ln C_m(r)/C_{m+1}(r) over the scaling region."""
     n1 = d_m1.shape[0]
-    i, j = np.triu_indices(n1, k=theiler + 1)
-    dm = d_m[:n1, :n1][i, j]
-    dm1 = d_m1[i, j]
+    pairs = _pair_mask(n1, theiler)
+    dm = np.sort(d_m[:n1, :n1][pairs])
     pos = dm[dm > 0]
     if len(pos) < 10:
         return 0.0
@@ -260,12 +266,11 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
     if not 0 < lo < hi:
         return 0.0
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 6))
-    vals = []
-    for r in rs:
-        cm = np.mean(dm < r)
-        cm1 = np.mean(dm1 < r)
-        if cm > 0 and cm1 > 0:
-            vals.append(np.log(cm / cm1))
+    cm = np.searchsorted(dm, rs, "left") / len(dm)
+    del dm, pos
+    dm1 = np.sort(d_m1[pairs])
+    cm1 = np.searchsorted(dm1, rs, "left") / len(dm1)
+    vals = [np.log(a / b) for a, b in zip(cm, cm1) if a > 0 and b > 0]
     return float(np.mean(vals)) if vals else 0.0
 
 
@@ -326,16 +331,15 @@ def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # entropies
 
-SE_KERNELS = {
-    "k1": lambda u: (u < 1.0).astype(float),            # Heaviside (classic)
-    "k2": lambda u: np.exp(-0.5 * u**2),                # Gaussian
-    "k3": lambda u: np.exp(-u),                         # exponential
-    "k4": lambda u: np.maximum(0.0, 1.0 - u),           # triangular
-    "k5": lambda u: np.maximum(0.0, 1.0 - u**2),        # Epanechnikov
-    "k6": lambda u: np.maximum(0.0, 1.0 - u**2) ** 2,   # quartic
-    "k7": lambda u: 1.0 / (1.0 + u**2),                 # Cauchy
-    "k8": lambda u: np.where(u < 1.0, np.cos(0.5 * np.pi * u), 0.0),  # cosine
-}
+# sample-entropy kernels K(u), u = d / r; their sums are in _kernel_sums
+SE_KERNELS = ("k1",   # Heaviside (classic): u < 1
+              "k2",   # Gaussian: exp(-u^2 / 2)
+              "k3",   # exponential: exp(-u)
+              "k4",   # triangular: max(0, 1 - u)
+              "k5",   # Epanechnikov: max(0, 1 - u^2)
+              "k6",   # quartic: max(0, 1 - u^2)^2
+              "k7",   # Cauchy: 1 / (1 + u^2)
+              "k8")   # cosine: cos(pi u / 2) for u < 1, else 0
 
 
 def count_entropies(counts: np.ndarray) -> tuple[float, float]:
@@ -377,38 +381,62 @@ def renyi_block_entropies(x: np.ndarray) -> tuple[float, float]:
     return count_entropies(counts)
 
 
-def _apen_from_base(base: np.ndarray, n: int, m: int, r: float) -> float:
-    """Pincus ApEn(m, r) with self-matches."""
-    def phi(mm: int) -> float:
-        cnt = n - mm + 1
-        d = _embed_cheb(base, cnt, mm, 1)
-        c = np.mean(d <= r, axis=1)
-        return float(np.mean(np.log(c)))
+def _apen(d_m: np.ndarray, d_m1: np.ndarray, r: float) -> float:
+    """Pincus ApEn(m, r) with self-matches, from the Chebyshev matrices of
+    all m- and (m+1)-dimensional templates."""
+    def phi(d: np.ndarray) -> float:
+        return float(np.mean(np.log(np.mean(d <= r, axis=1))))
 
-    return phi(m) - phi(m + 1)
+    return phi(d_m) - phi(d_m1)
 
 
-def _sampen_from_base(base: np.ndarray, n: int, m: int, r: float) -> dict[str, float]:
-    """Sample entropy under the eight kernel variants.
+def _kernel_sums(u: np.ndarray) -> list[float]:
+    """sum K(u) for each of SE_KERNELS, in order.
 
-    se = -ln(sum K(d_{m+1}/r) / sum K(d_m/r)) over distinct template pairs;
-    the Heaviside kernel recovers classic SampEn. An empty match count falls
-    back to the ln of the pair count (the conventional ceiling).
+    Each sum runs over the same full-length array of kernel values as
+    ``K(u).sum()``, so the sums are bitwise those of the definitions; the
+    k1 count of 0/1 values is exact.
     """
-    cnt = n - m
-    d_m = _embed_cheb(base, cnt, m, 1)
-    d_m1 = _embed_cheb(base, cnt, m + 1, 1)
-    iu = np.triu_indices(cnt, k=1)
-    um = d_m[iu] / r
-    um1 = d_m1[iu] / r
-    out = {}
-    for name, kernel in SE_KERNELS.items():
-        b = float(kernel(um).sum())
-        a = float(kernel(um1).sum())
-        if a <= 0 or b <= 0:
-            out[f"se_{name}"] = float(np.log(max(len(um), 2)))
+    sq = u**2
+    k5 = np.maximum(0.0, 1.0 - sq)
+    near = u < 1.0
+    k8 = np.zeros_like(u)
+    k8[near] = np.cos(0.5 * np.pi * u[near])
+    return [float(np.count_nonzero(near)),
+            float(np.exp(-0.5 * sq).sum()),
+            float(np.exp(-u).sum()),
+            float(np.maximum(0.0, 1.0 - u).sum()),
+            float(k5.sum()),
+            float((k5**2).sum()),
+            float((1.0 / (1.0 + sq)).sum()),
+            float(k8.sum())]
+
+
+def _template_entropies(base: np.ndarray, m: int, r: float) -> dict[str, float]:
+    """ApEn(m, r) and sample entropy under the eight kernel variants.
+
+    se = -ln(sum K(d_{m+1}/r) / sum K(d_m/r)) over distinct template pairs
+    of the n - m templates both dimensions share; the Heaviside kernel
+    recovers classic SampEn. An empty match count falls back to the ln of
+    the pair count (the conventional ceiling). ApEn's (m+1)-dim matrix is
+    SampEn's d_{m+1}, and SampEn's d_m is the leading block of ApEn's m-dim
+    matrix, so each is built once.
+    """
+    d_m = _embed_cheb(base, len(base) - m + 1, m, 1)
+    d_m1 = np.maximum(d_m[:-1, :-1], base[m:, m:])
+    out = {"ae": _apen(d_m, d_m1, r)}
+    pairs = _pair_mask(len(d_m1), 0)
+    um = d_m[:-1, :-1][pairs] / r
+    del d_m
+    n_pairs = len(um)
+    b = _kernel_sums(um)
+    del um
+    a = _kernel_sums(d_m1[pairs] / r)
+    for name, ak, bk in zip(SE_KERNELS, a, b):
+        if ak <= 0 or bk <= 0:
+            out[f"se_{name}"] = float(np.log(max(n_pairs, 2)))
         else:
-            out[f"se_{name}"] = float(-np.log(a / b))
+            out[f"se_{name}"] = float(-np.log(ak / bk))
     return out
 
 
@@ -429,17 +457,14 @@ def entropy_features(x: np.ndarray, emb: Embedding) -> dict[str, float]:
         out.update({f"se_{k}": 0.0 for k in SE_KERNELS})
         return out
     base = _abs_diff(w)
-    out["ae"] = _apen_from_base(base, len(w), 2, 0.2 * sd)
-    out.update(_sampen_from_base(base, len(w), 2, 0.2 * sd))
+    out.update(_template_entropies(base, 2, 0.2 * sd))
 
-    # correlation entropy on the delay embedding (shares the same window when
-    # the delay permits, otherwise its own capped window)
+    # correlation entropy on the delay embedding of the same window; a delay
+    # too long for it leaves ce out of this block
     m, tau = emb.dimension, emb.delay
     n_m1 = len(w) - m * tau
     if n_m1 >= 100:
         d_m = _embed_cheb(base, len(w) - (m - 1) * tau, m, tau)
-        d_m1 = _embed_cheb(base, n_m1, m + 1, tau)
+        d_m1 = np.maximum(d_m[:n_m1, :n_m1], base[m * tau :, m * tau :])
         out["ce"] = _correlation_entropy(d_m, d_m1, theiler=tau)
-    else:
-        out["ce"] = 0.0
     return out

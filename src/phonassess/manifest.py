@@ -1,9 +1,10 @@
 """Cohort manifest loading and validation.
 
-CSV header: subject_id,group,sex,age, one column per clinical score
-(SCORE_COLUMNS, the ids of ``evaluation.SCALES`` in order), then one column
-per (vowel, task) recording named path_<vowel>_<task>. Empty cells are
-missing values and stay missing.
+CSV header: subject_id,group, one column per clinical score (SCORE_COLUMNS,
+the ids of ``evaluation.SCALES`` in order), then one column per (vowel, task)
+recording named path_<vowel>_<task>. Empty cells are missing values and stay
+missing. Other columns, such as the sex and age that ``synth`` writes, are
+ignored.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ SCORE_COLUMNS = tuple(SCALES)
 class SubjectRow:
     subject_id: str
     group: str
-    sex: str
-    age: float | None
     scores: dict[str, float | None]
     recordings: dict[tuple[str, str], Path] = field(default_factory=dict)
 
@@ -101,8 +100,6 @@ def load_manifest(path) -> CohortManifest:
             group = (rec.get("group") or "").strip()
             if group not in GROUPS:
                 raise ManifestError(f"{sid}: unknown group label {group!r} (expect PD or HC)")
-            age_cell = (rec.get("age") or "").strip()
-            age = float(age_cell) if age_cell else None
             scores = {name: _parse_score(name, rec.get(name) or "", sid) for name in SCORE_COLUMNS}
             recordings: dict[tuple[str, str], Path] = {}
             for col in path_cols:
@@ -113,7 +110,6 @@ def load_manifest(path) -> CohortManifest:
                 if len(parts) != 3 or parts[1] not in VOWELS or parts[2] not in TASKS:
                     raise ManifestError(f"{path}: bad recording column {col!r}")
                 recordings[(parts[1], parts[2])] = base / cell
-            rows.append(SubjectRow(subject_id=sid, group=group,
-                                   sex=(rec.get("sex") or "").strip(),
-                                   age=age, scores=scores, recordings=recordings))
+            rows.append(SubjectRow(subject_id=sid, group=group, scores=scores,
+                                   recordings=recordings))
     return CohortManifest(rows=rows, path=path)

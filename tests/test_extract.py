@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phonassess.audio import Recording
+from phonassess.features import nonlinear
 from phonassess.features.extract import extract_recording
 from phonassess.features.registry import REGISTRY, entry
 from phonassess.synth import synth_vowel
@@ -114,3 +115,12 @@ def test_unvoiced_signal_degrades_gracefully():
     # IMF1 of white noise has no voiced frame: its CPP is missing and says why
     assert np.isnan(res.features["imf_cpp"])
     assert "imf_cpp" in res.failures
+
+
+def test_no_block_ce_is_missing_not_zero(monkeypatch):
+    # a delay too long for the entropy window gives no block a ce value
+    monkeypatch.setattr(nonlinear, "fmmi", lambda x: 350)
+    res = extract_recording(Recording(synth_vowel(fs=FS, seed=36, duration=1.0), FS))
+    assert np.isnan(res.features["ce"]).all()
+    assert res.failures["ce"] == "no block produced a value"
+    assert np.isfinite(res.features["ae"]).all()

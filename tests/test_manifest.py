@@ -77,3 +77,9 @@ def test_unbounded_scales_accept_large(tmp_path):
     path = write_manifest(tmp_path, ["P1,PD,F,66,30,,,,,,,,,5000,,"])
     m = load_manifest(path)
     assert m.subject("P1").scores["led"] == 5000
+
+
+def test_demographic_cells_are_not_parsed(tmp_path):
+    # sex and age are carried in the header but read by nothing
+    m = load_manifest(write_manifest(tmp_path, ["P1,PD,F,sixty,,,,,,,,,,,,"]))
+    assert m.group_counts() == {"PD": 1, "HC": 0}

@@ -141,3 +141,10 @@ class TestEntropies:
     def test_too_short(self):
         with pytest.raises(InsufficientSignalError):
             entropy_features(np.ones(100), embed(np.ones(100), 2, 1))
+
+    def test_delay_too_long_leaves_ce_out(self):
+        # 1000-sample window minus 3 * 350 leaves no (m+1)-dim delay vectors
+        x = np.random.default_rng(29).standard_normal(8000)
+        feats = entropy_features(x, embed(x, 3, 350))
+        assert "ce" not in feats
+        assert "ae" in feats and "se_k1" in feats

@@ -86,7 +86,6 @@ def corner_features(vowel, seed=0):
 
 def small_manifest(n=3):
     rows = [SubjectRow(subject_id=f"S{i}", group="PD" if i % 2 == 0 else "HC",
-                       sex="F", age=65.0,
                        scores={"updrs3": 10.0 + i, "duration": None, "updrs4": None,
                                "rbdsq": None, "fog": None, "nmss": None, "bdi": None,
                                "mmse": None, "acer": None, "led": None})
