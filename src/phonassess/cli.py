@@ -192,10 +192,12 @@ def _report_scopes(cfg: RunConfig) -> tuple[list[str], Path]:
     return scopes, out
 
 
-def _select_and_loo(matrix: FeatureMatrix, target, spec: LearnerSpec, cfg: RunConfig):
+def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: LearnerSpec,
+                    cfg: RunConfig):
     """mRMR + SFFS on the rows with a target, then LOO of the selected subset.
 
-    Returns (selection, LOO predictions, truth of the evaluated rows); a LOO
+    Writes how selection went to ``selection_<target>_<scope>.json`` and
+    returns (selection, LOO predictions, truth of the evaluated rows); a LOO
     fold that cannot train is an error naming the held-out subjects.
     """
     rows = drop_incomplete_rows(matrix.values, target, [])  # rows with a finite target
@@ -211,13 +213,35 @@ def _select_and_loo(matrix: FeatureMatrix, target, spec: LearnerSpec, cfg: RunCo
     sel = sffs(X, y, matrix.columns, spec, candidates=[usable[j] for j in ranked],
                patience=cfg.sffs_patience)
     ok = drop_incomplete_rows(X, y, sel.selected_indices)
-    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec.train, predict,
+    _write_selection(Path(cfg.out) / f"selection_{target_name}_{matrix.scope}.json", sel,
+                     no_target=np.asarray(matrix.subject_ids)[~rows], dropped=ids[~ok])
+    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec, predict,
                        seed=cfg.seed)
     if loo.failed_folds:
         held_out = ", ".join(ids[ok][loo.failed_folds])
         raise PhonassessError(f"scope {matrix.scope}: {len(loo.failed_folds)} LOO fold(s) "
                               f"could not be trained (held-out subjects: {held_out})")
     return sel, loo.predictions, y[ok]
+
+
+def _write_selection(path: Path, sel, no_target, dropped) -> None:
+    """The SFFS trace and its counts; no timings, so repeated runs match byte for byte."""
+    def score(value: float) -> float | None:  # a subset no fold could train scores -inf
+        return float(value) if np.isfinite(value) else None
+
+    record = {
+        "n_candidates": sel.n_candidates,
+        "n_evaluations": sel.n_evaluations,
+        "n_memo_hits": sel.n_memo_hits,
+        "rows_without_target": no_target.tolist(),
+        "dropped_rows": dropped.tolist(),
+        "selected_features": sel.selected,
+        "objective": score(sel.objective),
+        "trace": [{"action": action, "feature": name, "objective": score(value)}
+                  for action, name, value in sel.trace],
+    }
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1)
 
 
 def cmd_classify(cfg: RunConfig) -> int:
@@ -228,7 +252,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         if len(set(matrix.groups)) < 2:
             raise PhonassessError(f"scope {scope}: only one group present in the cohort")
         spec = LearnerSpec(kind="forest", n_trees=cfg.trees, seed=cfg.seed)
-        sel, preds, truth = _select_and_loo(matrix, matrix.groups, spec, cfg)
+        sel, preds, truth = _select_and_loo(matrix, matrix.groups, "group", spec, cfg)
         metrics = classification_metrics(preds, truth)
         rows.append({
             "scope": scope,
@@ -264,7 +288,7 @@ def cmd_regress(cfg: RunConfig) -> int:
         if y is None or np.isfinite(y).sum() < 10:
             raise PhonassessError(f"scope {scope}: fewer than 10 subjects rated on {cfg.target}")
         spec = LearnerSpec(kind="cart", min_leaf=cfg.min_leaf, seed=cfg.seed)
-        sel, preds, truth = _select_and_loo(matrix, y, spec, cfg)
+        sel, preds, truth = _select_and_loo(matrix, y, cfg.target, spec, cfg)
         mae, rho = regression_metrics(preds, truth)
         rows.append({
             "scope": scope, "target": cfg.target,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.stats import rankdata, t as t_dist
 
 from .errors import PhonassessError
-from .models import is_regression_target
+from .models import LearnerSpec, is_regression_target
 
 POSITIVE_CLASS = "PD"
 
@@ -172,31 +173,40 @@ class LooResult:
     failed_folds: list[int] = field(default_factory=list)
 
 
-def loo_validate(X, y, train_fn, predict_fn, seed: int = 0) -> LooResult:
-    """Leave-one-out: for each row i, train on the others and predict i.
+def loo_validate(X, y, learner: LearnerSpec, predict_fn, seed: int = 0) -> LooResult:
+    """Leave-one-out: for each row i, train ``learner`` on the others and predict i.
 
-    ``train_fn(X, y, seed)`` returns a model; ``predict_fn(model, row)`` a
-    prediction. Deterministic given the seed (each fold derives its own
-    stream). Folds whose training fails are recorded and predict NaN. A
-    numeric ``y`` gives float predictions, class labels object ones.
+    Every fold's trees grow together: the lanes of all folds go through one
+    call of the learner's grower, which takes them in batches under its
+    byte budget (``models.LANE_BUDGET_BYTES``). ``predict_fn(model, row)``
+    predicts. Deterministic given the seed: fold i trains with ``seed + i``.
+    Folds whose training or prediction fails are recorded and predict NaN.
+    A numeric ``y`` gives float predictions, class labels object ones.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
     y = np.asarray(y)
+    lanes = {}
+    for i in range(n):
+        try:
+            lanes[i] = learner.lanes(X, y, np.delete(np.arange(n), i), seed + i)
+        except PhonassessError:
+            pass
+    trees = learner.grow(X, y, chain.from_iterable(lanes.values()))
     preds = np.empty(n, dtype=object)
     failed = []
-    mask = np.ones(n, dtype=bool)
     for i in range(n):
-        mask[i] = False
-        try:
-            model = train_fn(X[mask], y[mask], seed + i)
-            preds[i] = predict_fn(model, X[i])
-        except PhonassessError:
-            failed.append(i)
-            preds[i] = float("nan")
-        mask[i] = True
+        if i in lanes:
+            model = learner.model(trees)  # takes this fold's trees, in order
+            try:
+                preds[i] = predict_fn(model, X[i])
+                continue
+            except PhonassessError:
+                pass
+        failed.append(i)
+        preds[i] = float("nan")
     if is_regression_target(y):
         preds = preds.astype(np.float64)
     return LooResult(predictions=preds, failed_folds=failed)

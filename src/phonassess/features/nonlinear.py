@@ -254,24 +254,28 @@ def correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
     return float(slope)
 
 
-def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> float:
-    """K2 estimate: mean ln C_m(r)/C_{m+1}(r) over the scaling region."""
+def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> float | None:
+    """K2 estimate: mean ln C_m(r)/C_{m+1}(r) over the scaling region.
+
+    None when there is no scaling region: fewer than 10 positive distances,
+    equal 10th and 60th percentiles, or no radius with both sums positive.
+    """
     n1 = d_m1.shape[0]
     pairs = _pair_mask(n1, theiler)
     dm = np.sort(d_m[:n1, :n1][pairs])
     pos = dm[dm > 0]
     if len(pos) < 10:
-        return 0.0
+        return None
     lo, hi = np.percentile(pos, [10, 60])
     if not 0 < lo < hi:
-        return 0.0
+        return None
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 6))
     cm = np.searchsorted(dm, rs, "left") / len(dm)
     del dm, pos
     dm1 = np.sort(d_m1[pairs])
     cm1 = np.searchsorted(dm1, rs, "left") / len(dm1)
     vals = [np.log(a / b) for a, b in zip(cm, cm1) if a > 0 and b > 0]
-    return float(np.mean(vals)) if vals else 0.0
+    return float(np.mean(vals)) if vals else None
 
 
 def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float:
@@ -452,19 +456,21 @@ def entropy_features(x: np.ndarray, emb: Embedding) -> dict[str, float]:
 
     w = _cap_window(x, ENTROPY_CAP)
     sd = np.std(w)
-    if sd == 0:
-        out.update({"ae": 0.0, "ce": 0.0})
+    if sd == 0:  # no scaling region either: ce is left out
+        out["ae"] = 0.0
         out.update({f"se_{k}": 0.0 for k in SE_KERNELS})
         return out
     base = _abs_diff(w)
     out.update(_template_entropies(base, 2, 0.2 * sd))
 
     # correlation entropy on the delay embedding of the same window; a delay
-    # too long for it leaves ce out of this block
+    # too long for it, or no scaling region, leaves ce out of this block
     m, tau = emb.dimension, emb.delay
     n_m1 = len(w) - m * tau
     if n_m1 >= 100:
         d_m = _embed_cheb(base, len(w) - (m - 1) * tau, m, tau)
         d_m1 = np.maximum(d_m[:n_m1, :n_m1], base[m * tau :, m * tau :])
-        out["ce"] = _correlation_entropy(d_m, d_m1, theiler=tau)
+        ce = _correlation_entropy(d_m, d_m1, theiler=tau)
+        if ce is not None:
+            out["ce"] = ce
     return out

@@ -16,11 +16,14 @@ import numpy as np
 
 from .errors import PhonassessError
 from .evaluation import classification_metrics, loo_validate
-from .models import is_regression_target, predict, train_cart, train_forest
+# train_cart and train_forest stay bound here: perfbench/tracing.py wraps them at this module
+from .models import (LearnerSpec, is_regression_target, predict, train_cart,  # noqa: F401
+                     train_forest)
 
 log = logging.getLogger(__name__)
 
 MRMR_BINS = 10
+MI_COLUMNS = 256  # columns per pass of the batched mutual information
 SFFS_PATIENCE_DEFAULT = 3
 SFFS_MAX_FEATURES = 20
 
@@ -32,18 +35,50 @@ def quantile_discretize(col: np.ndarray, bins: int = MRMR_BINS) -> np.ndarray:
     return np.searchsorted(edges, col, side="right")
 
 
-def _discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
-    na = int(a.max()) + 1
-    nb = int(b.max()) + 1
-    joint = np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb).astype(np.float64)
-    total = joint.sum()
-    if total == 0:
-        return 0.0
-    p = joint / total
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / (px @ py)[mask])))
+def _mutual_information(codes: np.ndarray, finite: np.ndarray, cols: np.ndarray,
+                        b: np.ndarray, b_finite: np.ndarray) -> np.ndarray:
+    """MI of each column ``cols`` of ``codes`` with ``b`` over their complete rows."""
+    mi = np.zeros(len(cols))
+    for lo in range(0, len(cols), MI_COLUMNS):  # bounds the work arrays
+        block = cols[lo:lo + MI_COLUMNS]
+        mi[lo:lo + len(block)] = _block_mi(codes[:, block], finite[:, block], b, b_finite)
+    return mi
+
+
+def _block_mi(codes: np.ndarray, finite: np.ndarray, b: np.ndarray,
+              b_finite: np.ndarray) -> np.ndarray:
+    """MI of each column of ``codes`` with ``b`` over their complete rows.
+
+    Codes are small non-negative integers; a column with fewer than 3 rows
+    complete in both scores 0. Each pair's joint counts are exact integers
+    from one offset ``bincount``; marginals and log terms are reduced per
+    group of pairs with the same code extents (na, nb), and each pair's
+    terms are summed on their own (``np.add.reduce``, what ``np.sum`` runs),
+    so every value is the one a per-pair computation on the pair's (na, nb)
+    table gives.
+    """
+    both = finite & b_finite[:, None]
+    n_cols = codes.shape[1]
+    a_max = np.where(both, codes, -1).max(axis=0, initial=-1)
+    b_max = np.where(both, b[:, None], -1).max(axis=0, initial=-1)
+    width_a, width_b = int(a_max.max(initial=-1)) + 1, int(b_max.max(initial=-1)) + 1
+    cells = (np.arange(n_cols) * width_a + codes) * width_b + b[:, None]
+    joint = np.bincount(cells[both], minlength=n_cols * width_a * width_b).reshape(
+        n_cols, width_a, width_b)
+    mi = np.zeros(n_cols)
+    scored = both.sum(axis=0) >= 3
+    extents = np.stack([a_max + 1, b_max + 1], axis=1)
+    for na, nb in np.unique(extents[scored], axis=0):
+        group = np.flatnonzero(scored & (extents[:, 0] == na) & (extents[:, 1] == nb))
+        counts = joint[group, :na, :nb].astype(np.float64)
+        p = counts / counts.sum(axis=(1, 2), keepdims=True)
+        px = p.sum(axis=2, keepdims=True)
+        py = p.sum(axis=1, keepdims=True)
+        mask = p > 0
+        terms = p[mask] * np.log(p[mask] / (px * py)[mask])
+        ends = np.cumsum(mask.sum(axis=(1, 2))).tolist()
+        mi[group] = [np.add.reduce(terms[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+    return mi
 
 
 def _target_codes(y) -> np.ndarray:
@@ -78,28 +113,20 @@ def mrmr_rank(X, y, k: int) -> list[int]:
         if m.any():
             codes[m, j] = quantile_discretize(X[m, j])
 
-    def mi_target(j: int) -> float:
-        m = finite[:, j]
-        return _discrete_mi(codes[m, j], target[m]) if m.sum() >= 3 else 0.0
-
-    def mi_pair(j: int, l: int) -> float:
-        m = finite[:, j] & finite[:, l]
-        return _discrete_mi(codes[m, j], codes[m, l]) if m.sum() >= 3 else 0.0
-
-    relevance = np.array([mi_target(j) for j in range(p)])
+    relevance = _mutual_information(codes, finite, np.arange(p), target, np.ones(n, dtype=bool))
     selected: list[int] = []
     redundancy_sum = np.zeros(p)
-    remaining = list(range(p))
-    while len(selected) < k and remaining:
+    remaining = np.arange(p)
+    while len(selected) < k and remaining.size:
+        scores = relevance[remaining]
         if selected:
-            scores = [relevance[j] - redundancy_sum[j] / len(selected) for j in remaining]
-        else:
-            scores = [relevance[j] for j in remaining]
+            scores = scores - redundancy_sum[remaining] / len(selected)
         best_pos = int(np.argmax(scores))  # first max -> lowest index wins ties
-        j = remaining.pop(best_pos)
+        j = int(remaining[best_pos])
+        remaining = np.delete(remaining, best_pos)
         selected.append(j)
-        for m in remaining:
-            redundancy_sum[m] += mi_pair(m, j)
+        redundancy_sum[remaining] += _mutual_information(codes, finite, remaining,
+                                                         codes[:, j], finite[:, j])
     return selected
 
 
@@ -110,29 +137,13 @@ class SelectionResult:
     objective: float
     trace: list[tuple[str, str, float]] = field(default_factory=list)  # (action, name, objective)
     n_dropped_rows: int = 0
+    n_candidates: int = 0
+    n_evaluations: int = 0  # distinct subsets scored by a LOO run
+    n_memo_hits: int = 0    # subsets asked for again and answered from the memo
 
     @property
     def size(self) -> int:
         return len(self.selected)
-
-
-@dataclass
-class LearnerSpec:
-    """What to train inside the wrapper and the final evaluation.
-
-    The target's dtype picks what a CART does; a forest always classifies.
-    ``min_leaf`` applies to a single CART only.
-    """
-
-    kind: str = "cart"             # "cart" | "forest"
-    n_trees: int = 50
-    min_leaf: int = 3
-    seed: int = 0
-
-    def train(self, X, y, seed: int):
-        if self.kind == "forest":
-            return train_forest(X, y, n_trees=self.n_trees, seed=seed)
-        return train_cart(X, y, min_leaf=self.min_leaf)
 
 
 def drop_incomplete_rows(X: np.ndarray, y: np.ndarray, cols: list[int]):
@@ -149,7 +160,7 @@ def loo_objective(X, y, spec: LearnerSpec) -> float:
 
     A subset on which any fold fails to train scores ``-inf``.
     """
-    result = loo_validate(X, y, spec.train, predict, seed=spec.seed)
+    result = loo_validate(X, y, spec, predict, seed=spec.seed)
     if result.failed_folds:
         return -np.inf
     preds = result.predictions
@@ -173,7 +184,8 @@ def sffs(
     features whose removal strictly improves the objective are floated out.
     The best subset ever seen is returned, so the result's objective is
     always at least the best single feature's. Subsets grow to at most
-    ``SFFS_MAX_FEATURES`` columns.
+    ``SFFS_MAX_FEATURES`` columns. Each subset, keyed by its columns in
+    order (the order decides ties inside the learner), is scored once.
     """
     X = np.asarray(X, dtype=np.float64)
     names = list(names)
@@ -186,12 +198,22 @@ def sffs(
     best_obj = -np.inf
     trace: list[tuple[str, str, float]] = []
     stall = 0
+    memo: dict[tuple[int, ...], float] = {}
+    asked = 0
+
+    def objective(cols: list[int]) -> float:
+        nonlocal asked
+        asked += 1
+        key = tuple(cols)
+        if key not in memo:
+            memo[key] = _masked_objective(X, y, cols, spec)
+        return memo[key]
 
     while len(current) < SFFS_MAX_FEATURES and stall < patience:
         options = [j for j in pool if j not in current]
         if not options:
             break
-        scores = [_masked_objective(X, y, current + [j], spec) for j in options]
+        scores = [objective(current + [j]) for j in options]
         pick = int(np.argmax(scores))  # first max -> lowest registry index
         j = options[pick]
         current = current + [j]
@@ -204,7 +226,7 @@ def sffs(
             improved_removal = False
             for g in list(current[:-1]):  # never immediately drop the newcomer
                 reduced = [c for c in current if c != g]
-                red_obj = _masked_objective(X, y, reduced, spec)
+                red_obj = objective(reduced)
                 if red_obj > obj + 1e-12:
                     current = reduced
                     obj = red_obj
@@ -226,6 +248,9 @@ def sffs(
         objective=float(best_obj),
         trace=trace,
         n_dropped_rows=int(len(X) - ok_rows.sum()),
+        n_candidates=len(pool),
+        n_evaluations=len(memo),
+        n_memo_hits=asked - len(memo),
     )
 
 

@@ -22,7 +22,7 @@ from phonassess.features.emd import emd
 from phonassess.features.phonation import jitter_features, shimmer_features
 from phonassess.features.quality import noise_measures
 from phonassess.features.registry import per_vowel_width
-from phonassess.models import predict, train_forest
+from phonassess.models import predict
 from phonassess.pitch import detect_cycles, estimate_f0
 from phonassess.selection import LearnerSpec, _masked_objective, mrmr_rank, sffs
 from phonassess.synth import (add_noise_snr, harmonic_tone, make_regression_cohort,
@@ -203,7 +203,8 @@ def test_criterion_7_selection_oracles():
             0.5 * yr + rng.normal(0, 0.6, 120), rng.normal(0, 1, 120),
             rng.normal(0, 1, 120)]
     Xm = np.column_stack(cols)
-    from phonassess.selection import _discrete_mi, quantile_discretize
+    from phonassess.selection import quantile_discretize
+    from test_mrmr_oracle import _discrete_mi  # the former per-pair MI, verbatim
     disc = [quantile_discretize(c) for c in cols]
     ty = quantile_discretize(yr)
     rel = [_discrete_mi(c, ty) for c in disc]
@@ -227,20 +228,18 @@ def test_criterion_8_model_protocol():
     rng = np.random.default_rng(66)
     X = np.vstack([rng.normal(0, 0.4, (12, 3)), rng.normal(4, 0.4, (12, 3))])
     y = np.array(["HC"] * 12 + ["PD"] * 12)
-    train = lambda a, b, s: train_forest(a, b, n_trees=30, seed=7)
-    loo = loo_validate(X, y, train, predict, seed=0)
+    spec = LearnerSpec(kind="forest", n_trees=30)
+    loo = loo_validate(X, y, spec, predict, seed=7)
     metrics = classification_metrics(loo.predictions, y)
 
     # poisoning: an outlier target must not leak into its own fold
     Xp = rng.uniform(0, 1, (12, 1))
     yp = np.full(12, 5.0)
     yp[4] = 500.0
-    from phonassess.models import train_cart
-    loo_p = loo_validate(Xp, yp, lambda a, b, s: train_cart(a, b, min_leaf=6),
-                         predict, seed=0)
+    loo_p = loo_validate(Xp, yp, LearnerSpec(min_leaf=6), predict, seed=0)
     poison_ok = abs(loo_p.predictions[4] - 5.0) < 1.0
 
-    again = loo_validate(X, y, train, predict, seed=0)
+    again = loo_validate(X, y, spec, predict, seed=7)
     identical = list(loo.predictions) == list(again.predictions)
     ok = metrics.acc == 100.0 and poison_ok and identical
     report(8, ok, (f"blobs LOO acc {metrics.acc:.0f}%, poison fold isolated, "

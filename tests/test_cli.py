@@ -68,6 +68,12 @@ def test_classify_separable(classify_extraction):
     assert rows[0]["tss"] == 2.0
     header = (out / "classification.csv").read_text().splitlines()[0]
     assert header == "scope,acc,sen,spe,tss,no"
+    selection = json.loads((out / "selection_group_a_s.json").read_text())
+    assert selection["selected_features"] == rows[0]["selected_features"]
+    assert selection["n_candidates"] == 25
+    assert selection["n_evaluations"] >= selection["n_candidates"]
+    assert selection["trace"][0]["action"] == "add"
+    assert selection["dropped_rows"] == [] and selection["rows_without_target"] == []
 
 
 def test_classify_rerun_identical(classify_extraction):
@@ -79,6 +85,8 @@ def test_classify_rerun_identical(classify_extraction):
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert (out1 / "classification.csv").read_bytes() == (out2 / "classification.csv").read_bytes()
     assert (out1 / "classification.json").read_bytes() == (out2 / "classification.json").read_bytes()
+    assert ((out1 / "selection_group_a_s.json").read_bytes()
+            == (out2 / "selection_group_a_s.json").read_bytes())
 
 
 def test_missing_matrix_is_data_error(tmp_path):

@@ -117,6 +117,15 @@ def test_unvoiced_signal_degrades_gracefully():
     assert "imf_cpp" in res.failures
 
 
+def test_no_scaling_region_ce_is_missing_not_zero():
+    # a 1.0 every 400 samples gives no block a correlation-entropy scaling region
+    x = np.zeros(FS)
+    x[::400] = 1.0
+    res = extract_recording(Recording(x, FS))
+    assert np.isnan(res.features["ce"]).all()
+    assert res.failures["ce"] == "no block produced a value"
+
+
 def test_no_block_ce_is_missing_not_zero(monkeypatch):
     # a delay too long for the entropy window gives no block a ce value
     monkeypatch.setattr(nonlinear, "fmmi", lambda x: 350)

@@ -148,3 +148,15 @@ class TestEntropies:
         feats = entropy_features(x, embed(x, 3, 350))
         assert "ce" not in feats
         assert "ae" in feats and "se_k1" in feats
+
+    def test_no_scaling_region_leaves_ce_out(self):
+        # a 1.0 every 400 samples: the 10th and 60th distance percentiles are equal
+        x = np.zeros(8000)
+        x[::400] = 1.0
+        feats = entropy_features(x, embed(x, 3, 1))
+        assert "ce" not in feats
+        assert "ae" in feats and "se_k1" in feats
+
+    def test_constant_block_leaves_ce_out(self):
+        x = np.zeros(8000)
+        assert "ce" not in entropy_features(x, embed(x, 3, 1))

@@ -71,17 +71,21 @@ def ref_correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
 
 
 def ref_correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> float:
-    """K2 estimate: mean ln C_m(r)/C_{m+1}(r) over the scaling region."""
+    """K2 estimate: mean ln C_m(r)/C_{m+1}(r) over the scaling region.
+
+    The former loop, except that no scaling region now gives None (no
+    value) where it gave 0.0.
+    """
     n1 = d_m1.shape[0]
     i, j = np.triu_indices(n1, k=theiler + 1)
     dm = d_m[:n1, :n1][i, j]
     dm1 = d_m1[i, j]
     pos = dm[dm > 0]
     if len(pos) < 10:
-        return 0.0
+        return None
     lo, hi = np.percentile(pos, [10, 60])
     if not 0 < lo < hi:
-        return 0.0
+        return None
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 6))
     vals = []
     for r in rs:
@@ -89,7 +93,7 @@ def ref_correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> 
         cm1 = np.mean(dm1 < r)
         if cm > 0 and cm1 > 0:
             vals.append(np.log(cm / cm1))
-    return float(np.mean(vals)) if vals else 0.0
+    return float(np.mean(vals)) if vals else None
 
 
 SE_KERNELS = {
@@ -226,8 +230,10 @@ def test_correlation_sums_match_references(signal, m, tau, theiler):
     base = np.abs(x[:, None] - x[None, :])
     d_m = _embed_cheb(base, len(x) - (m - 1) * tau, m, tau)
     d_m1 = _embed_cheb(base, n_m1, m + 1, tau)
-    assert (np.float64(nonlinear._correlation_entropy(d_m, d_m1, theiler)).tobytes()
-            == np.float64(ref_correlation_entropy(d_m, d_m1, theiler)).tobytes())
+    ce = nonlinear._correlation_entropy(d_m, d_m1, theiler)
+    ref = ref_correlation_entropy(d_m, d_m1, theiler)
+    assert (ce is None) == (ref is None)
+    assert np.float64(ce).tobytes() == np.float64(ref).tobytes()
     assert (np.float64(nonlinear.correlation_dimension(d_m, theiler)).tobytes()
             == np.float64(ref_correlation_dimension(d_m, theiler)).tobytes())
 
@@ -244,7 +250,9 @@ def ref_pairwise_entropies(x: np.ndarray, tau: int) -> dict[str, float]:
     if n_m1 >= 100:
         d_m = _embed_cheb(base, len(w) - (m - 1) * tau, m, tau)
         d_m1 = _embed_cheb(base, n_m1, m + 1, tau)
-        out["ce"] = ref_correlation_entropy(d_m, d_m1, theiler=tau)
+        ce = ref_correlation_entropy(d_m, d_m1, theiler=tau)
+        if ce is not None:
+            out["ce"] = ce
     return out
 
 

@@ -153,13 +153,30 @@ def test_regression_objective_path():
     assert "c" in res.selected
 
 
+def test_sffs_scores_each_subset_once(monkeypatch):
+    import phonassess.selection as selection
+
+    asked = []
+    score = selection._masked_objective
+    monkeypatch.setattr(selection, "_masked_objective",
+                        lambda X, y, cols, spec: asked.append(tuple(cols)) or score(X, y, cols, spec))
+    rng = np.random.default_rng(52)
+    X = rng.uniform(0, 1, (20, 6))
+    y = 10 * X[:, 2] + 5 * X[:, 4] + rng.normal(0, 0.5, 20)
+    res = sffs(X, y, list("abcdef"), LearnerSpec(kind="cart", min_leaf=2), patience=3)
+    assert len(asked) == len(set(asked)) == res.n_evaluations
+    assert res.n_candidates == 6
+    # floating removal from three features re-asks for a pair scored while adding
+    assert len(res.trace) >= 3 and res.n_memo_hits > 0
+
+
 class _FailsOnFold(LearnerSpec):
     """A learner whose training fails for one LOO fold (fold i trains with seed i)."""
 
-    def train(self, X, y, seed):
+    def lanes(self, X, y, rows, seed):
         if seed == 3:
             raise PhonassessError("cannot train this fold")
-        return super().train(X, y, seed)
+        return super().lanes(X, y, rows, seed)
 
 
 class TestFailedFolds:
