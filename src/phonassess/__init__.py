@@ -4,6 +4,14 @@ Extracts six families of vowel-phonation biomarkers, estimates clinical
 scale scores with regression trees, separates patient and control groups
 with random forests, and emits evaluation tables and correlation plot data.
 """
+import os
+
+# One BLAS thread per process, set before anything imports numpy: extraction
+# runs one forked worker per core (phonassess.parallel), and threaded BLAS in
+# each of them would oversubscribe the cores. A value already set wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .audio import Recording, FrameSequence, load_recording, resample, frame_signal
 from .errors import (AudioError, ConfigError, InsufficientSignalError, ManifestError,

@@ -2,8 +2,11 @@
 
 Config values come from an optional key=value file overridden by flags.
 Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
-``trees``, ``mrmr_k``, ``sffs_patience`` and ``min_leaf`` must be at least 1;
-a boolean config value is one of 1/true/yes/0/false/no.
+``trees``, ``mrmr_k``, ``sffs_patience``, ``min_leaf`` and ``workers`` must be
+at least 1; a boolean config value is one of 1/true/yes/0/false/no.
+``extract`` runs its recordings over ``workers`` forked processes (default:
+the CPUs this process may run on; 1 runs them in this process), with the
+same outputs for every worker count.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
 file or value, scope token or target, a missing --manifest; or an argparse
 usage error such as a flag the subcommand does not take), 2 data error (any
@@ -15,8 +18,10 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +31,11 @@ from .errors import AudioError, ConfigError, PhonassessError
 from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
                          estimation_errors, loo_validate, regression_metrics,
                          round_half_away, spearman)
-from .features.extract import extract_recording
+from .features.extract import ExtractionResult, extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
 from .manifest import load_manifest
 from .models import predict
+from .parallel import ordered_map
 from .selection import LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
 from .synth import make_classification_cohort, make_regression_cohort
 from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
@@ -41,7 +47,7 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 
 WIDTH_BAND = (300, 400)
-POSITIVE_KEYS = ("mrmr_k", "sffs_patience", "trees", "min_leaf")
+POSITIVE_KEYS = ("mrmr_k", "sffs_patience", "trees", "min_leaf", "workers")
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -58,6 +64,7 @@ class RunConfig:
     trees: int = 500
     min_leaf: int = 3
     peak_normalize: bool = False
+    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
 
     def scopes(self) -> list[str]:
         wanted = [s.strip() for s in self.scope.split(",") if s.strip()]
@@ -129,6 +136,15 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _extract_job(path: Path, peak_normalize: bool) -> ExtractionResult | AudioError:
+    """Load and extract one recording; unreadable audio is returned, not raised."""
+    try:
+        rec = load_recording(path)
+    except AudioError as exc:
+        return exc
+    return extract_recording(rec, peak_normalize=peak_normalize)
+
+
 def cmd_extract(cfg: RunConfig) -> int:
     manifest = load_manifest(cfg.manifest)
     out = Path(cfg.out)
@@ -136,22 +152,19 @@ def cmd_extract(cfg: RunConfig) -> int:
     scopes = cfg.scopes() or default_scopes(manifest)
     needed = {vt for scope in scopes for vt in scope_recordings(scope)}
 
+    jobs = [(row.subject_id, v, t, row.recordings[(v, t)])
+            for row in manifest.rows for (v, t) in sorted(needed) if (v, t) in row.recordings]
+    results = ordered_map(partial(_extract_job, peak_normalize=cfg.peak_normalize),
+                          [path for *_, path in jobs], cfg.workers)
     extracted: dict[tuple[str, str, str], dict] = {}
     failure_counts: dict[str, int] = {}
-    for row in manifest.rows:
-        for (v, t) in sorted(needed):
-            path = row.recordings.get((v, t))
-            if path is None:
-                continue
-            try:
-                rec = load_recording(path)
-            except AudioError as exc:
-                log.warning("unreadable audio for %s (%s,%s): %s", row.subject_id, v, t, exc)
-                continue
-            result = extract_recording(rec, peak_normalize=cfg.peak_normalize)
-            extracted[(row.subject_id, v, t)] = result.features
-            for name in result.failures:
-                failure_counts[name] = failure_counts.get(name, 0) + 1
+    for (subject, v, t, _), result in zip(jobs, results):
+        if isinstance(result, AudioError):
+            log.warning("unreadable audio for %s (%s,%s): %s", subject, v, t, result)
+            continue
+        extracted[(subject, v, t)] = result.features
+        for name in result.failures:
+            failure_counts[name] = failure_counts.get(name, 0) + 1
 
     width = per_vowel_width()
     level = logging.INFO if WIDTH_BAND[0] <= width <= WIDTH_BAND[1] else logging.WARNING
@@ -204,9 +217,11 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
     X, y = matrix.values[rows], np.asarray(target)[rows]
     ids = np.asarray(matrix.subject_ids)[rows]
     n = X.shape[0]
-    # candidates: mostly-present, non-constant columns, mRMR-ranked
+    # candidates: mostly-present columns with a finite, positive range, mRMR-ranked
+    # (a range, not a std: the std of a constant 0.1 column is 1.4e-17)
     usable = [j for j in range(X.shape[1])
-              if np.isfinite(X[:, j]).sum() >= max(3, n // 2) and np.nanstd(X[:, j]) > 0]
+              if np.isfinite(X[:, j]).sum() >= max(3, n // 2)
+              and 0 < np.nanmax(X[:, j]) - np.nanmin(X[:, j]) < np.inf]
     if not usable:
         raise PhonassessError("no usable feature columns (all missing or constant)")
     ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, len(usable)))
@@ -377,10 +392,11 @@ FLAGS = {
     "--sffs-patience": {"type": int},
     "--trees": {"type": int},
     "--min-leaf": {"type": int},
+    "--workers": {"type": int, "help": "extraction processes (default: usable CPUs; 1 = serial)"},
 }
 SUBCOMMAND_FLAGS = {
     "synth": ("--target",),
-    "extract": ("--manifest", "--scope", "--peak-normalize"),
+    "extract": ("--manifest", "--scope", "--peak-normalize", "--workers"),
     "classify": ("--features", "--scope", "--mrmr-k", "--sffs-patience", "--trees"),
     "regress": ("--features", "--scope", "--target", "--mrmr-k", "--sffs-patience",
                 "--min-leaf"),

@@ -10,7 +10,8 @@ summary statistics capture. EMD keeps at most MAX_IMFS (10) modes. The one
 option is ``peak_normalize``: scale the resampled recording to unit peak.
 
 Failures never abort a recording. A failed recording-level measure yields
-NaN for each of its features plus a failure entry; so does an IMF1 measure
+NaN for each of its features plus a failure entry; so does a feature its
+measure leaves out (``cd`` without a scaling region) and an IMF1 measure
 (``imf_cpp``, ``imf_gne``) that fails while the other IMF features succeed. A failed block measure is
 skipped for that block without a trace; only a contour that no block gave a
 value gets NaN and the failure "no block produced a value".
@@ -106,7 +107,8 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
             sel = track.valid()
         return [getattr(track, key)[sel] for key in FORMANT_KEYS]
 
-    # ---- recording-level measures: a failure leaves NaN and a failure entry.
+    # ---- recording-level measures: a failure, or a name the measure leaves
+    # out, gives NaN and a failure entry.
     # Rows call measures through their module at call time, so a function
     # replaced on its module (for instrumentation) is the one that runs.
     recording_measures = [
@@ -123,9 +125,12 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
     ]
     for names, measure in recording_measures:
         try:
-            feats.update(_named(names, measure()))
+            values = _named(names, measure())
         except PhonassessError as exc:
             fail(names, exc)
+            continue
+        feats.update(values)
+        fail([name for name in names if name not in values], "the measure gave no value")
 
     # ---- per-block measures: a failure skips that block's values ---------
     try:

@@ -236,20 +236,25 @@ def _pair_mask(n: int, theiler: int) -> np.ndarray:
     return ~np.tri(n, k=theiler, dtype=bool)
 
 
-def correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
-    """Grassberger-Procaccia slope of log C(r) over log r from a distance matrix."""
+def correlation_dimension(d_m: np.ndarray, theiler: int) -> float | None:
+    """Grassberger-Procaccia slope of log C(r) over log r from a distance matrix.
+
+    None when there is no scaling region: fewer than 10 positive distances,
+    5th and 50th percentiles that are not 0 < lo < hi, or fewer than three
+    radii with a positive correlation sum.
+    """
     d = d_m[_pair_mask(d_m.shape[0], theiler)]
     d = np.sort(d[d > 0])
     if len(d) < 10:
-        return 0.0
+        return None
     lo, hi = np.percentile(d, [5, 50])
     if not 0 < lo < hi:
-        return 0.0
+        return None
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 10))
     c = np.searchsorted(d, rs, "left") / len(d)  # C(r) = share of distances < r
     good = c > 0
     if good.sum() < 3:
-        return 0.0
+        return None
     slope, _ = np.polyfit(np.log(rs[good]), np.log(c[good]), 1)
     return float(slope)
 
@@ -306,7 +311,8 @@ def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float:
 
 
 def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
-    """(cd, he, lle) for one signal and its embedding parameters."""
+    """cd, he and lle for one signal and its embedding parameters; cd is left
+    out when the trajectory has no scaling region."""
     x = np.asarray(x, dtype=np.float64)
     m, tau = emb.dimension, emb.delay
     if emb.trajectory.shape[0] < 100:
@@ -325,11 +331,11 @@ def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
     crossings = np.count_nonzero(pos[1:] != pos[:-1])
     theiler = max(tau, int(2 * len(x) / max(crossings, 2)))
 
-    return {
-        "cd": correlation_dimension(d_m, theiler=tau),
-        "he": hurst_exponent(x),
-        "lle": _largest_lyapunov(d_m, theiler),
-    }
+    out = {"he": hurst_exponent(x), "lle": _largest_lyapunov(d_m, theiler)}
+    cd = correlation_dimension(d_m, theiler=tau)
+    if cd is not None:
+        out["cd"] = cd
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +451,11 @@ def _template_entropies(base: np.ndarray, m: int, r: float) -> dict[str, float]:
 
 
 def entropy_features(x: np.ndarray, emb: Embedding) -> dict[str, float]:
-    """All group-6 entropy measures for one signal."""
+    """All group-6 entropy measures for one signal.
+
+    In a constant window the tolerance r = 0.2 std is 0 and there is no
+    scaling region, so ae, the se_* and ce are left out of its block.
+    """
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 500:
         raise InsufficientSignalError("need >= 500 samples for entropy features")
@@ -456,9 +466,7 @@ def entropy_features(x: np.ndarray, emb: Embedding) -> dict[str, float]:
 
     w = _cap_window(x, ENTROPY_CAP)
     sd = np.std(w)
-    if sd == 0:  # no scaling region either: ce is left out
-        out["ae"] = 0.0
-        out.update({f"se_{k}": 0.0 for k in SE_KERNELS})
+    if sd == 0:
         return out
     base = _abs_diff(w)
     out.update(_template_entropies(base, 2, 0.2 * sd))

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ def test_no_usable_columns_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_inexact_constant_columns_are_not_candidates(tmp_path):
+    """Twelve copies of 0.1 have a nonzero float std (1.4e-17) but no range."""
+    values = np.full((12, 3), 0.1)
+    values[:, 1] = np.random.default_rng(0).standard_normal(12)
+    _write_matrix(tmp_path, ["PD", "HC"] * 6, values)
+    assert main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
+                 "--scope", "a_s", "--trees", "3", "--mrmr-k", "3",
+                 "--sffs-patience", "1"]) == EXIT_OK
+    selection = json.loads((tmp_path / "selection_group_a_s.json").read_text())
+    assert selection["n_candidates"] == 1
+    assert selection["selected_features"] == ["c1"]
+
+
 def test_failed_loo_fold_is_data_error(tmp_path):
     """With one HC subject its held-out fold cannot train a two-class forest."""
     values = np.random.default_rng(0).standard_normal((8, 3))
@@ -194,21 +208,55 @@ def test_bad_boolean_config_value(tmp_path, value):
     ("e_s", ["a", "e", "i", "u"]),
     ("all_s", ["a", "e", "i", "o", "u"]),
 ], ids=["e_s", "all_s"])
-def test_extract_reads_scope_recordings(tmp_path, monkeypatch, scope, decoded):
-    """A scope decodes its own vowels plus the a/i/u corners, nothing else."""
+def test_extract_reads_scope_recordings(tmp_path, monkeypatch, caplog, scope, decoded):
+    """A scope decodes its own vowels plus the a/i/u corners, nothing else.
+
+    The loader runs in forked workers, so the paths it saw are read back from
+    the warnings the parent logs for each unreadable recording.
+    """
     manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=0,
                                           vowels=("a", "e", "i", "o", "u"),
                                           duration=0.6, seed=4)
-    paths = []
 
     def recording(path):
-        paths.append(path)
-        raise AudioError("not decoded in this test")
+        raise AudioError(f"not decoded in this test: {path.name}")
 
     monkeypatch.setattr(cli, "load_recording", recording)
-    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats"),
-                 "--scope", scope]) == EXIT_OK
-    assert sorted(p.name for p in paths) == [f"P000_{v}_s.wav" for v in decoded]
+    with caplog.at_level(logging.WARNING, logger="phonassess"):
+        assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats"),
+                     "--scope", scope, "--workers", "2"]) == EXIT_OK
+    seen = [r.getMessage().rsplit(" ", 1)[-1] for r in caplog.records
+            if r.getMessage().startswith("unreadable audio")]
+    assert seen == [f"P000_{v}_s.wav" for v in decoded]
+
+
+def test_extract_output_independent_of_workers(tmp_path):
+    manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1,
+                                          vowels=("a", "i"), duration=1.0, seed=5)
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"feats{workers}"
+        assert main(["extract", "--manifest", str(manifest), "--out", str(outs[workers]),
+                     "--workers", workers]) == EXIT_OK
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    assert {"registry.json", "extraction_log.json", "features_all_s.csv"} <= set(names)
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_zero_workers_is_config_error(tmp_path, source):
+    manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1,
+                                          duration=1.0, seed=4)
+    argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats")]
+    if source == "flag":
+        argv += ["--workers", "0"]
+    else:
+        (tmp_path / "run.cfg").write_text("workers=0\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "feats").exists()
 
 
 def test_usage_error_is_config_error(capsys):
@@ -253,7 +301,8 @@ def test_trees_on_regress_is_config_error(tmp_path):
     ["correlate", "--features", "in", "--scope", "a_s", "--out", "out", "--seed", "1"],
     ["classify", "--trees", "5", "--mrmr-k", "16", "--sffs-patience", "1",
      "--features", "in", "--scope", "all_s", "--out", "out", "--seed", "1"],
-    ["extract", "--manifest", "m.csv", "--peak-normalize", "--config", "c.cfg"],
+    ["extract", "--manifest", "m.csv", "--peak-normalize", "--config", "c.cfg",
+     "--workers", "2"],
     ["regress", "--min-leaf", "2", "--target", "updrs3"],
     ["synth", "--mode", "classify", "--subjects", "6", "--target", "updrs3",
      "--out", "c", "--seed", "1"],

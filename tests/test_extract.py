@@ -133,3 +133,19 @@ def test_no_block_ce_is_missing_not_zero(monkeypatch):
     assert np.isnan(res.features["ce"]).all()
     assert res.failures["ce"] == "no block produced a value"
     assert np.isfinite(res.features["ae"]).all()
+
+
+def test_no_scaling_region_cd_is_missing_not_zero():
+    x = np.zeros(FS)
+    x[::400] = 1.0
+    res = extract_recording(Recording(x, FS))
+    assert np.isnan(res.features["cd"])
+    assert "cd" in res.failures
+    assert np.isfinite(res.features["he"])
+
+
+def test_constant_signal_template_entropies_missing_not_zero():
+    res = extract_recording(Recording(np.zeros(FS), FS))
+    for name in ("ae", "se_k1", "se_k8"):
+        assert np.isnan(res.features[name]).all(), name
+        assert res.failures[name] == "no block produced a value"

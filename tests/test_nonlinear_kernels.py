@@ -51,21 +51,25 @@ def ref_lz76_count(bits: np.ndarray) -> int:
     return c
 
 
-def ref_correlation_dimension(d_m: np.ndarray, theiler: int) -> float:
-    """Grassberger-Procaccia slope of log C(r) over log r from a distance matrix."""
+def ref_correlation_dimension(d_m: np.ndarray, theiler: int) -> float | None:
+    """Grassberger-Procaccia slope of log C(r) over log r from a distance matrix.
+
+    The former loop, except that no scaling region now gives None (no
+    value) where it gave 0.0.
+    """
     i, j = np.triu_indices(d_m.shape[0], k=theiler + 1)
     d = d_m[i, j]
     d = d[d > 0]
     if len(d) < 10:
-        return 0.0
+        return None
     lo, hi = np.percentile(d, [5, 50])
     if not 0 < lo < hi:
-        return 0.0
+        return None
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 10))
     c = np.array([np.mean(d < r) for r in rs])
     good = c > 0
     if good.sum() < 3:
-        return 0.0
+        return None
     slope, _ = np.polyfit(np.log(rs[good]), np.log(c[good]), 1)
     return float(slope)
 
@@ -234,8 +238,10 @@ def test_correlation_sums_match_references(signal, m, tau, theiler):
     ref = ref_correlation_entropy(d_m, d_m1, theiler)
     assert (ce is None) == (ref is None)
     assert np.float64(ce).tobytes() == np.float64(ref).tobytes()
-    assert (np.float64(nonlinear.correlation_dimension(d_m, theiler)).tobytes()
-            == np.float64(ref_correlation_dimension(d_m, theiler)).tobytes())
+    cd = nonlinear.correlation_dimension(d_m, theiler)
+    cd_ref = ref_correlation_dimension(d_m, theiler)
+    assert (cd is None) == (cd_ref is None)
+    assert np.float64(cd).tobytes() == np.float64(cd_ref).tobytes()
 
 
 def ref_pairwise_entropies(x: np.ndarray, tau: int) -> dict[str, float]:
