@@ -46,7 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 
-WIDTH_BAND = (300, 400)
 POSITIVE_KEYS = ("mrmr_k", "sffs_patience", "trees", "min_leaf", "workers")
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -166,10 +165,6 @@ def cmd_extract(cfg: RunConfig) -> int:
         for name in result.failures:
             failure_counts[name] = failure_counts.get(name, 0) + 1
 
-    width = per_vowel_width()
-    level = logging.INFO if WIDTH_BAND[0] <= width <= WIDTH_BAND[1] else logging.WARNING
-    log.log(level, "registry width per vowel: %d (expected %d..%d)", width, *WIDTH_BAND)
-
     for scope in scopes:
         matrix = build_matrix(manifest, extracted, scope)
         matrix.to_csv(out / f"features_{scope}.csv")
@@ -177,7 +172,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     with open(out / "extraction_log.json", "w") as fh:
         json.dump({"per_feature_failures": dict(sorted(failure_counts.items())),
                    "recordings_extracted": len(extracted),
-                   "per_vowel_width": width}, fh, indent=1)
+                   "per_vowel_width": per_vowel_width()}, fh, indent=1)
     log.info("wrote %d matrices to %s", len(scopes), out)
     return EXIT_OK
 

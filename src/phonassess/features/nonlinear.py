@@ -202,18 +202,17 @@ def normalized_lempel_ziv(x: np.ndarray) -> float:
     return float(lz76_count(bits) * np.log2(n) / n)
 
 
-def hurst_exponent(x: np.ndarray) -> float:
-    """Rescaled-range slope over log-spaced segment sizes."""
+def hurst_exponent(x: np.ndarray) -> float | None:
+    """Rescaled-range slope over log-spaced segment sizes; None for a
+    constant signal, under 64 samples, or fewer than 3 usable sizes."""
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n < 64 or np.std(x) == 0:
-        return 0.5
+        return None
     sizes = np.unique(np.geomspace(16, n // 4, 8).astype(int))
     log_rs, log_sz = [], []
     for size in sizes:
         m = n // size
-        if m < 1:
-            continue
         seg = x[: m * size].reshape(m, size)
         means = seg.mean(axis=1, keepdims=True)
         z = np.cumsum(seg - means, axis=1)
@@ -225,7 +224,7 @@ def hurst_exponent(x: np.ndarray) -> float:
         log_rs.append(np.log(np.mean(r[ok] / s[ok])))
         log_sz.append(np.log(size))
     if len(log_rs) < 3:
-        return 0.5
+        return None
     slope, _ = np.polyfit(log_sz, log_rs, 1)
     return float(slope)
 
@@ -283,8 +282,9 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
     return float(np.mean(vals)) if vals else None
 
 
-def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float:
-    """Divergence-rate fit (nearest-neighbor method), nats per sample."""
+def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float | None:
+    """Divergence-rate fit (nearest-neighbor method), nats per sample; None
+    when the mean log-divergence curve has fewer than 5 points."""
     n = d_m.shape[0]
     if n < 100:
         raise InsufficientSignalError("trajectory too short for Lyapunov fit")
@@ -305,14 +305,14 @@ def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float:
             break
         curve.append(np.mean(np.log(sep)))
     if len(curve) < 5:
-        return 0.0
+        return None
     slope, _ = np.polyfit(np.arange(len(curve)), curve, 1)
     return float(slope)
 
 
 def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
-    """cd, he and lle for one signal and its embedding parameters; cd is left
-    out when the trajectory has no scaling region."""
+    """cd, he and lle for one signal and its embedding parameters; each is
+    left out where its estimator has nothing to fit (see each estimator)."""
     x = np.asarray(x, dtype=np.float64)
     m, tau = emb.dimension, emb.delay
     if emb.trajectory.shape[0] < 100:
@@ -331,11 +331,9 @@ def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
     crossings = np.count_nonzero(pos[1:] != pos[:-1])
     theiler = max(tau, int(2 * len(x) / max(crossings, 2)))
 
-    out = {"he": hurst_exponent(x), "lle": _largest_lyapunov(d_m, theiler)}
-    cd = correlation_dimension(d_m, theiler=tau)
-    if cd is not None:
-        out["cd"] = cd
-    return out
+    out = {"cd": correlation_dimension(d_m, theiler=tau), "he": hurst_exponent(x),
+           "lle": _largest_lyapunov(d_m, theiler)}
+    return {name: v for name, v in out.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Flags: scale_invariant marks features unchanged under global amplitude
 scaling (property-tested); cross_vowel marks per-task features computed from
 the [a], [i], [u] corner vowels; approximated marks acoustic proxies for
 measures that would need instrumentation; provisional marks definitions
-taken from the specialist literature whose exact parameters are configurable
-(see definition_version and docs/features.md).
+taken from the specialist literature, fixed here by docs/features.md and
+versioned by definition_version.
 """
 from __future__ import annotations
 
@@ -30,122 +30,117 @@ class FeatureEntry:
     cross_vowel: bool = False
     approximated: bool = False
     provisional: bool = False
-    configurable: bool = False
     definition_version: int = 1
-
-
-def _e(name, group, kind, **kw) -> FeatureEntry:
-    return FeatureEntry(name=name, group=group, kind=kind, **kw)
 
 
 REGISTRY: list[FeatureEntry] = [
     # group 1: phonation
-    _e("f0", 1, "contour"),
-    _e("jitter_local", 1, "contour"),
-    _e("jitter_abs", 1, "contour"),
-    _e("jitter_rap", 1, "contour"),
-    _e("jitter_ppq5", 1, "contour"),
-    _e("jitter_ddp", 1, "contour"),
-    _e("shimmer_local", 1, "contour"),
-    _e("shimmer_db", 1, "contour"),
-    _e("shimmer_apq3", 1, "contour"),
-    _e("shimmer_apq5", 1, "contour"),
-    _e("shimmer_apq11", 1, "contour"),
-    _e("shimmer_dda", 1, "contour"),
-    _e("gq_open_std", 1, "contour", approximated=True),
-    _e("gq_closed_std", 1, "contour", approximated=True),
-    _e("energy", 1, "contour", scale_invariant=False),
-    _e("tkeo", 1, "contour", scale_invariant=False),
-    _e("ppe", 1, "scalar"),
-    _e("me_4hz", 1, "scalar"),
-    _e("mpsd", 1, "scalar", scale_invariant=False),
-    _e("lster", 1, "scalar"),
+    FeatureEntry("f0", 1, "contour"),
+    FeatureEntry("jitter_local", 1, "contour"),
+    FeatureEntry("jitter_abs", 1, "contour"),
+    FeatureEntry("jitter_rap", 1, "contour"),
+    FeatureEntry("jitter_ppq5", 1, "contour"),
+    FeatureEntry("jitter_ddp", 1, "contour"),
+    FeatureEntry("shimmer_local", 1, "contour"),
+    FeatureEntry("shimmer_db", 1, "contour"),
+    FeatureEntry("shimmer_apq3", 1, "contour"),
+    FeatureEntry("shimmer_apq5", 1, "contour"),
+    FeatureEntry("shimmer_apq11", 1, "contour"),
+    FeatureEntry("shimmer_dda", 1, "contour"),
+    FeatureEntry("gq_open_std", 1, "contour", approximated=True),
+    FeatureEntry("gq_closed_std", 1, "contour", approximated=True),
+    FeatureEntry("energy", 1, "contour", scale_invariant=False),
+    FeatureEntry("tkeo", 1, "contour", scale_invariant=False),
+    FeatureEntry("ppe", 1, "scalar"),
+    FeatureEntry("me_4hz", 1, "scalar"),
+    FeatureEntry("mpsd", 1, "scalar", scale_invariant=False),
+    FeatureEntry("lster", 1, "scalar"),
     # group 2: articulation
-    _e("f1", 2, "contour"),
-    _e("f2", 2, "contour"),
-    _e("f3", 2, "contour"),
-    _e("bw1", 2, "contour"),
-    _e("bw2", 2, "contour"),
-    _e("bw3", 2, "contour"),
-    _e("vsa", 2, "scalar", cross_vowel=True),
-    _e("ln_vsa", 2, "scalar", cross_vowel=True),
-    _e("fcr", 2, "scalar", cross_vowel=True),
-    _e("vai", 2, "scalar", cross_vowel=True),
-    _e("f2i_f2u", 2, "scalar", cross_vowel=True),
+    FeatureEntry("f1", 2, "contour"),
+    FeatureEntry("f2", 2, "contour"),
+    FeatureEntry("f3", 2, "contour"),
+    FeatureEntry("bw1", 2, "contour"),
+    FeatureEntry("bw2", 2, "contour"),
+    FeatureEntry("bw3", 2, "contour"),
+    FeatureEntry("vsa", 2, "scalar", cross_vowel=True),
+    FeatureEntry("ln_vsa", 2, "scalar", cross_vowel=True),
+    FeatureEntry("fcr", 2, "scalar", cross_vowel=True),
+    FeatureEntry("vai", 2, "scalar", cross_vowel=True),
+    FeatureEntry("f2i_f2u", 2, "scalar", cross_vowel=True),
     # group 3: voice quality
-    _e("zcr", 3, "contour"),
-    _e("sf", 3, "contour"),
-    _e("cpp", 3, "contour"),
-    _e("pecm", 3, "contour", provisional=True),
-    _e("vr", 3, "contour", provisional=True),
-    _e("hnr", 3, "contour"),
-    _e("nhr", 3, "contour"),
-    _e("nne", 3, "contour", provisional=True),
-    _e("gne", 3, "contour"),
-    _e("spi", 3, "contour", provisional=True),
-    _e("vti", 3, "contour", provisional=True),
-    _e("ssd", 3, "contour", provisional=True),
-    _e("hzcrr", 3, "scalar"),
-    _e("fluf", 3, "scalar"),
-    _e("sdbm", 3, "scalar", provisional=True),
-    _e("sdbp", 3, "scalar", provisional=True),
-    _e("mser", 3, "scalar", provisional=True),
-    _e("mfp", 3, "scalar"),
-    _e("rphm", 3, "scalar", provisional=True),
-    _e("icer", 3, "scalar", provisional=True),
-    _e("rphic", 3, "scalar", provisional=True),
+    FeatureEntry("zcr", 3, "contour"),
+    FeatureEntry("sf", 3, "contour"),
+    FeatureEntry("cpp", 3, "contour"),
+    FeatureEntry("pecm", 3, "contour", provisional=True),
+    FeatureEntry("vr", 3, "contour", provisional=True),
+    FeatureEntry("hnr", 3, "contour"),
+    FeatureEntry("nhr", 3, "contour"),
+    FeatureEntry("nne", 3, "contour", provisional=True),
+    FeatureEntry("gne", 3, "contour"),
+    FeatureEntry("spi", 3, "contour", provisional=True),
+    FeatureEntry("vti", 3, "contour", provisional=True),
+    FeatureEntry("ssd", 3, "contour", provisional=True),
+    FeatureEntry("hzcrr", 3, "scalar"),
+    FeatureEntry("fluf", 3, "scalar"),
+    FeatureEntry("sdbm", 3, "scalar", provisional=True),
+    FeatureEntry("sdbp", 3, "scalar", provisional=True),
+    FeatureEntry("mser", 3, "scalar", provisional=True),
+    FeatureEntry("mfp", 3, "scalar"),
+    FeatureEntry("rphm", 3, "scalar", provisional=True),
+    FeatureEntry("icer", 3, "scalar", provisional=True),
+    FeatureEntry("rphic", 3, "scalar", provisional=True),
     # group 4: bispectrum / bicepstrum (per analysis block)
-    _e("bis_bii", 4, "contour", configurable=True),
-    _e("bis_hfeb", 4, "contour", configurable=True),
-    _e("bis_lfeb", 4, "contour", configurable=True),
-    _e("bis_bmii", 4, "contour", configurable=True, provisional=True),
-    _e("bis_bpii", 4, "contour", configurable=True, provisional=True),
-    _e("bis_lsber", 4, "contour", configurable=True, scale_invariant=False),
-    _e("bis_hsber", 4, "contour", configurable=True, scale_invariant=False),
-    _e("bic_bcii", 4, "contour", configurable=True, provisional=True),
-    _e("bic_hfebc", 4, "contour", configurable=True, provisional=True),
-    _e("bic_lfebc", 4, "contour", configurable=True, provisional=True),
-    _e("bic_cmii", 4, "contour", configurable=True, provisional=True),
-    _e("bic_bcpii", 4, "contour", configurable=True, provisional=True),
-    _e("bic_lcbcer", 4, "contour", configurable=True, provisional=True),
-    _e("bic_hcbcer", 4, "contour", configurable=True, provisional=True),
-    _e("bic_bcmd", 4, "contour", configurable=True, provisional=True),
-    _e("bic_bcpd", 4, "contour", configurable=True, provisional=True),
+    FeatureEntry("bis_bii", 4, "contour"),
+    FeatureEntry("bis_hfeb", 4, "contour"),
+    FeatureEntry("bis_lfeb", 4, "contour"),
+    FeatureEntry("bis_bmii", 4, "contour", provisional=True),
+    FeatureEntry("bis_bpii", 4, "contour", provisional=True),
+    FeatureEntry("bis_lsber", 4, "contour", scale_invariant=False),
+    FeatureEntry("bis_hsber", 4, "contour", scale_invariant=False),
+    FeatureEntry("bic_bcii", 4, "contour", provisional=True),
+    FeatureEntry("bic_hfebc", 4, "contour", provisional=True),
+    FeatureEntry("bic_lfebc", 4, "contour", provisional=True),
+    FeatureEntry("bic_cmii", 4, "contour", provisional=True),
+    FeatureEntry("bic_bcpii", 4, "contour", provisional=True),
+    FeatureEntry("bic_lcbcer", 4, "contour", provisional=True),
+    FeatureEntry("bic_hcbcer", 4, "contour", provisional=True),
+    FeatureEntry("bic_bcmd", 4, "contour", provisional=True),
+    FeatureEntry("bic_bcpd", 4, "contour", provisional=True),
     # group 5: empirical mode decomposition
-    _e("imf_snr_tkeo", 5, "scalar", configurable=True),
-    _e("imf_snr_seo", 5, "scalar", configurable=True),
-    _e("imf_snr_se", 5, "scalar", configurable=True),
-    _e("imf_snr_re", 5, "scalar", configurable=True),
-    _e("imf_snr_zcr", 5, "scalar", configurable=True),
-    _e("imf_nsr_tkeo", 5, "scalar", configurable=True),
-    _e("imf_nsr_seo", 5, "scalar", configurable=True),
-    _e("imf_nsr_se", 5, "scalar", configurable=True),
-    _e("imf_nsr_re", 5, "scalar", configurable=True),
-    _e("imf_fd", 5, "scalar", scale_invariant=False),
-    _e("imf_cpp", 5, "scalar"),
-    _e("imf_gne", 5, "scalar"),
+    FeatureEntry("imf_snr_tkeo", 5, "scalar"),
+    FeatureEntry("imf_snr_seo", 5, "scalar"),
+    FeatureEntry("imf_snr_se", 5, "scalar"),
+    FeatureEntry("imf_snr_re", 5, "scalar"),
+    FeatureEntry("imf_snr_zcr", 5, "scalar"),
+    FeatureEntry("imf_nsr_tkeo", 5, "scalar"),
+    FeatureEntry("imf_nsr_seo", 5, "scalar"),
+    FeatureEntry("imf_nsr_se", 5, "scalar"),
+    FeatureEntry("imf_nsr_re", 5, "scalar"),
+    FeatureEntry("imf_fd", 5, "scalar", scale_invariant=False),
+    FeatureEntry("imf_cpp", 5, "scalar"),
+    FeatureEntry("imf_gne", 5, "scalar"),
     # group 6: nonlinear dynamics (entropies per analysis block)
-    _e("she", 6, "contour"),
-    _e("re", 6, "contour"),
-    _e("ce", 6, "contour", provisional=True),
-    _e("rbe1", 6, "contour", provisional=True),
-    _e("rbe2", 6, "contour", provisional=True),
-    _e("ae", 6, "contour"),
-    _e("se_k1", 6, "contour", provisional=True),
-    _e("se_k2", 6, "contour", provisional=True),
-    _e("se_k3", 6, "contour", provisional=True),
-    _e("se_k4", 6, "contour", provisional=True),
-    _e("se_k5", 6, "contour", provisional=True),
-    _e("se_k6", 6, "contour", provisional=True),
-    _e("se_k7", 6, "contour", provisional=True),
-    _e("se_k8", 6, "contour", provisional=True),
-    _e("pe", 6, "contour"),
-    _e("fd", 6, "contour"),
-    _e("zl", 6, "contour"),
-    _e("cd", 6, "scalar"),
-    _e("he", 6, "scalar"),
-    _e("lle", 6, "scalar"),
-    _e("fmmi", 6, "scalar"),
+    FeatureEntry("she", 6, "contour"),
+    FeatureEntry("re", 6, "contour"),
+    FeatureEntry("ce", 6, "contour", provisional=True),
+    FeatureEntry("rbe1", 6, "contour", provisional=True),
+    FeatureEntry("rbe2", 6, "contour", provisional=True),
+    FeatureEntry("ae", 6, "contour"),
+    FeatureEntry("se_k1", 6, "contour", provisional=True),
+    FeatureEntry("se_k2", 6, "contour", provisional=True),
+    FeatureEntry("se_k3", 6, "contour", provisional=True),
+    FeatureEntry("se_k4", 6, "contour", provisional=True),
+    FeatureEntry("se_k5", 6, "contour", provisional=True),
+    FeatureEntry("se_k6", 6, "contour", provisional=True),
+    FeatureEntry("se_k7", 6, "contour", provisional=True),
+    FeatureEntry("se_k8", 6, "contour", provisional=True),
+    FeatureEntry("pe", 6, "contour"),
+    FeatureEntry("fd", 6, "contour"),
+    FeatureEntry("zl", 6, "contour"),
+    FeatureEntry("cd", 6, "scalar"),
+    FeatureEntry("he", 6, "scalar"),
+    FeatureEntry("lle", 6, "scalar"),
+    FeatureEntry("fmmi", 6, "scalar"),
 ]
 
 _BY_NAME = {e.name: e for e in REGISTRY}
@@ -155,10 +150,6 @@ if len(_BY_NAME) != len(REGISTRY):
 
 def entry(name: str) -> FeatureEntry:
     return _BY_NAME[name]
-
-
-def registry_names() -> list[str]:
-    return [e.name for e in REGISTRY]
 
 
 def column_names(include_cross_vowel: bool = True) -> list[str]:

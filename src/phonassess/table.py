@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 WHOLE_TASK = "all"  # the scope vowel token meaning every vowel
 VOWELS_FOR_CROSS = ("a", "i", "u")
-CROSS_VOWEL_NAMES = ("vsa", "ln_vsa", "fcr", "vai", "f2i_f2u")
+CROSS_VOWEL_NAMES = tuple(e.name for e in REGISTRY if e.cross_vowel)
 
 
 def summarize(contour) -> dict[str, float]:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from phonassess.audio import Recording
-from phonassess.features import nonlinear
+from phonassess.features import (articulation, emd, extract, highorder, nonlinear, phonation,
+                                 quality)
 from phonassess.features.extract import extract_recording
 from phonassess.features.registry import REGISTRY, entry
 from phonassess.synth import synth_vowel
@@ -149,3 +155,73 @@ def test_constant_signal_template_entropies_missing_not_zero():
     for name in ("ae", "se_k1", "se_k8"):
         assert np.isnan(res.features[name]).all(), name
         assert res.failures[name] == "no block produced a value"
+
+
+def test_constant_signal_he_lle_missing_not_made_up():
+    res = extract_recording(Recording(np.zeros(FS), FS))
+    for name in ("he", "lle"):
+        assert np.isnan(res.features[name]), name
+        assert res.failures[name] == "the measure gave no value"
+
+
+# every extraction function perfbench/tracing.py wraps, on the module whose
+# attribute the extractor looks up
+TRACED = [
+    (extract, ("resample", "estimate_f0", "detect_cycles")),
+    (phonation, ("energy_features", "ppe", "jitter_features", "shimmer_features",
+                 "glottal_quotient_stds")),
+    (quality, ("frame_voicing", "temporal_quality", "spectral_quality", "modulation_measures",
+               "cepstral_quality", "noise_measures")),
+    (articulation, ("estimate_formants",)),
+    (emd, ("emd", "imf_features")),
+    (highorder, ("estimate_bispectrum", "bispectral_features", "bicepstral_features")),
+    (nonlinear, ("fmmi", "embed", "complexity_features", "entropy_features", "katz_fd",
+                 "normalized_lempel_ziv")),
+]
+
+
+def _counting(fn, key, counts):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_rows_look_measures_up_at_call_time(monkeypatch):
+    """A function replaced on its module after import is the one that runs."""
+    counts = {}
+    for module, names in TRACED:
+        for name in names:
+            key = f"{module.__name__}.{name}"
+            counts[key] = 0
+            monkeypatch.setattr(module, name, _counting(getattr(module, name), key, counts))
+    fs = 22050  # not the analysis rate, so resample runs too
+    extract_recording(Recording(synth_vowel(fs=fs, seed=37, duration=1.0), fs))
+    assert [key for key, n in counts.items() if n == 0] == []
+
+
+@pytest.mark.parametrize("module, name, corrupt, message", [
+    (phonation, "jitter_features",
+     lambda out: {("jitter_locl" if k == "jitter_local" else k): v for k, v in out.items()},
+     "jitter_locl"),
+    (quality, "spectral_quality", lambda out: out[:-1], "shorter"),
+])
+def test_measure_names_must_match_row(monkeypatch, module, name, corrupt, message):
+    """A misspelt dict key or a tuple one value short raises, never a silent NaN."""
+    measure = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(measure(*args)))
+    with pytest.raises(ValueError, match=message):
+        extract_recording(Recording(synth_vowel(fs=FS, seed=36, duration=1.0), FS))
+
+
+def test_registry_name_without_row_fails_import():
+    # a fresh interpreter, so no half-imported extract module outlives the test
+    code = ("from phonassess.features.registry import REGISTRY, FeatureEntry\n"
+            "REGISTRY.append(FeatureEntry('bogus', 6, 'scalar'))\n"
+            "import phonassess.features.extract\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode != 0
+    assert "RuntimeError: measure table names differ" in proc.stderr

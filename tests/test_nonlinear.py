@@ -97,7 +97,12 @@ class TestComplexity:
         x[::400] = 1.0
         feats = complexity_features(embed(x, 3, 1), x)
         assert "cd" not in feats
-        assert "he" in feats and "lle" in feats
+        assert "he" in feats and "lle" not in feats
+
+    def test_constant_signal_leaves_he_and_lle_out(self):
+        x = np.zeros(8000)
+        feats = complexity_features(embed(x, 3, 1), x)
+        assert "he" not in feats and "lle" not in feats
 
     def test_deterministic(self):
         x = np.sin(2 * np.pi * np.arange(3000) / 100) + 0.1 * np.random.default_rng(23).standard_normal(3000)
