@@ -3,6 +3,13 @@
 Extracts six families of vowel-phonation biomarkers, estimates clinical
 scale scores with regression trees, separates patient and control groups
 with random forests, and emits evaluation tables and correlation plot data.
+
+Importing ``phonassess.cli`` loads numpy and no scipy module: each scipy
+import sits in the function that calls it, so ``classify`` and ``regress``
+never load scipy and ``correlate`` loads only ``scipy.special``. ``extract``
+imports the signal stack once, before it forks its workers
+(``phonassess.parallel``), so the workers inherit it. Import the submodules
+themselves; this package re-exports nothing.
 """
 import os
 
@@ -12,17 +19,5 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
-
-from .audio import Recording, FrameSequence, load_recording, resample, frame_signal
-from .errors import (AudioError, ConfigError, InsufficientSignalError, ManifestError,
-                     PhonassessError)
-from .evaluation import (ClinicalScale, SCALES, classification_metrics,
-                         correlation_graph_data, estimation_errors, loo_validate,
-                         regression_metrics, spearman, trade_off_sen_spe)
-from .manifest import CohortManifest, load_manifest
-from .models import DecisionTree, ForestModel, predict, train_cart, train_forest
-from .pitch import CycleMarks, F0Contour, detect_cycles, estimate_f0
-from .selection import LearnerSpec, SelectionResult, mrmr_rank, sffs
-from .table import FeatureMatrix, build_matrix, summarize
 
 __version__ = "0.1.0"

@@ -14,8 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import resample_poly
 
 from .errors import AudioError, InsufficientSignalError
 
@@ -84,6 +82,8 @@ def load_recording(path) -> Recording:
     Stereo input is averaged to mono. Peak normalization, if wanted, is
     ``extract_recording(peak_normalize=True)``.
     """
+    from scipy.io import wavfile
+
     path = Path(path)
     if not path.exists():
         raise AudioError(f"no such audio file: {path}")
@@ -111,6 +111,8 @@ def load_recording(path) -> Recording:
 
 def write_wav(path, samples: np.ndarray, fs: int) -> None:
     """Write float samples in [-1, 1] as 16-bit PCM."""
+    from scipy.io import wavfile
+
     x = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(x * 32767.0).astype(np.int16)
     wavfile.write(str(path), fs, pcm)
@@ -122,6 +124,8 @@ def resample(rec: Recording, target_fs: int) -> Recording:
     Idempotent at the target rate: a recording already at ``target_fs`` is
     returned sample-identical.
     """
+    from scipy.signal import resample_poly
+
     if target_fs <= 0:
         raise ValueError(f"target_fs must be positive, got {target_fs}")
     if rec.fs == target_fs:

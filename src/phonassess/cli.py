@@ -37,7 +37,6 @@ from .manifest import load_manifest
 from .models import predict
 from .parallel import ordered_map
 from .selection import LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
-from .synth import make_classification_cohort, make_regression_cohort
 from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
 
 log = logging.getLogger("phonassess")
@@ -118,6 +117,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    from .synth import make_classification_cohort, make_regression_cohort
+
     out = Path(cfg.out)
     if args.mode == "classify":
         manifest = make_classification_cohort(out, n_pd=args.subjects // 2,
@@ -153,6 +154,8 @@ def cmd_extract(cfg: RunConfig) -> int:
 
     jobs = [(row.subject_id, v, t, row.recordings[(v, t)])
             for row in manifest.rows for (v, t) in sorted(needed) if (v, t) in row.recordings]
+    # imported once here so forked workers inherit them instead of each importing them
+    import scipy.interpolate, scipy.io.wavfile, scipy.linalg, scipy.signal  # noqa: E401, F401
     results = ordered_map(partial(_extract_job, peak_normalize=cfg.peak_normalize),
                           [path for *_, path in jobs], cfg.workers)
     extracted: dict[tuple[str, str, str], dict] = {}

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.stats import rankdata, t as t_dist
 
 from .errors import PhonassessError
 from .models import LearnerSpec, is_regression_target
@@ -118,8 +117,25 @@ def estimation_errors(mae: float, scale: ClinicalScale, observed_range: float) -
     return ee1, ee2
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of tied values sharing the mean of its ranks."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], len(xs))  # one past each run's last position
+    ranks = np.empty(len(xs))
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def spearman(x, y) -> tuple[float, float]:
-    """Rank correlation with average ranks; p via the t approximation."""
+    """Rank correlation with average ranks; p via the t approximation.
+
+    ``stdtr(df, -|t|)`` is the Student-t survival function at ``|t|``, the
+    call ``scipy.stats.t.sf`` makes, without importing ``scipy.stats``.
+    """
+    from scipy.special import stdtr
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ok = np.isfinite(x) & np.isfinite(y)
@@ -129,13 +145,13 @@ def spearman(x, y) -> tuple[float, float]:
         raise PhonassessError("need >= 5 complete pairs for rank correlation")
     if np.std(x) == 0 or np.std(y) == 0:
         raise PhonassessError("constant input: rank correlation undefined")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    rx = average_ranks(x)
+    ry = average_ranks(y)
     rho = float(np.corrcoef(rx, ry)[0, 1])
     if abs(rho) >= 1.0:
         return float(np.sign(rho)), 0.0
     t_stat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(t_dist.sf(abs(t_stat), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return rho, p
 
 

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz
 
 from ..audio import FrameSequence, autocorrelation
 from ..errors import InsufficientSignalError
@@ -35,6 +34,8 @@ class FormantTrack:
 
 def lpc_coefficients(x: np.ndarray, order: int) -> np.ndarray:
     """Autocorrelation-method LPC: returns [1, a1..ap]."""
+    from scipy.linalg import solve_toeplitz
+
     if len(x) <= order:
         raise np.linalg.LinAlgError("frame not longer than the model order")
     r = autocorrelation(np.asarray(x, dtype=np.float64))[: order + 1]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .. import pitch
 from ..audio import FRAME_MS, HOP_MS, Recording, frame_signal
@@ -55,6 +54,8 @@ def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _envelope(x: np.ndarray, idx: np.ndarray, kind: str) -> np.ndarray | None:
     """Cubic envelope through extrema with mirrored boundary extension."""
+    from scipy.interpolate import CubicSpline
+
     if len(idx) < 2:
         return None
     n = len(x)

@@ -7,7 +7,6 @@ docs/features.md so no external tool is needed to audit values.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import welch
 
 from ..audio import FrameSequence, Recording, context_sums
 from ..errors import InsufficientSignalError
@@ -109,6 +108,8 @@ def energy_features(frames: FrameSequence, rec: Recording):
     Returns (E contour, TKEO contour, me_4hz, mpsd, lster). E and TKEO come
     from the raw (untapered) frame slices.
     """
+    from scipy.signal import welch
+
     if rec.duration < 1.0:
         raise InsufficientSignalError("need >= 1 s of signal for modulation energy")
     raw = frames.raw

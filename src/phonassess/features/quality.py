@@ -16,7 +16,6 @@ DB_CLAMP.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import hilbert, resample_poly, welch
 
 from ..audio import (FRAME_MS, HOP_MS, FrameSequence, Recording, autocorrelation,
                      context_sums, frame_signal)
@@ -255,6 +254,8 @@ def _band_energy(freqs: np.ndarray, pxx: np.ndarray, lo: float, hi: float) -> fl
 
 
 def _band_ratios(x: np.ndarray, fs: int) -> tuple[float, float]:
+    from scipy.signal import welch
+
     freqs, pxx = welch(x, fs=fs, nperseg=min(2048, len(x)))
     spi_hi = _band_energy(freqs, pxx, 1600, min(4500, fs / 2))
     spi = _band_energy(freqs, pxx, 70, 1600) / max(spi_hi, TINY)
@@ -349,6 +350,8 @@ def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray,
     callers floor their band ratios with it so an unmodulated carrier reads
     ~0 instead of a ratio of numerical leakage.
     """
+    from scipy.signal import hilbert, resample_poly
+
     if len(x) < fs:
         raise InsufficientSignalError("need >= 1 s for modulation analysis")
     n = len(x)

@@ -23,16 +23,38 @@ from .models import (LearnerSpec, is_regression_target, predict, train_cart,  # 
 log = logging.getLogger(__name__)
 
 MRMR_BINS = 10
+QUANTILES = np.linspace(0, 1, MRMR_BINS + 1)[1:-1]  # inner bin edges
 MI_COLUMNS = 256  # columns per pass of the batched mutual information
 SFFS_PATIENCE_DEFAULT = 3
 SFFS_MAX_FEATURES = 20
 
 
-def quantile_discretize(col: np.ndarray, bins: int = MRMR_BINS) -> np.ndarray:
+def quantile_discretize(col: np.ndarray) -> np.ndarray:
     """Bin indices at the column's own quantiles (monotone-invariant)."""
     col = np.asarray(col, dtype=np.float64)
-    edges = np.unique(np.quantile(col, np.linspace(0, 1, bins + 1)[1:-1]))
-    return np.searchsorted(edges, col, side="right")
+    return _bin_codes(col, np.quantile(col, QUANTILES))
+
+
+def _bin_codes(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    return np.searchsorted(np.unique(edges), col, side="right")
+
+
+def _feature_codes(X: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """``quantile_discretize`` of each column's finite cells; 0 where missing.
+
+    The edges of all complete columns come from one ``np.quantile`` call,
+    equal column by column to a call per column; a column with missing
+    cells is discretized on its own.
+    """
+    codes = np.zeros(X.shape, dtype=np.int64)
+    complete = finite.all(axis=0)
+    edges = np.quantile(X[:, complete], QUANTILES, axis=0)
+    for i, j in enumerate(np.flatnonzero(complete)):
+        codes[:, j] = _bin_codes(X[:, j], edges[:, i])
+    for j in np.flatnonzero(~complete & finite.any(axis=0)):
+        m = finite[:, j]
+        codes[m, j] = quantile_discretize(X[m, j])
+    return codes
 
 
 def _mutual_information(codes: np.ndarray, finite: np.ndarray, cols: np.ndarray,
@@ -107,11 +129,7 @@ def mrmr_rank(X, y, k: int) -> list[int]:
     k = min(k, p)
     target = _target_codes(y)
     finite = np.isfinite(X)
-    codes = np.zeros((n, p), dtype=np.int64)
-    for j in range(p):
-        m = finite[:, j]
-        if m.any():
-            codes[m, j] = quantile_discretize(X[m, j])
+    codes = _feature_codes(X, finite)
 
     relevance = _mutual_information(codes, finite, np.arange(p), target, np.ones(n, dtype=bool))
     selected: list[int] = []

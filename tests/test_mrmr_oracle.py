@@ -1,8 +1,8 @@
 """The batched mutual information of mRMR against the per-pair one it replaced.
 
 ``_discrete_mi`` and ``ref_mrmr_rank`` are the former per-pair MI and
-ranking loop, kept verbatim; values must be bitwise equal and rankings
-identical.
+ranking loop, and ``ref_codes`` the former per-column discretization, kept
+verbatim; values must be bitwise equal and rankings identical.
 """
 from unittest.mock import patch
 
@@ -10,8 +10,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from phonassess import selection
-from phonassess.selection import (_mutual_information, _target_codes, mrmr_rank,
-                                  quantile_discretize)
+from phonassess.selection import (_feature_codes, _mutual_information, _target_codes,
+                                  mrmr_rank, quantile_discretize)
 
 
 def _discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
@@ -127,3 +127,26 @@ def test_relevance_and_redundancy_match_per_pair_mi(problem, block):
 def test_ranking_matches_per_pair_ranking(problem, k):
     X, y = problem
     assert mrmr_rank(X, y, k) == ref_mrmr_rank(X, y, k)
+
+
+@st.composite
+def wide_matrices(draw):
+    """Up to 50 columns of quantized values: ties, constant and all-missing
+    columns, and columns with a few or most cells missing."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.normal(0, 1, (n, p)) / draw(st.sampled_from([0.01, 0.3, 1.0]))) * 0.5
+    X[:, rng.random(p) < 0.15] = -2.0  # constant
+    X[rng.random((n, p)) < draw(st.sampled_from([0.0, 0.02, 0.3]))] = np.nan
+    X[:, rng.random(p) < 0.05] = np.nan  # nothing to discretize
+    return X
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_matrices())
+def test_batched_codes_match_per_column_discretize(X):
+    codes, finite = ref_codes(X)
+    got = _feature_codes(X, finite)
+    assert got.dtype == codes.dtype
+    assert np.array_equal(got, codes)
