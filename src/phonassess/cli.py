@@ -34,7 +34,7 @@ from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
 from .features.extract import ExtractionResult, extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
 from .manifest import load_manifest
-from .models import predict
+from .models import predict  # noqa: F401 (perfbench/tracing.py wraps it at this module)
 from .parallel import ordered_map
 from .selection import LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
 from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
@@ -228,8 +228,7 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
     ok = drop_incomplete_rows(X, y, sel.selected_indices)
     _write_selection(Path(cfg.out) / f"selection_{target_name}_{matrix.scope}.json", sel,
                      no_target=np.asarray(matrix.subject_ids)[~rows], dropped=ids[~ok])
-    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec, predict,
-                       seed=cfg.seed)
+    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec, seed=cfg.seed)
     if loo.failed_folds:
         held_out = ", ".join(ids[ok][loo.failed_folds])
         raise PhonassessError(f"scope {matrix.scope}: {len(loo.failed_folds)} LOO fold(s) "

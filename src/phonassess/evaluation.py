@@ -68,10 +68,17 @@ def trade_off_sen_spe(sen_fraction: float, spe_fraction: float) -> float:
 
 
 def classification_metrics(pred, truth, positive: str = POSITIVE_CLASS) -> ClassificationMetrics:
-    pred = np.asarray(pred)
+    """ACC, SEN, SPE (percent) and TSS of predicted labels against the truth.
+
+    Every prediction must be one of the truth's labels: a NaN, say from a
+    failed fold, raises rather than counting as a negative.
+    """
+    pred = np.asarray(pred, dtype=object)  # a NaN stays a float, not the label "nan"
     truth = np.asarray(truth)
     if len(pred) != len(truth) or len(truth) == 0:
         raise PhonassessError("prediction/truth length mismatch")
+    if stray := set(pred.tolist()) - set(truth.tolist()):
+        raise PhonassessError(f"prediction is not a class label: {sorted(map(repr, stray))[0]}")
     pos = truth == positive
     neg = ~pos
     if not pos.any() or not neg.any():
@@ -189,35 +196,42 @@ class LooResult:
     failed_folds: list[int] = field(default_factory=list)
 
 
-def loo_validate(X, y, learner: LearnerSpec, predict_fn, seed: int = 0) -> LooResult:
+def loo_validate(X, y, learner: LearnerSpec, seed: int = 0) -> LooResult:
     """Leave-one-out: for each row i, train ``learner`` on the others and predict i.
 
-    Every fold's trees grow together: the lanes of all folds go through one
-    call of the learner's grower, which takes them in batches under its
-    byte budget (``models.LANE_BUDGET_BYTES``). ``predict_fn(model, row)``
-    predicts. Deterministic given the seed: fold i trains with ``seed + i``.
-    Folds whose training or prediction fails are recorded and predict NaN.
-    A numeric ``y`` gives float predictions, class labels object ones.
+    No model is built. The lanes of all folds go through one call of the
+    learner's router (``models.route_trees``), which grows them in batches
+    under its byte budget (``models.LANE_BUDGET_BYTES``) and carries each
+    fold's held-out row down its trees' splits as they are made. A fold
+    predicts what ``models.predict`` would: its CART's leaf, or its forest's
+    majority label (a tie goes to the lexicographically smallest). Fold i
+    trains with ``seed + i``, so the result is deterministic given the seed,
+    and a forest's tree streams are set up once per process
+    (``models.STREAM_MEMO_BYTES``) however many subsets a search scores.
+    Folds whose training fails, or whose held-out row misses a feature one
+    of their trees splits on, are recorded and predict NaN. A numeric ``y``
+    gives float predictions, class labels object ones.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
     y = np.asarray(y)
-    lanes = {}
+    folds = {}
     for i in range(n):
         try:
-            lanes[i] = learner.lanes(X, y, np.delete(np.arange(n), i), seed + i)
+            folds[i] = learner.lanes(X, y, np.delete(np.arange(n), i), seed + i)
         except PhonassessError:
             pass
-    trees = learner.grow(X, y, chain.from_iterable(lanes.values()))
+    held_out = np.repeat(np.fromiter(folds, dtype=np.intp, count=len(folds)),
+                         [len(lanes) for lanes in folds.values()])
+    leaves = learner.route(X, y, chain.from_iterable(folds.values()), held_out)
     preds = np.empty(n, dtype=object)
     failed = []
     for i in range(n):
-        if i in lanes:
-            model = learner.model(trees)  # takes this fold's trees, in order
+        if i in folds:
             try:
-                preds[i] = predict_fn(model, X[i])
+                preds[i] = learner.vote(leaves)  # takes this fold's leaves, in order
                 continue
             except PhonassessError:
                 pass

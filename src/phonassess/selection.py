@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import PhonassessError
 from .evaluation import classification_metrics, loo_validate
-# train_cart and train_forest stay bound here: perfbench/tracing.py wraps them at this module
+# predict, train_cart and train_forest stay bound here: perfbench/tracing.py wraps them
+# at this module
 from .models import (LearnerSpec, is_regression_target, predict, train_cart,  # noqa: F401
                      train_forest)
 
@@ -178,7 +179,7 @@ def loo_objective(X, y, spec: LearnerSpec) -> float:
 
     A subset on which any fold fails to train scores ``-inf``.
     """
-    result = loo_validate(X, y, spec, predict, seed=spec.seed)
+    result = loo_validate(X, y, spec, seed=spec.seed)
     if result.failed_folds:
         return -np.inf
     preds = result.predictions

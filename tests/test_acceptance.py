@@ -22,7 +22,6 @@ from phonassess.features.emd import emd
 from phonassess.features.phonation import jitter_features, shimmer_features
 from phonassess.features.quality import noise_measures
 from phonassess.features.registry import per_vowel_width
-from phonassess.models import predict
 from phonassess.pitch import detect_cycles, estimate_f0
 from phonassess.selection import LearnerSpec, _masked_objective, mrmr_rank, sffs
 from phonassess.synth import (add_noise_snr, harmonic_tone, make_regression_cohort,
@@ -229,17 +228,17 @@ def test_criterion_8_model_protocol():
     X = np.vstack([rng.normal(0, 0.4, (12, 3)), rng.normal(4, 0.4, (12, 3))])
     y = np.array(["HC"] * 12 + ["PD"] * 12)
     spec = LearnerSpec(kind="forest", n_trees=30)
-    loo = loo_validate(X, y, spec, predict, seed=7)
+    loo = loo_validate(X, y, spec, seed=7)
     metrics = classification_metrics(loo.predictions, y)
 
     # poisoning: an outlier target must not leak into its own fold
     Xp = rng.uniform(0, 1, (12, 1))
     yp = np.full(12, 5.0)
     yp[4] = 500.0
-    loo_p = loo_validate(Xp, yp, LearnerSpec(min_leaf=6), predict, seed=0)
+    loo_p = loo_validate(Xp, yp, LearnerSpec(min_leaf=6), seed=0)
     poison_ok = abs(loo_p.predictions[4] - 5.0) < 1.0
 
-    again = loo_validate(X, y, spec, predict, seed=7)
+    again = loo_validate(X, y, spec, seed=7)
     identical = list(loo.predictions) == list(again.predictions)
     ok = metrics.acc == 100.0 and poison_ok and identical
     report(8, ok, (f"blobs LOO acc {metrics.acc:.0f}%, poison fold isolated, "

@@ -7,7 +7,7 @@ from phonassess.errors import PhonassessError
 from phonassess.evaluation import (SCALES, classification_metrics, correlation_graph_data,
                                    estimation_errors, loo_validate, regression_metrics,
                                    round_half_away, spearman, trade_off_sen_spe)
-from phonassess.models import LearnerSpec, predict
+from phonassess.models import LearnerSpec
 
 
 class TestTradeOff:
@@ -49,6 +49,14 @@ class TestClassificationMetrics:
     def test_single_class_error(self):
         with pytest.raises(PhonassessError):
             classification_metrics(np.array(["PD", "PD"]), np.array(["PD", "PD"]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), None, "XX"])
+    def test_prediction_that_is_no_label_raises(self, bad):
+        # a failed fold's NaN must not count as a negative (HC) prediction
+        with pytest.raises(PhonassessError, match="class label"):
+            classification_metrics(["PD", bad], ["PD", "HC"])
+        with pytest.raises(PhonassessError, match="class label"):
+            classification_metrics(np.array(["PD", bad], dtype=object), np.array(["PD", "HC"]))
 
 
 class TestRegressionMetrics:
@@ -180,7 +188,7 @@ class TestLoo:
     def test_constant_target(self):
         X = np.random.default_rng(63).uniform(0, 1, (8, 2))
         y = np.full(8, 3.0)
-        result = loo_validate(X, y, LearnerSpec(min_leaf=3), predict)
+        result = loo_validate(X, y, LearnerSpec(min_leaf=3))
         assert np.all(result.predictions == 3.0)
 
     def test_fold_isolation_poisoning(self):
@@ -191,21 +199,21 @@ class TestLoo:
         y = np.full(12, 5.0)
         y_poisoned = y.copy()
         y_poisoned[4] = 500.0
-        result = loo_validate(X, y_poisoned, LearnerSpec(min_leaf=6), predict)
+        result = loo_validate(X, y_poisoned, LearnerSpec(min_leaf=6))
         assert result.predictions[4] == pytest.approx(5.0, abs=1.0)
 
     def test_prediction_count(self):
         rng = np.random.default_rng(65)
         X = rng.uniform(0, 1, (9, 2))
         y = X[:, 0]
-        result = loo_validate(X, y, LearnerSpec(min_leaf=3), predict)
+        result = loo_validate(X, y, LearnerSpec(min_leaf=3))
         assert len(result.predictions) == 9
 
     def test_separable_blobs_forest(self):
         rng = np.random.default_rng(66)
         X = np.vstack([rng.normal(0, 0.4, (12, 3)), rng.normal(4, 0.4, (12, 3))])
         y = np.array(["HC"] * 12 + ["PD"] * 12)
-        result = loo_validate(X, y, LearnerSpec(kind="forest", n_trees=25), predict,
+        result = loo_validate(X, y, LearnerSpec(kind="forest", n_trees=25),
                               seed=7)
         m = classification_metrics(result.predictions, y)
         assert m.acc == 100.0 and m.tss == 2.0
@@ -215,13 +223,13 @@ class TestLoo:
         X = np.vstack([rng.normal(0, 1, (10, 3)), rng.normal(2, 1, (10, 3))])
         y = np.array(["HC"] * 10 + ["PD"] * 10)
         spec = LearnerSpec(kind="forest", n_trees=20)
-        a = loo_validate(X, y, spec, predict, seed=11)
-        b = loo_validate(X, y, spec, predict, seed=11)
+        a = loo_validate(X, y, spec, seed=11)
+        b = loo_validate(X, y, spec, seed=11)
         assert list(a.predictions) == list(b.predictions)
 
     def test_too_few_rows(self):
         with pytest.raises(PhonassessError):
-            loo_validate(np.ones((2, 1)), np.ones(2), LearnerSpec(), predict)
+            loo_validate(np.ones((2, 1)), np.ones(2), LearnerSpec())
 
 
 def test_round_half_away():

@@ -249,7 +249,7 @@ def test_loo_predictions_match_per_fold_training(case, forest, data):
     else:
         y = regression_target(data.draw, rng, n)
         spec = LearnerSpec(kind="cart", min_leaf=2)
-    result = loo_validate(X, y, spec, predict, seed=5)
+    result = loo_validate(X, y, spec, seed=5)
     for i in range(n):
         rows = np.delete(np.arange(n), i)
         if forest and len(set(y[rows])) < 2:

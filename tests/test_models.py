@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phonassess.errors import PhonassessError
-from phonassess.models import (DecisionTree, ForestModel, TreeNode, predict,
+from phonassess.models import (DecisionTree, ForestModel, LearnerSpec, TreeNode, predict,
                                predict_forest, train_cart, train_forest)
 
 
@@ -54,6 +54,15 @@ class TestCart:
         # no feature referenced: NaN row is fine
         assert predict(tree, [np.nan]) == 2.5
 
+    def test_missing_target_raises(self):
+        X = np.linspace(0, 1, 12).reshape(-1, 1)
+        y = X[:, 0] * 3.0
+        for bad in (np.nan, np.inf):
+            y_bad = y.copy()
+            y_bad[5] = bad
+            with pytest.raises(PhonassessError, match="target"):
+                train_cart(X, y_bad)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0.1, 2.0, (40, 3))
@@ -75,6 +84,15 @@ class TestForest:
         X = np.random.default_rng(5).uniform(0, 1, (10, 2))
         with pytest.raises(PhonassessError):
             train_forest(X, np.array(["PD"] * 10))
+
+    @pytest.mark.parametrize("n_trees", [0, -3])
+    def test_no_trees_error(self, n_trees):
+        X = np.random.default_rng(5).uniform(0, 1, (10, 2))
+        y = np.array(["PD", "HC"] * 5)
+        with pytest.raises(PhonassessError, match="n_trees"):
+            train_forest(X, y, n_trees=n_trees)
+        with pytest.raises(PhonassessError, match="n_trees"):
+            LearnerSpec(kind="forest", n_trees=n_trees)
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(6)

@@ -1,0 +1,129 @@
+"""Routed leave-one-out against per-fold training and ``predict``.
+
+``loo_validate`` builds no model: it carries each held-out row down its
+fold's trees while they grow. Every fold must still predict exactly what
+``train_cart``/``train_forest`` on the other rows and ``predict`` give, and
+fail exactly where they raise: training that cannot run, or a held-out row
+missing a feature that any of its trees splits on, on its path or not.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import phonassess.models as models
+from phonassess.errors import PhonassessError
+from phonassess.evaluation import loo_validate
+from phonassess.models import LearnerSpec, predict, train_cart, train_forest
+
+
+def per_fold(X, y, spec, seed):
+    """(predictions, failed folds) of training each fold and calling ``predict``."""
+    n = len(X)
+    preds, failed = [], []
+    for i in range(n):
+        rows = np.delete(np.arange(n), i)
+        try:
+            if spec.kind == "forest":
+                model = train_forest(X[rows], y[rows], n_trees=spec.n_trees, seed=seed + i)
+            else:
+                model = train_cart(X[rows], y[rows], min_leaf=spec.min_leaf)
+            preds.append(predict(model, X[i]))
+        except PhonassessError:
+            failed.append(i)
+            preds.append(float("nan"))
+    return preds, failed
+
+
+def same(result, preds, failed):
+    assert result.failed_folds == failed
+    for i, want in enumerate(preds):
+        if i not in failed:
+            assert np.asarray(result.predictions[i]).tobytes() == np.asarray(want).tobytes()
+
+
+@st.composite
+def tied_problems(draw):
+    """A matrix of few distinct values (ties everywhere), its target and learner."""
+    n = draw(st.integers(3, 24))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.normal(0, 3, draw(st.integers(1, 4)))
+    X = rng.choice(pool, size=(n, p))
+    kind = draw(st.sampled_from(["forest", "cart_class", "cart_reg"]))
+    if kind == "cart_reg":
+        y = rng.choice([0.1, 0.7, 1.0 / 3.0, 2.5, -1.3], size=n)
+        spec = LearnerSpec(kind="cart", min_leaf=draw(st.integers(1, 4)))
+    else:
+        y = rng.choice(["HC", "PD", "X"][:draw(st.integers(2, 3))], size=n)
+        spec = (LearnerSpec(kind="forest", n_trees=draw(st.integers(1, 7))) if kind == "forest"
+                else LearnerSpec(kind="cart", min_leaf=draw(st.integers(1, 4))))
+    if draw(st.booleans()):  # one row misses a value: only its own fold can train
+        X[draw(st.integers(0, n - 1)), draw(st.integers(0, p - 1))] = np.nan
+    return X, y, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_problems(), st.integers(0, 1000))
+def test_routed_loo_matches_per_fold_training(problem, seed):
+    X, y, spec = problem
+    same(loo_validate(X, y, spec, seed=seed), *per_fold(X, y, spec, seed))
+
+
+def _split_off_the_path():
+    """A CART whose root splits on column 0 and whose right subtree splits on
+    column 1; row 0 is held out, goes left, and misses column 1."""
+    x0 = np.array([0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9] * 2)
+    x1 = np.array([0.5] * 4 + [0.1, 0.9, 0.1, 0.9] + [0.5] * 4 + [0.1, 0.9, 0.1, 0.9])
+    X = np.column_stack([x0, x1])
+    y = np.where(x0 > 0.5, 10.0 + (x1 > 0.5), 0.0)
+    X[0, 1] = np.nan
+    return X, y
+
+
+def test_held_out_row_missing_a_feature_split_on_off_its_path_fails():
+    X, y = _split_off_the_path()
+    tree = train_cart(X[1:], y[1:], min_leaf=1)
+    assert tree.root.feature == 0 and tree.root.left.is_leaf and tree.root.right.feature == 1
+    with pytest.raises(PhonassessError):
+        predict(tree, X[0])
+    result = loo_validate(X, y, LearnerSpec(kind="cart", min_leaf=1))
+    assert result.failed_folds == list(range(len(X)))  # the other folds train on the NaN
+    X[0, 1] = 0.5  # now its path decides
+    result = loo_validate(X, y, LearnerSpec(kind="cart", min_leaf=1))
+    assert result.failed_folds == [] and result.predictions[0] == 0.0
+
+
+def test_held_out_row_missing_a_feature_no_tree_uses_is_predicted():
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.normal(size=20), np.ones(20)])  # column 1 is never split on
+    y = np.where(X[:, 0] > 0, "PD", "HC")
+    X[3, 1] = np.nan
+    spec = LearnerSpec(kind="forest", n_trees=9)
+    result = loo_validate(X, y, spec, seed=2)
+    assert result.failed_folds == [i for i in range(20) if i != 3]
+    assert result.predictions[3] == predict(train_forest(np.delete(X, 3, 0), np.delete(y, 3),
+                                                         n_trees=9, seed=5), X[3])
+
+
+def test_forest_fold_fails_when_one_tree_uses_the_missing_feature():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(16, 4))
+    y = np.where(X[:, 2] + 0.3 * rng.normal(size=16) > 0, "PD", "HC")
+    X[5, 2] = np.nan
+    spec = LearnerSpec(kind="forest", n_trees=6)
+    forest = train_forest(np.delete(X, 5, 0), np.delete(y, 5), n_trees=6, seed=5)
+    uses = [2 in models._features_used(t.root) for t in forest.trees]
+    assert any(uses)
+    assert loo_validate(X, y, spec, seed=0).failed_folds == list(range(16))
+
+
+def test_loo_builds_no_tree_and_calls_no_predict(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("leave-one-out built a tree or called predict")
+
+    for name in ("_from_preorder", "predict", "predict_tree", "predict_forest"):
+        monkeypatch.setattr(models, name, refuse)
+    rng = np.random.default_rng(1)
+    X = np.round(rng.normal(size=(15, 3)), 1)
+    loo_validate(X, np.where(X[:, 0] > 0, "PD", "HC"), LearnerSpec(kind="forest", n_trees=4))
+    loo_validate(X, X[:, 1] * 2.0, LearnerSpec(kind="cart", min_leaf=2))
