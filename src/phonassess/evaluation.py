@@ -200,7 +200,7 @@ def loo_validate(X, y, learner: LearnerSpec, seed: int = 0) -> LooResult:
     """Leave-one-out: for each row i, train ``learner`` on the others and predict i.
 
     No model is built. The lanes of all folds go through one call of the
-    learner's router (``models.route_trees``), which grows them in batches
+    learner's router (``LearnerSpec.route``), which grows them in batches
     under its byte budget (``models.LANE_BUDGET_BYTES``) and carries each
     fold's held-out row down its trees' splits as they are made. A fold
     predicts what ``models.predict`` would: its CART's leaf, or its forest's

@@ -52,7 +52,7 @@ def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
-def _envelope(x: np.ndarray, idx: np.ndarray, kind: str) -> np.ndarray | None:
+def _envelope(x: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
     """Cubic envelope through extrema with mirrored boundary extension."""
     from scipy.interpolate import CubicSpline
 
@@ -96,8 +96,8 @@ def _sift(x: np.ndarray) -> np.ndarray | None:
         maxima, minima = _extrema(h)
         if len(maxima) + len(minima) < 4 or len(maxima) < 2 or len(minima) < 2:
             return None
-        upper = _envelope(h, maxima, "max")
-        lower = _envelope(h, minima, "min")
+        upper = _envelope(h, maxima)
+        lower = _envelope(h, minima)
         if upper is None or lower is None:
             return None
         mean_env = 0.5 * (upper + lower)

@@ -22,37 +22,38 @@ numpy pass, taken by buckets of nodes of similar size (2^(b-1)+1 to 2^b
 rows), each padded only to its own widest node. Lanes are grown in batches
 whose working arrays stay under ``LANE_BUDGET_BYTES``.
 
-``grow_trees`` turns each lane into a tree. ``route_trees`` builds none:
-each lane carries one held-out row down its splits as they are made (with
-the same ``<=``) and gives the leaf it reaches, which is all a leave-one-out
-fold needs. A CART lane whose row misses no value grows only that row's
-path; forest lanes and rows with a missing value grow the whole tree, the
-first because node draws follow the whole preorder, the second because a
-missing value fails the fold if any split of the tree uses it. A routing
+``_grow`` (called by ``LearnerSpec.grow`` and ``.route``) turns each lane
+into a tree or, given a held-out row per lane, builds none: each lane
+carries its row down its splits as they are made (with the same ``<=``)
+and gives the leaf it reaches, which is all a leave-one-out fold needs. A
+CART lane whose row misses no value grows only that row's path; forest
+lanes and rows with a missing value grow the whole tree, the first because
+node draws follow the whole preorder, the second because a missing value
+fails the fold if any split of the tree uses it. A routing
 lane expands no leaf: a child that cannot split (too small, or one target
 value) gives its value at once if the row goes there, and is dropped if not.
 
-Random draws. Tree t of a forest seeded s draws from the PCG64 stream of
+Random draws. A forest lane is its training rows and its stream (s, t):
+tree t of a forest seeded s draws from the PCG64 stream of
 ``SeedSequence(s).spawn(n)[t]``, read as numpy's 32-bit draws read it: each
 64-bit output's low half, then its high half. It takes its bootstrap as
 ``rng.integers(0, n, size=n)`` would, then, at each node it scans (in
 preorder), its sqrt(p) candidate columns as ``rng.choice(p, k,
 replace=False)`` would: Floyd's algorithm, then a shuffle of the k picks
 whose order the sorted candidates do not keep. Every one of those draws is a
-Lemire bounded draw on the next word, so the grower makes each step's draws
-for all its lanes in one numpy pass, and only a draw that Lemire's rule
-rejects (odds below 2^-25 per draw) is redone word by word for its lane. The
-words of each (seed, tree) stream are read once per process into a memo of
-at most ``STREAM_MEMO_BYTES``; a stream that does not fit is read again when
+Lemire bounded draw on the next word, so ``_LaneWords.draw`` makes a batch's
+bootstraps (one pass per row count) and each step's candidate draws for all
+its lanes in one numpy pass, and only a lane whose draw Lemire's rule
+rejects (odds below 2^-25 per draw) is redone word by word. The words of
+each (seed, tree) stream are read once per process into a memo of at most
+``STREAM_MEMO_BYTES``; a stream that does not fit is read again when
 needed. Leave-one-out fold i always seeds ``seed + i``, so every objective of
 a feature search reuses the same streams.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,29 +107,11 @@ def _bounded(words: np.ndarray, bounds: np.ndarray):
 
     numpy keeps a draw unless the product's low 32 bits fall below
     ``2**32 % b``. Returns the draws and, per row, whether numpy kept every
-    one of them; a row where it did not must be drawn again with
-    ``_bounded_scalar``.
+    one of them; a row where it did not must be drawn again word by word.
     """
     product = words * bounds
     ok = ~((product & 0xFFFFFFFF) < np.uint64(2**32) % bounds).any(axis=-1)
     return (product >> 32).astype(np.intp), ok
-
-
-def _bounded_scalar(words: np.ndarray, at: int, bounds) -> tuple[list[int], int]:
-    """``_bounded`` for one stream from its word ``at`` on, with numpy's redraws.
-
-    Also returns the index of the next unread word; raises IndexError when
-    ``words`` runs out.
-    """
-    draws = []
-    for b in map(int, bounds):
-        while True:
-            product = int(words[at]) * b
-            at += 1
-            if product & 0xFFFFFFFF >= 2**32 % b:
-                break
-        draws.append(product >> 32)
-    return draws, at
 
 
 def _floyd(draws: np.ndarray, p: int) -> np.ndarray:
@@ -191,74 +174,53 @@ class _StreamMemo:
 _STREAMS = _StreamMemo(STREAM_MEMO_BYTES)
 
 
-class Stream(NamedTuple):
-    """Where a forest tree's node draws come from: its (seed, tree) stream,
-    words read from it so far, and the first word after its bootstrap."""
-
-    seed: int
-    tree: int
-    words: np.ndarray
-    start: int
-
-
-def _redraw(seed: int, tree: int, at: int, bounds) -> tuple[list[int], int]:
-    """``_bounded_scalar`` on a stream, reading more of it when its words run out."""
-    count = at + len(bounds) + SPARE_WORDS
-    while True:
-        try:
-            return _bounded_scalar(_STREAMS.words(seed, tree, count), at, bounds)
-        except IndexError:
-            count *= 2
-
-
-def _bootstrap_lanes(rows: np.ndarray, n_trees: int, seed: int, node_words: int) -> list:
-    """One lane per tree: a bootstrap of ``rows`` drawn from the tree's own
-    stream, as ``rng.integers(0, len(rows), size=len(rows))`` draws it; all
-    trees' bootstraps are one pass.
-
-    Each stream is first read for its bootstrap and n/4 nodes of
-    ``node_words`` words, about what a tree grown to purity on noise scans.
-    """
-    n = len(rows)
-    words = [_STREAMS.words(seed, t, n + node_words * (n // 4)) for t in range(n_trees)]
-    bounds = np.full(n, n, dtype=np.uint64)  # a forest's lane has two rows or more
-    picks, ok = _bounded(np.stack([w[:n] for w in words]), bounds)
-    start = np.full(n_trees, n)
-    for t in np.flatnonzero(~ok):
-        picks[t], start[t] = _redraw(seed, int(t), 0, bounds)
-    return [(rows[picks[t]], Stream(seed, t, words[t], int(start[t]))) for t in range(n_trees)]
-
-
 class _LaneWords:
-    """The stream words of a batch's lanes as one (lane, word) block, with
-    each lane's next unread word."""
+    """The stream words of a batch's forest lanes as one (lane, word) block,
+    with each lane's next unread word.
 
-    def __init__(self, streams: list[Stream]):
+    Lane i draws from ``streams[i]``, a (seed, tree) pair, whose first
+    ``counts[i]`` words are read up front.
+    """
+
+    def __init__(self, streams: list[tuple[int, int]], counts: np.ndarray):
         self.streams = streams
-        self.at = np.array([s.start for s in streams])
-        self.have = np.array([len(s.words) for s in streams])
+        words = [_STREAMS.words(seed, tree, int(c)) for (seed, tree), c in zip(streams, counts)]
+        self.at = np.zeros(len(streams), dtype=np.intp)
+        self.have = np.array([len(w) for w in words])
         self.block = np.zeros((len(streams), self.have.max()), dtype=np.uint32)
-        self.block[np.arange(self.have.max()) < self.have[:, None]] = \
-            np.concatenate([s.words for s in streams])
+        self.block[np.arange(self.have.max()) < self.have[:, None]] = np.concatenate(words)
 
-    def candidates(self, lanes: np.ndarray, p: int, k: int) -> np.ndarray:
-        """Each lane's next k candidate columns, ascending: what
-        ``np.sort(rng.choice(p, k, replace=False))`` gives on its stream."""
-        bounds = _choice_bounds(p, k)
+    def draw(self, lanes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Each lane's next draws, one in [0, b) per bound b > 1 (``bounds``,
+        uint64), as numpy's bounded draws make them on its stream: (lane, draw)."""
         reads = len(bounds)
         for i in lanes[self.at[lanes] + reads > self.have[lanes]]:
             self._read(i, self.at[i] + reads + SPARE_WORDS)
         at = self.at[lanes]
         draws, ok = _bounded(self.block[lanes[:, None], at[:, None] + np.arange(reads)], bounds)
         self.at[lanes] = at + reads
-        for r in np.flatnonzero(~ok):  # a rejected draw: this lane's node word by word
-            stream = self.streams[lanes[r]]
-            draws[r], self.at[lanes[r]] = _redraw(stream.seed, stream.tree, at[r], bounds)
-        return np.sort(_floyd(draws[:, :k], p), axis=1)
+        for r in np.flatnonzero(~ok):  # numpy drew again: this lane's draws word by word
+            i = lanes[r]
+            self.at[i] = at[r]
+            for d, b in enumerate(bounds.tolist()):
+                while True:
+                    if self.at[i] == self.have[i]:
+                        self._read(i, 2 * self.have[i])
+                    product = int(self.block[i, self.at[i]]) * b
+                    self.at[i] += 1
+                    if product & 0xFFFFFFFF >= 2**32 % b:
+                        break
+                draws[r, d] = product >> 32
+        return draws
+
+    def candidates(self, lanes: np.ndarray, p: int, k: int) -> np.ndarray:
+        """Each lane's next k candidate columns, ascending: what
+        ``np.sort(rng.choice(p, k, replace=False))`` gives on its stream."""
+        return np.sort(_floyd(self.draw(lanes, _choice_bounds(p, k))[:, :k], p), axis=1)
 
     def _read(self, i: int, count: int) -> None:
         """Make lane i's first ``count`` words available."""
-        words = _STREAMS.words(self.streams[i].seed, self.streams[i].tree, count)
+        words = _STREAMS.words(*self.streams[i], count)
         if len(words) > self.block.shape[1]:
             self.block = np.pad(self.block, ((0, 0), (0, len(words) - self.block.shape[1])))
         self.block[i, :len(words)] = words
@@ -327,32 +289,20 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
 
 
-def grow_trees(X, y, lanes, min_leaf: int, n_candidates: int | None = None):
-    """Yield one tree per lane, in lane order.
+def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out=None):
+    """Yield one tree per lane, in lane order, or with ``held_out`` (one row
+    index per lane) the leaf each lane's tree sends ``X[held_out[i]]`` to.
 
-    ``lanes`` yields ``(rows, stream)`` pairs: the tree's training rows as
-    indices into ``X`` (in order, repeats allowed) and the ``Stream`` each
-    node draws ``n_candidates`` candidate columns from. With
+    ``lanes`` yields ``(rows, stream)`` pairs: the training rows as indices
+    into ``X`` (in order, repeats allowed) and, for a forest tree, its
+    (seed, tree) stream, which bootstraps ``rows`` and draws each node's
+    ``n_candidates`` candidate columns; a CART lane's stream is None. With
     ``n_candidates`` None (or at least the column count) every column is a
-    candidate and ``stream`` is never used.
+    candidate. A leaf gives its value (its label for class targets), or None
+    when the tree splits anywhere on a feature the held-out row is missing,
+    where ``predict`` would raise; no tree is built then. The target is coded
+    once and the lanes grow in batches under ``LANE_BUDGET_BYTES``.
     """
-    return _grow(X, y, lanes, None, min_leaf, n_candidates)
-
-
-def route_trees(X, y, lanes, held_out, min_leaf: int, n_candidates: int | None = None):
-    """Yield, for each lane, the leaf its tree sends row ``X[held_out[i]]`` to.
-
-    The lanes are ``grow_trees``'s, and ``held_out`` holds one row index per
-    lane. A leaf gives its value (its label for class targets), or None when
-    the tree splits anywhere on a feature that row is missing, where
-    ``predict`` would raise. No tree is built.
-    """
-    return _grow(X, y, lanes, np.asarray(held_out, dtype=np.intp), min_leaf, n_candidates)
-
-
-def _grow(X, y, lanes, held_out, min_leaf, n_candidates):
-    """``grow_trees`` (``held_out`` None) or ``route_trees``: codes the target
-    and grows the lanes in batches under ``LANE_BUDGET_BYTES``."""
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
     if is_regression_target(y):
@@ -381,6 +331,15 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     in_lane = np.arange(width) < size[:, None]
     rows = np.zeros(in_lane.shape, dtype=np.intp)
     rows[in_lane] = np.concatenate([r for r, _ in lanes])
+    if lanes[0][1] is not None:  # forest lanes: a bootstrap of each lane's rows
+        # each stream is first read for its bootstrap and n/4 nodes of draws,
+        # about what a tree grown to purity on noise scans
+        node_words = 2 * (n_candidates or 1) - 1
+        words = _LaneWords([stream for _, stream in lanes], size + node_words * (size // 4))
+        for n in np.unique(size):  # as rng.integers(0, n, size=n) draws it
+            g = np.flatnonzero(size == n)
+            rows[g, :n] = np.take_along_axis(
+                rows[g, :n], words.draw(g, np.full(n, n, dtype=np.uint64)), axis=1)
     values = X[rows].transpose(0, 2, 1).copy()  # (lane, column, position)
     order = np.argsort(values, axis=-1, kind="stable")  # tied values keep row order
     raw = target[rows]
@@ -398,7 +357,6 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     # a pending node's rows are one run of ``runs``, which holds each lane's
     # positions with every node's rows together, in row order
     runs = np.broadcast_to(np.arange(width), (m, width)).copy()
-    words = None if n_candidates is None else _LaneWords([s for _, s in lanes])
     # a routing lane grows only its row's path, unless node draws (which
     # follow the whole preorder) or a missing value in its row (whose fold
     # fails if any split of the tree uses it) need the whole tree
@@ -407,7 +365,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
         held_slot = np.zeros(m, dtype=np.intp)
         reached = np.zeros(m, dtype=np.intp if classes else np.float64)
         missing = np.zeros(m, dtype=bool)
-        whole[:] = words is not None
+        whole[:] = n_candidates is not None
         whole |= np.isnan(X[held]).any(axis=1)
 
     # Each lane's stack of pending nodes, its top slot the next node: where
@@ -427,7 +385,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
         threshold = np.zeros(live.size)
         if (scanned := np.flatnonzero(~small & ~pure)).size:
             lane = live[scanned]
-            if words is None:
+            if n_candidates is None:
                 cand = np.broadcast_to(np.arange(p), (lane.size, p))
             else:  # each lane's own stream, at its own node
                 cand = words.candidates(lane, p, n_candidates)
@@ -641,11 +599,6 @@ def _from_preorder(features, thresholds, leaves, classes, n_features) -> Decisio
     return DecisionTree(root=root, n_features=n_features)
 
 
-def _forest_candidates(p: int) -> int:
-    """Candidate columns per forest node: sqrt(p), at least one."""
-    return max(1, int(np.sqrt(p)))
-
-
 @dataclass
 class LearnerSpec:
     """What to train inside the wrapper and the final evaluation.
@@ -662,6 +615,8 @@ class LearnerSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in ("cart", "forest"):
+            raise PhonassessError(f"kind must be 'cart' or 'forest', got {self.kind!r}")
         if self.n_trees < 1:
             raise PhonassessError(f"n_trees must be at least 1, got {self.n_trees}")
 
@@ -679,27 +634,27 @@ class LearnerSpec:
             raise PhonassessError("training matrix contains missing values; drop rows first")
         if is_regression_target(y) and not np.isfinite(y[rows]).all():
             raise PhonassessError("target contains missing or infinite values; drop rows first")
-        if self.kind != "forest":
+        if self.kind == "cart":
             return [(rows, None)]
         if len(set(map(str, y[rows].tolist()))) < 2:
             raise PhonassessError("need at least two classes to train a forest")
-        return _bootstrap_lanes(rows, self.n_trees, seed, 2 * _forest_candidates(X.shape[1]) - 1)
+        return [(rows, (seed, tree)) for tree in range(self.n_trees)]
 
     def _grower(self, X: np.ndarray, y: np.ndarray):
         """(target, min_leaf, candidates per node) the grower gets for this learner."""
         if self.kind == "forest":  # string labels: a forest classifies any y
-            return [str(v) for v in y], 1, _forest_candidates(X.shape[1])
+            return [str(v) for v in y], 1, max(1, int(np.sqrt(X.shape[1])))
         return y, self.min_leaf, None
 
     def grow(self, X: np.ndarray, y: np.ndarray, lanes):
         """Trees for ``lanes`` (of this learner), in order."""
-        target, min_leaf, n_candidates = self._grower(X, y)
-        return grow_trees(X, target, lanes, min_leaf, n_candidates)
+        return _grow(X, *self._grower(X, y), lanes)
 
     def route(self, X: np.ndarray, y: np.ndarray, lanes, held_out):
-        """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to (``route_trees``)."""
-        target, min_leaf, n_candidates = self._grower(X, y)
-        return route_trees(X, target, lanes, held_out, min_leaf, n_candidates)
+        """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to, in
+        order: its value, or None when its tree splits on a feature the row
+        is missing."""
+        return _grow(X, *self._grower(X, y), lanes, np.asarray(held_out, dtype=np.intp))
 
     def model(self, trees):
         """The model made of the next trees ``grow`` yields for one training set."""
@@ -710,18 +665,14 @@ class LearnerSpec:
     def vote(self, leaves):
         """What ``predict`` gives for one row from the next leaves ``route``
         yields for it: a CART's leaf, or the label most of a forest's trees
-        reach, the lexicographically smallest on a tie (as ``predict_forest``).
+        reach (``_majority``, as in ``predict_forest``).
 
         Raises ``PhonassessError`` when a tree splits on a feature the row is missing.
         """
         reached = list(islice(leaves, self.n_trees if self.kind == "forest" else 1))
         if any(leaf is None for leaf in reached):
             raise PhonassessError("row is missing a feature the model references")
-        if self.kind != "forest":
-            return reached[0]
-        counts = Counter(reached)
-        most = max(counts.values())
-        return min(label for label, c in counts.items() if c == most)
+        return _majority(reached) if self.kind == "forest" else reached[0]
 
     def train(self, X, y, seed: int = 0):
         """One model on all of ``X``, ``y``."""
@@ -767,9 +718,12 @@ def _features_used(node: TreeNode) -> set[int]:
 
 
 def predict_forest(model: ForestModel, row) -> str:
-    votes = [predict_tree(t, row) for t in model.trees]
-    labels, counts = np.unique(votes, return_counts=True)
-    return str(labels[np.argmax(counts)])  # tie -> lexicographically smallest
+    return _majority([predict_tree(t, row) for t in model.trees])
+
+
+def _majority(labels: list[str]) -> str:
+    """The label most of ``labels`` are; a tie goes to the lexicographically smallest."""
+    return max(sorted(set(labels)), key=labels.count)  # max keeps the first best
 
 
 def predict(model, row):

@@ -1,11 +1,11 @@
 """One ordered parallel map: the single home for parallelism in the toolkit.
 
 ``ordered_map(fn, items, workers)`` returns ``[fn(item) for item in items]``.
-With one worker, or fewer than two items, it is exactly that loop in this
-process. Otherwise forked processes, no more than ``workers``, the items or
-the CPUs this process may run on, take the items one at a time, and the
-results come back in input order, so the first item (in input order) whose
-call raises re-raises its exception here, as the loop would.
+It forks no more processes than ``workers``, the items or the CPUs this
+process may run on. When that is at most one, it is exactly that loop in
+this process. Otherwise the forked processes take the items one at a time,
+and the results come back in input order, so the first item (in input
+order) whose call raises re-raises its exception here, as the loop would.
 
 Workers are forked, not spawned: a spawned interpreter re-imports numpy and
 scipy (about 1.6 s each) before its first item. A fork inherits only the
@@ -40,10 +40,10 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[
     items and the results must pickle.
     A worker process that dies raises ``PhonassessError``.
     """
-    if workers == 1 or len(items) < 2:
+    processes = min(workers, len(items), len(os.sched_getaffinity(0)))
+    if processes <= 1:
         return [fn(item) for item in items]
     context = multiprocessing.get_context("fork")
-    processes = min(workers, len(items), len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(max_workers=processes, mp_context=context) as pool:
         try:
             return list(pool.map(fn, items, chunksize=1))

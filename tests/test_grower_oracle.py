@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from phonassess.evaluation import loo_validate
-from phonassess.models import GAIN_TOL, LearnerSpec, TreeNode, grow_trees, predict
+from phonassess.models import GAIN_TOL, LearnerSpec, TreeNode, predict, train_cart
 
 
 # ---- reference: the recursive grower, verbatim --------------------------
@@ -182,7 +182,7 @@ def class_target(draw, rng, n, n_classes):
 def test_cart_regression_matches_recursive_grower(case, min_leaf, data):
     X, rng = case
     y = regression_target(data.draw, rng, len(X))
-    tree = next(grow_trees(X, y, [(np.arange(len(X)), None)], min_leaf))
+    tree = train_cart(X, y, min_leaf)
     assert shape(tree.root) == shape(ref_train_cart(X, y, min_leaf))
 
 
@@ -191,7 +191,7 @@ def test_cart_regression_matches_recursive_grower(case, min_leaf, data):
 def test_cart_classification_matches_recursive_grower(case, min_leaf, n_classes, data):
     X, rng = case
     y = class_target(data.draw, rng, len(X), n_classes)
-    tree = next(grow_trees(X, y, [(np.arange(len(X)), None)], min_leaf))
+    tree = train_cart(X, y, min_leaf)
     assert shape(tree.root) == shape(ref_train_cart(X, y, min_leaf))
 
 
@@ -206,6 +206,26 @@ def test_forest_matches_recursive_grower(case, n_trees, n_classes, seed, data):
     forest = LearnerSpec(kind="forest", n_trees=n_trees).train(X, y, seed)
     assert ([shape(t.root) for t in forest.trees]
             == [shape(t) for t in ref_train_forest(X, y, n_trees, seed)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(min_rows=3, max_rows=25, max_cols=9), st.integers(1, 5), st.data())
+def test_forest_lanes_of_mixed_row_counts_grow_as_one_call_each(case, n_trees, data):
+    """Training sets of different sizes, grown in one call, give each set's own trees."""
+    X, rng = case
+    n = len(X)
+    y = class_target(data.draw, rng, n, 2)
+    y[0], y[1] = "HC", "PD"
+    spec = LearnerSpec(kind="forest", n_trees=n_trees)
+    sets = data.draw(st.lists(st.tuples(st.lists(st.integers(2, n - 1), max_size=n),
+                                        st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+    sets = [(np.array([0, 1] + extra, dtype=np.intp), seed) for extra, seed in sets]
+    lanes = [lane for rows, seed in sets for lane in spec.lanes(X, y, rows, seed)]
+    trees = spec.grow(X, y, lanes)
+    for rows, seed in sets:
+        alone = spec.model(spec.grow(X, y, spec.lanes(X, y, rows, seed)))
+        assert ([shape(t.root) for t in spec.model(trees).trees]
+                == [shape(t.root) for t in alone.trees])
 
 
 @settings(max_examples=100, deadline=None)

@@ -94,6 +94,11 @@ class TestForest:
         with pytest.raises(PhonassessError, match="n_trees"):
             LearnerSpec(kind="forest", n_trees=n_trees)
 
+    @pytest.mark.parametrize("kind", ["forrest", "CART", ""])
+    def test_unknown_kind_error(self, kind):
+        with pytest.raises(PhonassessError, match="kind"):
+            LearnerSpec(kind=kind, n_trees=7)
+
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(6)
         X = np.vstack([rng.normal(0, 1, (12, 4)), rng.normal(3, 1, (12, 4))])

@@ -55,10 +55,16 @@ def test_first_failing_item_in_input_order_raises(deadline):
         ordered_map(fail_odd, [0, 1, 2, 3], workers=1)
 
 
-def test_one_worker_forks_nothing(deadline):
+def test_one_worker_forks_nothing(deadline, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1})
     assert ordered_map(pid, range(4), workers=1) == [os.getpid()] * 4
     assert ordered_map(pid, [0], workers=2) == [os.getpid()]
     assert os.getpid() not in ordered_map(pid, range(4), workers=2)
+
+
+def test_one_usable_cpu_forks_nothing(deadline, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0})
+    assert ordered_map(pid, [1, 2, 3], workers=2) == [os.getpid()] * 3
 
 
 def test_dead_worker_is_phonassess_error(deadline):

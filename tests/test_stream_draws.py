@@ -133,17 +133,18 @@ def test_draws_with_redraws_match_reference(n, p, n_trees, seed, data):
     original = models._STREAMS
     models._STREAMS = memo
     try:
-        lanes = models._bootstrap_lanes(rows, n_trees, seed, 2 * k - 1)
-        drawn = models._LaneWords([stream for _, stream in lanes])
+        drawn = models._LaneWords([(seed, t) for t in range(n_trees)], np.full(n_trees, n))
+        boots = rows[drawn.draw(np.arange(n_trees), np.full(n, n, dtype=np.uint64))]
+        starts = drawn.at.copy()
         got = [drawn.candidates(np.array(step), p, k) for step in nodes]
     finally:
         models._STREAMS = original
 
     at = {}
-    for t, (boot, stream) in enumerate(lanes):
+    for t, boot in enumerate(boots):
         want, at[t] = ref_integers(words[(seed, t)], 0, n)
         assert boot.tolist() == (rows[want]).tolist()
-        assert stream.start == at[t]
+        assert starts[t] == at[t]
     for step, cand in zip(nodes, got):
         for t, row in zip(step, cand):
             want, at[t] = ref_choice(words[(seed, t)], at[t], p, k)
@@ -158,10 +159,11 @@ def test_lanes_match_numpy_streams(seed, n, p, n_trees, data):
     ``SeedSequence(seed).spawn(n_trees)``, node after node, for any lanes."""
     k = max(1, int(np.sqrt(p)))
     rows = np.arange(n) * 3
-    lanes = models._bootstrap_lanes(rows, n_trees, seed, 2 * k - 1)
-    drawn = models._LaneWords([stream for _, stream in lanes])
+    drawn = models._LaneWords([(seed, t) for t in range(n_trees)],
+                              np.full(n_trees, n + (2 * k - 1) * (n // 4)))
+    boots = rows[drawn.draw(np.arange(n_trees), np.full(n, n, dtype=np.uint64))]
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
-    for (boot, _), rng in zip(lanes, rngs):
+    for boot, rng in zip(boots, rngs):
         assert boot.tolist() == rows[rng.integers(0, n, size=n)].tolist()
     # more nodes than the memo's first words cover, so lanes read on
     for _ in range(data.draw(st.integers(1, 120))):
