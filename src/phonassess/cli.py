@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .allocator import keep_freed_memory
 from .audio import load_recording
 from .errors import AudioError, ConfigError, PhonassessError
 from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
@@ -421,6 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     try:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: usage error (code 2) or --help (code 0)

@@ -21,6 +21,12 @@ NFFT = 2 * GRID
 LOG_FLOOR = 1e-12
 _EPS = 1e-30
 
+# principal triangle f1 + f2 <= GRID, and the bin f1 + f2 of each cell (0
+# outside the triangle)
+_SUM_BIN = np.arange(GRID)[:, None] + np.arange(GRID)[None, :]
+_TRIANGLE = _SUM_BIN <= GRID
+_S_SAFE = np.where(_TRIANGLE, _SUM_BIN, 0)
+
 
 @dataclass
 class BispectrumEstimate:
@@ -33,9 +39,17 @@ class BispectrumEstimate:
 
     @property
     def triangle(self) -> np.ndarray:
-        f1 = np.arange(GRID)[:, None]
-        f2 = np.arange(GRID)[None, :]
-        return f1 + f2 <= GRID
+        return _TRIANGLE.copy()
+
+
+def _frame_terms(xk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X(f1) X(f2) X*(f1+f2) and |X(f1) X(f2)|^2 of one frame's spectrum."""
+    p = xk[:GRID]
+    pr = p[:, None] * p[None, :]
+    # the conjugate is named: numpy would write pr * np.conj(...) into the
+    # conjugate's temporary, and that product rounds differently
+    xc = np.conj(xk[_S_SAFE])
+    return pr * xc, np.abs(pr) ** 2
 
 
 def estimate_bispectrum(frames: FrameSequence) -> BispectrumEstimate:
@@ -50,18 +64,22 @@ def estimate_bispectrum(frames: FrameSequence) -> BispectrumEstimate:
     sig = frames.frames - frames.frames.mean(axis=1, keepdims=True)
     spec = np.fft.rfft(sig, NFFT)          # (K, GRID + 1)
     x = spec[:, : GRID + 1]
+    k = len(x)
 
-    f1 = np.arange(GRID)[:, None]
-    f2 = np.arange(GRID)[None, :]
-    s = f1 + f2
-    tri = s <= GRID
-    s_safe = np.where(tri, s, 0)
-
-    p = x[:, :GRID]
-    prod12 = p[:, :, None] * p[:, None, :]          # X(f1) X(f2)
-    x3 = np.conj(x[:, s_safe])                      # X*(f1+f2)
-    b = (prod12 * x3).mean(axis=0)
-    den = (np.abs(prod12) ** 2).mean(axis=0) * (np.abs(x[:, s_safe]) ** 2).mean(axis=0)
+    # per-frame terms summed in frame order, the order in which mean(axis=0)
+    # adds up a (K, GRID, GRID) array, without building one
+    b, m12 = _frame_terms(x[0])
+    for xk in x[1:]:
+        t, m = _frame_terms(xk)
+        b += t
+        m12 += m
+    b /= k
+    m12 /= k
+    # frame mean of |X(f)|^2 per bin, then spread over the grid; the frames
+    # lie along a contiguous axis, so numpy sums them pairwise, which the
+    # bitwise oracle in tests/test_bispectrum_oracle.py requires
+    m3 = (np.abs(np.ascontiguousarray(x.T)) ** 2).mean(axis=1)[_S_SAFE]
+    den = m12 * m3
     # relative floor: dead cells regularize identically at any input gain
     floor = max(1e-24 * float(den.max()), _EPS)
     bico = np.abs(b) / np.sqrt(np.maximum(den, floor))
@@ -69,8 +87,8 @@ def estimate_bispectrum(frames: FrameSequence) -> BispectrumEstimate:
     # floating-point reduction noise
     b = 0.5 * (b + b.T)
     bico = 0.5 * (bico + bico.T)
-    b = np.where(tri, b, 0.0)
-    bico = np.clip(np.where(tri, bico, 0.0), 0.0, 1.0)
+    b = np.where(_TRIANGLE, b, 0.0)
+    bico = np.clip(np.where(_TRIANGLE, bico, 0.0), 0.0, 1.0)
     return BispectrumEstimate(
         grid=b,
         bicoherence=bico,

@@ -18,6 +18,8 @@ and the command-line process runs no other thread, so no lock is held
 across the fork. Each worker is a direct child of this process and is
 joined before ``ordered_map`` returns. BLAS thread counts are pinned to one
 in ``phonassess/__init__.py``, so workers do not oversubscribe the cores.
+Workers inherit the caller's allocator policy by fork: under ``cli.main``
+they keep freed memory in their heap (``phonassess.allocator``).
 """
 from __future__ import annotations
 

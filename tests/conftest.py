@@ -1,3 +1,11 @@
+import sys
+
+# phonassess pins BLAS to one thread, as on the command line; the pin takes
+# effect only if it runs before numpy is first imported
+if "numpy" in sys.modules and "phonassess" not in sys.modules:
+    raise RuntimeError("numpy was imported before phonassess could pin BLAS to one thread")
+import phonassess  # noqa: F401
+
 import numpy as np
 import pytest
 
