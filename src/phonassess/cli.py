@@ -3,12 +3,15 @@
 Config values come from an optional key=value file overridden by flags.
 Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
 ``trees``, ``mrmr_k``, ``sffs_patience``, ``min_leaf`` and ``workers`` must be
-at least 1; a boolean config value is one of 1/true/yes/0/false/no.
+at least 1 and ``seed`` at least 0; a boolean config value is one of
+1/true/yes/0/false/no. ``synth`` takes vowels and tasks from ``audio.VOWELS``
+and ``audio.TASKS`` and at least one subject.
 ``extract`` runs its recordings over ``workers`` forked processes (default:
 the CPUs this process may run on; 1 runs them in this process), with the
 same outputs for every worker count.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
-file or value, scope token or target, a missing --manifest; or an argparse
+file or value, scope token or target, a missing --manifest, a bad synth
+vowel, task or subject count; or an argparse
 usage error such as a flag the subcommand does not take), 2 data error (any
 other ``PhonassessError``).
 """
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocator import keep_freed_memory
-from .audio import load_recording
+from .audio import TASKS, VOWELS, load_recording
 from .errors import AudioError, ConfigError, PhonassessError
 from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
                          estimation_errors, loo_validate, regression_metrics,
@@ -46,7 +49,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 
-POSITIVE_KEYS = ("mrmr_k", "sffs_patience", "trees", "min_leaf", "workers")
+LOWER_BOUNDS = {"mrmr_k": 1, "sffs_patience": 1, "trees": 1, "min_leaf": 1, "workers": 1, "seed": 0}
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -111,9 +114,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    for key in POSITIVE_KEYS:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    for key, low in LOWER_BOUNDS.items():
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be at least {low}, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -121,15 +124,19 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     from .synth import make_classification_cohort, make_regression_cohort
 
     out = Path(cfg.out)
+    vowels, tasks = args.vowels.split(","), args.tasks.split(",")
+    for flag, tokens, allowed in (("--vowels", vowels, VOWELS), ("--tasks", tasks, TASKS)):
+        if bad := [t for t in tokens if t not in allowed]:
+            raise ConfigError(f"{flag} takes tokens from {','.join(allowed)}, got {bad[0]!r}")
+    if args.subjects < 1:
+        raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
     if args.mode == "classify":
         manifest = make_classification_cohort(out, n_pd=args.subjects // 2,
                                               n_hc=args.subjects - args.subjects // 2,
-                                              vowels=args.vowels.split(","),
-                                              tasks=args.tasks.split(","), seed=cfg.seed)
+                                              vowels=vowels, tasks=tasks, seed=cfg.seed)
     else:
-        manifest = make_regression_cohort(out, n_subjects=args.subjects,
-                                          vowels=args.vowels.split(","),
-                                          tasks=args.tasks.split(","),
+        manifest = make_regression_cohort(out, n_subjects=args.subjects, vowels=vowels,
+                                          tasks=tasks,
                                           target=cfg.target if cfg.target != "group" else "updrs3",
                                           seed=cfg.seed)
     log.info("wrote cohort manifest %s", manifest)
@@ -229,7 +236,7 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
     ok = drop_incomplete_rows(X, y, sel.selected_indices)
     _write_selection(Path(cfg.out) / f"selection_{target_name}_{matrix.scope}.json", sel,
                      no_target=np.asarray(matrix.subject_ids)[~rows], dropped=ids[~ok])
-    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec, seed=cfg.seed)
+    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec)
     if loo.failed_folds:
         held_out = ", ".join(ids[ok][loo.failed_folds])
         raise PhonassessError(f"scope {matrix.scope}: {len(loo.failed_folds)} LOO fold(s) "

@@ -67,8 +67,9 @@ def trade_off_sen_spe(sen_fraction: float, spe_fraction: float) -> float:
     return 2.0 ** (math.sin(math.pi * sen_fraction / 2.0) * math.sin(math.pi * spe_fraction / 2.0))
 
 
-def classification_metrics(pred, truth, positive: str = POSITIVE_CLASS) -> ClassificationMetrics:
-    """ACC, SEN, SPE (percent) and TSS of predicted labels against the truth.
+def classification_metrics(pred, truth) -> ClassificationMetrics:
+    """ACC, SEN, SPE (percent) and TSS of predicted labels against the truth;
+    ``POSITIVE_CLASS`` is the positive label.
 
     Every prediction must be one of the truth's labels: a NaN, say from a
     failed fold, raises rather than counting as a negative.
@@ -79,14 +80,15 @@ def classification_metrics(pred, truth, positive: str = POSITIVE_CLASS) -> Class
         raise PhonassessError("prediction/truth length mismatch")
     if stray := set(pred.tolist()) - set(truth.tolist()):
         raise PhonassessError(f"prediction is not a class label: {sorted(map(repr, stray))[0]}")
-    pos = truth == positive
+    pos = truth == POSITIVE_CLASS
     neg = ~pos
     if not pos.any() or not neg.any():
         raise PhonassessError("both classes must be present in the truth labels")
-    tp = np.sum(pos & (pred == positive))
-    fn = np.sum(pos & (pred != positive))
-    tn = np.sum(neg & (pred != positive))
-    fp = np.sum(neg & (pred == positive))
+    hit = pred == POSITIVE_CLASS
+    tp = np.sum(pos & hit)
+    fn = np.sum(pos & ~hit)
+    tn = np.sum(neg & ~hit)
+    fp = np.sum(neg & hit)
     sen = tp / (tp + fn)
     spe = tn / (tn + fp)
     acc = (tp + tn) / len(truth)
@@ -196,47 +198,46 @@ class LooResult:
     failed_folds: list[int] = field(default_factory=list)
 
 
-def loo_validate(X, y, learner: LearnerSpec, seed: int = 0) -> LooResult:
+def loo_validate(X, y, learner: LearnerSpec) -> LooResult:
     """Leave-one-out: for each row i, train ``learner`` on the others and predict i.
 
+    The rows must be complete: a missing cell in ``X``, or a missing or
+    infinite value in a numeric ``y``, raises ``PhonassessError`` before any
+    fold is built (every fold but that row's own would fail to train).
     No model is built. The lanes of all folds go through one call of the
     learner's router (``LearnerSpec.route``), which grows them in batches
     under its byte budget (``models.LANE_BUDGET_BYTES``) and carries each
     fold's held-out row down its trees' splits as they are made. A fold
     predicts what ``models.predict`` would: its CART's leaf, or its forest's
     majority label (a tie goes to the lexicographically smallest). Fold i
-    trains with ``seed + i``, so the result is deterministic given the seed,
-    and a forest's tree streams are set up once per process
+    trains with ``learner.seed + i``, so the result is deterministic given
+    the learner, and a forest's tree streams are set up once per process
     (``models.STREAM_MEMO_BYTES``) however many subsets a search scores.
-    Folds whose training fails, or whose held-out row misses a feature one
-    of their trees splits on, are recorded and predict NaN. A numeric ``y``
-    gives float predictions, class labels object ones.
+    Folds whose training fails (a forest fold left with one class) are
+    recorded and predict NaN. A numeric ``y`` gives float predictions, class
+    labels object ones.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
     y = np.asarray(y)
+    if np.isnan(X).any():
+        raise PhonassessError("leave-one-out matrix contains missing values; drop rows first")
+    if is_regression_target(y) and not np.isfinite(y).all():
+        raise PhonassessError("target contains missing or infinite values; drop rows first")
     folds = {}
     for i in range(n):
         try:
-            folds[i] = learner.lanes(X, y, np.delete(np.arange(n), i), seed + i)
+            folds[i] = learner.lanes(X, y, np.delete(np.arange(n), i), learner.seed + i)
         except PhonassessError:
             pass
     held_out = np.repeat(np.fromiter(folds, dtype=np.intp, count=len(folds)),
                          [len(lanes) for lanes in folds.values()])
     leaves = learner.route(X, y, chain.from_iterable(folds.values()), held_out)
-    preds = np.empty(n, dtype=object)
-    failed = []
-    for i in range(n):
-        if i in folds:
-            try:
-                preds[i] = learner.vote(leaves)  # takes this fold's leaves, in order
-                continue
-            except PhonassessError:
-                pass
-        failed.append(i)
-        preds[i] = float("nan")
+    preds = np.full(n, float("nan"), dtype=object)
+    for i in folds:
+        preds[i] = learner.vote(leaves)  # takes this fold's leaves, in order
     if is_regression_target(y):
         preds = preds.astype(np.float64)
-    return LooResult(predictions=preds, failed_folds=failed)
+    return LooResult(predictions=preds, failed_folds=[i for i in range(n) if i not in folds])

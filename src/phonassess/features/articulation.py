@@ -25,7 +25,6 @@ class FormantTrack:
     bw1: np.ndarray
     bw2: np.ndarray
     bw3: np.ndarray
-    times: np.ndarray
 
     def valid(self) -> np.ndarray:
         """Frames carrying at least the first resonance."""
@@ -93,7 +92,7 @@ def estimate_formants(frames: FrameSequence, fs: int) -> FormantTrack:
         out[3 : 3 + len(b), i] = b
     if np.all(np.isnan(out[0])):
         raise InsufficientSignalError("no frame yields a valid resonance")
-    return FormantTrack(out[0], out[1], out[2], out[3], out[4], out[5], frames.times)
+    return FormantTrack(*out)
 
 
 def vowel_space_features(

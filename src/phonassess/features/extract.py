@@ -48,9 +48,7 @@ class ExtractionResult:
 
 def _slice_contour(contour: F0Contour, t0: float, t1: float) -> F0Contour:
     m = (contour.times >= t0) & (contour.times < t1)
-    peaks = contour.acf_peak[m] if contour.acf_peak is not None else None
-    return F0Contour(times=contour.times[m] - t0, f0=contour.f0[m],
-                     voicing=contour.voicing[m], acf_peak=peaks)
+    return F0Contour(times=contour.times[m] - t0, f0=contour.f0[m], voicing=contour.voicing[m])
 
 
 @dataclass
@@ -94,7 +92,7 @@ def _higher_order(s: _Inputs) -> dict[str, float]:
 
 def _nonlinear_block(s: _Inputs) -> dict[str, float]:
     seg = s.block.samples
-    values = nonlinear.entropy_features(seg, nonlinear.embed(seg, nonlinear.EMBED_DIM, s.tau))
+    values = nonlinear.entropy_features(seg, s.tau)
     return {**values, "fd": nonlinear.katz_fd(seg), "zl": nonlinear.normalized_lempel_ziv(seg)}
 
 
@@ -116,8 +114,8 @@ MEASURES = [
     (("imf_snr_tkeo", "imf_snr_seo", "imf_snr_se", "imf_snr_re", "imf_snr_zcr", "imf_nsr_tkeo",
       "imf_nsr_seo", "imf_nsr_se", "imf_nsr_re", "imf_fd", "imf_cpp", "imf_gne"), RECORDING,
      lambda s: emd.imf_features(emd.emd(s.rec.samples), s.rec.fs, s.failures)),
-    (("cd", "he", "lle"), RECORDING, lambda s: nonlinear.complexity_features(
-        nonlinear.embed(s.rec.samples, nonlinear.EMBED_DIM, s.tau), s.rec.samples)),
+    (("cd", "he", "lle"), RECORDING,
+     lambda s: nonlinear.complexity_features(s.rec.samples, s.tau)),
     (("jitter_local", "jitter_abs", "jitter_rap", "jitter_ppq5", "jitter_ddp"), CYCLES,
      lambda s: phonation.jitter_features(s.cycles)),
     (("shimmer_local", "shimmer_db", "shimmer_apq3", "shimmer_apq5", "shimmer_apq11",

@@ -37,10 +37,6 @@ class BispectrumEstimate:
     resolution: float        # Hz per bin
     mean_spectrum: np.ndarray  # mean magnitude spectrum (GRID + 1 bins)
 
-    @property
-    def triangle(self) -> np.ndarray:
-        return _TRIANGLE.copy()
-
 
 def _frame_terms(xk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X(f1) X(f2) X*(f1+f2) and |X(f1) X(f2)|^2 of one frame's spectrum."""
@@ -129,7 +125,7 @@ def _phase_interference(field: np.ndarray) -> float:
 
 def bispectral_features(est: BispectrumEstimate) -> dict[str, float]:
     """Interference indices and spectra/bispectra band-energy ratios."""
-    tri = est.triangle
+    tri = _TRIANGLE
     bico = est.bicoherence
     fc = GRID // 4  # quarter of the Nyquist
 
@@ -168,12 +164,6 @@ def bicepstrum(est: BispectrumEstimate) -> np.ndarray:
     return np.fft.ifft2(logb)
 
 
-def _cepstrum_1d(spectrum: np.ndarray) -> np.ndarray:
-    spec = np.asarray(spectrum, dtype=np.float64)
-    floor = max(LOG_FLOOR * float(spec.max()), LOG_FLOOR * _EPS)
-    return np.fft.irfft(np.log(np.maximum(spec, floor)))
-
-
 def bicepstral_features(est: BispectrumEstimate, c: np.ndarray,
                         prev: np.ndarray | None = None) -> dict[str, float]:
     """Bicepstral indices of ``est`` from its bicepstrum ``c``.
@@ -200,7 +190,9 @@ def bicepstral_features(est: BispectrumEstimate, c: np.ndarray,
     bcpii = _phase_interference(cfield)
 
     # 1-D cepstrum of the mean magnitude spectrum vs bicepstral energies
-    cep = _cepstrum_1d(est.mean_spectrum)
+    spec = est.mean_spectrum
+    floor = max(LOG_FLOOR * float(spec.max()), LOG_FLOOR * _EPS)
+    cep = np.fft.irfft(np.log(np.maximum(spec, floor)))
     half = len(cep) // 2
     cep_sq = cep[1:half] ** 2
     split = max(1, half // 4)

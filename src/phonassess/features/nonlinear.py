@@ -13,8 +13,6 @@ every estimator is bit-reproducible for fixed parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import InsufficientSignalError
@@ -31,24 +29,14 @@ PE_ORDER = 3
 RBE_BLOCK = 3
 
 
-@dataclass
-class Embedding:
-    dimension: int
-    delay: int
-    trajectory: np.ndarray  # (points, dimension)
-
-    def __post_init__(self):
-        if self.trajectory.shape[0] <= 0:
-            raise InsufficientSignalError("empty delay embedding")
-
-
-def embed(x: np.ndarray, m: int = EMBED_DIM, tau: int = 1) -> Embedding:
+def embed(x: np.ndarray, m: int = EMBED_DIM, tau: int = 1) -> np.ndarray:
+    """Delay-embedding trajectory (points, m), row i = x[i], x[i + tau], ...;
+    the estimators never build it but read its distances (``_embed_cheb``)."""
     x = np.asarray(x, dtype=np.float64)
     n = len(x) - (m - 1) * tau
     if n <= 0:
         raise InsufficientSignalError("signal too short for this embedding")
-    traj = np.column_stack([x[i * tau : i * tau + n] for i in range(m)])
-    return Embedding(dimension=m, delay=tau, trajectory=traj)
+    return np.column_stack([x[i * tau : i * tau + n] for i in range(m)])
 
 
 def _cap_window(x: np.ndarray, cap: int) -> np.ndarray:
@@ -310,18 +298,16 @@ def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float | None:
     return float(slope)
 
 
-def complexity_features(emb: Embedding, x: np.ndarray) -> dict[str, float]:
-    """cd, he and lle for one signal and its embedding parameters; each is
-    left out where its estimator has nothing to fit (see each estimator)."""
+def complexity_features(x: np.ndarray, tau: int) -> dict[str, float]:
+    """cd, he and lle for one signal embedded in EMBED_DIM dimensions at delay
+    tau; each is left out where its estimator has nothing to fit (see each
+    estimator). Fewer than 100 delay vectors raise InsufficientSignalError."""
     x = np.asarray(x, dtype=np.float64)
-    m, tau = emb.dimension, emb.delay
-    if emb.trajectory.shape[0] < 100:
-        raise InsufficientSignalError("trajectory too short for complexity features")
-
+    m = EMBED_DIM
     w = _cap_window(x, PAIR_CAP + (m - 1) * tau)
     n_pts = len(w) - (m - 1) * tau
     if n_pts < 100:
-        raise InsufficientSignalError("capped trajectory too short")
+        raise InsufficientSignalError("trajectory too short for complexity features")
     sd = np.std(w)
     base = _abs_diff(w / sd if sd > 0 else w)  # scale-free distances
     d_m = _embed_cheb(base, n_pts, m, tau)
@@ -448,8 +434,9 @@ def _template_entropies(base: np.ndarray, m: int, r: float) -> dict[str, float]:
     return out
 
 
-def entropy_features(x: np.ndarray, emb: Embedding) -> dict[str, float]:
-    """All group-6 entropy measures for one signal.
+def entropy_features(x: np.ndarray, tau: int) -> dict[str, float]:
+    """All group-6 entropy measures for one signal; ce embeds it in EMBED_DIM
+    dimensions at delay tau.
 
     In a constant window the tolerance r = 0.2 std is 0 and there is no
     scaling region, so ae, the se_* and ce are left out of its block.
@@ -471,7 +458,7 @@ def entropy_features(x: np.ndarray, emb: Embedding) -> dict[str, float]:
 
     # correlation entropy on the delay embedding of the same window; a delay
     # too long for it, or no scaling region, leaves ce out of this block
-    m, tau = emb.dimension, emb.delay
+    m = EMBED_DIM
     n_m1 = len(w) - m * tau
     if n_m1 >= 100:
         d_m = _embed_cheb(base, len(w) - (m - 1) * tau, m, tau)

@@ -102,16 +102,10 @@ def spectral_quality(frames: FrameSequence):
     return sf, sdbm, sdbp
 
 
-def _cepstrum(frame: np.ndarray) -> np.ndarray:
-    """Inverse transform of the dB magnitude spectrum (linear units)."""
-    mag = np.abs(np.fft.rfft(frame, CEPSTRUM_NFFT))
-    cep = np.fft.irfft(20.0 * np.log10(np.maximum(mag, TINY)), CEPSTRUM_NFFT)
-    return cep[: CEPSTRUM_NFFT // 2]
-
-
 def cepstral_quality(frames: FrameSequence, contour: F0Contour):
     """(cpp, pecm, vr) over the voiced frames of a frame sequence.
 
+    A frame's cepstrum is the inverse transform of its dB magnitude spectrum.
     The power cepstra of the voiced frames are averaged across frames (which
     suppresses the extreme-value bias a noisy log cepstrum would otherwise
     show); cpp is the dB peak height of that average above its linear
@@ -135,8 +129,8 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour):
         f0 = f0_per_frame[i]
         if f0 <= 0:
             continue
-        cep = _cepstrum(frames.frames[i])
-        powers.append(cep**2)
+        cep = np.fft.irfft(20.0 * np.log10(np.maximum(spec_all[i], TINY)), CEPSTRUM_NFFT)
+        powers.append(cep[: CEPSTRUM_NFFT // 2] ** 2)
         f0_used.append(f0)
         h1 = _harmonic_db(spec_all[i], freq_axis, f0)
         h2 = _harmonic_db(spec_all[i], freq_axis, 2 * f0)

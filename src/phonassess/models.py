@@ -25,13 +25,12 @@ whose working arrays stay under ``LANE_BUDGET_BYTES``.
 ``_grow`` (called by ``LearnerSpec.grow`` and ``.route``) turns each lane
 into a tree or, given a held-out row per lane, builds none: each lane
 carries its row down its splits as they are made (with the same ``<=``)
-and gives the leaf it reaches, which is all a leave-one-out fold needs. A
-CART lane whose row misses no value grows only that row's path; forest
-lanes and rows with a missing value grow the whole tree, the first because
-node draws follow the whole preorder, the second because a missing value
-fails the fold if any split of the tree uses it. A routing
-lane expands no leaf: a child that cannot split (too small, or one target
-value) gives its value at once if the row goes there, and is dropped if not.
+and gives the leaf it reaches, which is all a leave-one-out fold needs.
+Held-out rows are complete (``evaluation.loo_validate`` checks). A CART
+lane grows only its row's path; a forest lane grows the whole tree, because
+its node draws follow the whole preorder. A routing lane expands no leaf: a
+child that cannot split (too small, or one target value) gives its value at
+once if the row goes there, and is dropped if not.
 
 Random draws. A forest lane is its training rows and its stream (s, t):
 tree t of a forest seeded s draws from the PCG64 stream of
@@ -298,10 +297,10 @@ def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out=None):
     (seed, tree) stream, which bootstraps ``rows`` and draws each node's
     ``n_candidates`` candidate columns; a CART lane's stream is None. With
     ``n_candidates`` None (or at least the column count) every column is a
-    candidate. A leaf gives its value (its label for class targets), or None
-    when the tree splits anywhere on a feature the held-out row is missing,
-    where ``predict`` would raise; no tree is built then. The target is coded
-    once and the lanes grow in batches under ``LANE_BUDGET_BYTES``.
+    candidate. A leaf gives its value (its label for class targets). With
+    ``held_out`` no tree is built, and each held-out row must miss no value.
+    The target is coded once and the lanes grow in batches under
+    ``LANE_BUDGET_BYTES``.
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
@@ -357,16 +356,12 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     # a pending node's rows are one run of ``runs``, which holds each lane's
     # positions with every node's rows together, in row order
     runs = np.broadcast_to(np.arange(width), (m, width)).copy()
-    # a routing lane grows only its row's path, unless node draws (which
-    # follow the whole preorder) or a missing value in its row (whose fold
-    # fails if any split of the tree uses it) need the whole tree
-    whole = np.ones(m, dtype=bool)
     if held is not None:  # the held-out row's stack slot; -1 once in its leaf
         held_slot = np.zeros(m, dtype=np.intp)
         reached = np.zeros(m, dtype=np.intp if classes else np.float64)
-        missing = np.zeros(m, dtype=bool)
-        whole[:] = n_candidates is not None
-        whole |= np.isnan(X[held]).any(axis=1)
+        # a routing lane grows only its row's path, unless node draws (which
+        # follow the whole preorder) need the whole tree
+        whole = n_candidates is not None
 
     # Each lane's stack of pending nodes, its top slot the next node: where
     # the node's run starts, its row count, and whether its targets all agree.
@@ -419,13 +414,11 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
             # side its row goes to.
             kept = [np.ones(cut.size, dtype=bool) for _ in sides]
             if held is not None:
-                x = X[held[lane], feature[cut]]
-                missing[lane] |= np.isnan(x)
-                left = x <= threshold[cut]
+                left = X[held[lane], feature[cut]] <= threshold[cut]
                 goes = (left, ~left)
                 for side, keep, go in zip(sides, kept, goes):
                     leafy = (side[1] < 2 * min_leaf) | side[2]
-                    keep &= ~leafy & (whole[lane] | go)
+                    keep &= ~leafy & (whole | go)
                     if (at := np.flatnonzero(here[cut] & go & leafy)).size:
                         reached[lane[at]] = _leaf_values(
                             runs, ys, raw, lane[at], side[0][at], side[1][at], side[2][at],
@@ -445,7 +438,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
 
     if held is not None:
         for i in range(m):
-            yield None if missing[i] else (classes[reached[i]] if classes else float(reached[i]))
+            yield classes[reached[i]] if classes else float(reached[i])
         return
     features, thresholds, leaves = np.array(features), np.array(thresholds), np.array(leaves)
     for i in range(m):
@@ -652,8 +645,7 @@ class LearnerSpec:
 
     def route(self, X: np.ndarray, y: np.ndarray, lanes, held_out):
         """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to, in
-        order: its value, or None when its tree splits on a feature the row
-        is missing."""
+        order: its value. The held-out rows must miss no value."""
         return _grow(X, *self._grower(X, y), lanes, np.asarray(held_out, dtype=np.intp))
 
     def model(self, trees):
@@ -665,13 +657,8 @@ class LearnerSpec:
     def vote(self, leaves):
         """What ``predict`` gives for one row from the next leaves ``route``
         yields for it: a CART's leaf, or the label most of a forest's trees
-        reach (``_majority``, as in ``predict_forest``).
-
-        Raises ``PhonassessError`` when a tree splits on a feature the row is missing.
-        """
+        reach (``_majority``, as in ``predict_forest``)."""
         reached = list(islice(leaves, self.n_trees if self.kind == "forest" else 1))
-        if any(leaf is None for leaf in reached):
-            raise PhonassessError("row is missing a feature the model references")
         return _majority(reached) if self.kind == "forest" else reached[0]
 
     def train(self, X, y, seed: int = 0):

@@ -5,8 +5,9 @@ plain (untapered) F0_FRAME_MS (40 ms) frames every HOP_MS (10 ms), searching
 [F0_MIN, F0_MAX] = [60, 400] Hz. Frames below ENERGY_THRESHOLD mean power
 are unvoiced; a frame is voiced when its peak reaches VOICING_THRESHOLD.
 The raw autocorrelation of a Hann-tapered frame is divided by the taper's
-own autocorrelation to remove the window bias, which matters for the
-harmonics-to-noise measures built on the same peak values downstream.
+own autocorrelation to remove the window bias, so the voicing threshold
+means the same at every lag. The harmonics-to-noise measures do not read
+these peaks: ``quality.harmonicity_r`` computes its own.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ class F0Contour:
     times: np.ndarray
     f0: np.ndarray
     voicing: np.ndarray
-    # peak value of the window-corrected normalized autocorrelation
-    acf_peak: np.ndarray = None
 
     def __post_init__(self):
         if not (len(self.times) == len(self.f0) == len(self.voicing)):
@@ -41,9 +40,6 @@ class F0Contour:
     @property
     def voiced_f0(self) -> np.ndarray:
         return self.f0[self.voicing]
-
-    def voiced_fraction(self) -> float:
-        return float(np.mean(self.voicing)) if len(self.voicing) else 0.0
 
 
 @dataclass
@@ -105,7 +101,7 @@ def _parabolic(y: np.ndarray, i: int) -> tuple[float, float]:
     return i + delta, float(b - 0.25 * (a - c) * delta)
 
 
-def acf_peak_in_range(acf_row: np.ndarray, lag_min: int, lag_max: int) -> tuple[float, float]:
+def pitch_lag_in_range(acf_row: np.ndarray, lag_min: int, lag_max: int) -> tuple[float, float]:
     """Best pitch-lag candidate in [lag_min, lag_max].
 
     Local maxima within 85 % of the strongest are octave candidates; the
@@ -146,18 +142,16 @@ def estimate_f0(rec: Recording) -> F0Contour:
     n = len(frames)
     f0 = np.zeros(n)
     voicing = np.zeros(n, dtype=bool)
-    peaks = np.zeros(n)
     for i in range(n):
         if energy[i] < ENERGY_THRESHOLD:
             continue
-        lag, value = acf_peak_in_range(acf[i], lag_min, lag_max)
-        peaks[i] = value
+        lag, value = pitch_lag_in_range(acf[i], lag_min, lag_max)
         if lag > 0 and value >= VOICING_THRESHOLD:
             cand = rec.fs / lag
             if F0_MIN <= cand <= F0_MAX:
                 f0[i] = cand
                 voicing[i] = True
-    return F0Contour(times=frames.times, f0=f0, voicing=voicing, acf_peak=peaks)
+    return F0Contour(times=frames.times, f0=f0, voicing=voicing)
 
 
 def _voiced_segments(contour: F0Contour) -> list[tuple[int, int]]:

@@ -179,7 +179,7 @@ def loo_objective(X, y, spec: LearnerSpec) -> float:
 
     A subset on which any fold fails to train scores ``-inf``.
     """
-    result = loo_validate(X, y, spec, seed=spec.seed)
+    result = loo_validate(X, y, spec)
     if result.failed_folds:
         return -np.inf
     preds = result.predictions

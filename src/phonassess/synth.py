@@ -17,6 +17,8 @@ from .audio import write_wav
 from .manifest import SCORE_COLUMNS
 
 DEFAULT_FS = 16_000
+PULSE_WIDTH_S = 0.001
+FORMANT_BANDWIDTHS = (80.0, 100.0, 150.0)  # Hz, of the three resonators
 
 
 def pulse_train(
@@ -25,33 +27,23 @@ def pulse_train(
     f0: float = 100.0,
     jitter_pct: float = 0.0,
     shimmer_pct: float = 0.0,
-    pattern: str = "random",
-    pulse_width: float = 0.001,
     seed: int = 0,
 ) -> np.ndarray:
-    """Impulse-like glottal source with per-cycle perturbations.
-
-    pattern='alternating' flips the full perturbation sign every cycle
-    (exact analytic jitter/shimmer); 'random' draws uniform perturbations.
-    """
+    """Impulse-like glottal source: PULSE_WIDTH_S pulses whose period and
+    amplitude each cycle deviate uniformly within +-jitter_pct and
+    +-shimmer_pct percent."""
     rng = np.random.default_rng(seed)
     n = int(fs * duration)
     x = np.zeros(n)
-    w = max(1, int(pulse_width * fs))
+    w = max(1, int(PULSE_WIDTH_S * fs))
     base = fs / f0
     pos = 0.0
-    k = 0
     while pos < n - w - base:
-        if pattern == "alternating":
-            dev_t = jitter_pct / 100.0 * (-1 if k % 2 == 0 else 1)
-            dev_a = shimmer_pct / 100.0 * (-1 if k % 2 == 0 else 1)
-        else:
-            dev_t = jitter_pct / 100.0 * rng.uniform(-1, 1)
-            dev_a = shimmer_pct / 100.0 * rng.uniform(-1, 1)
+        dev_t = jitter_pct / 100.0 * rng.uniform(-1, 1)
+        dev_a = shimmer_pct / 100.0 * rng.uniform(-1, 1)
         i = int(round(pos))
         x[i : i + w] = 1.0 + dev_a
         pos += base * (1.0 + dev_t)
-        k += 1
     return x
 
 
@@ -101,16 +93,16 @@ def synth_vowel(
     duration: float = 2.0,
     f0: float = 120.0,
     formants=(700.0, 1200.0, 2600.0),
-    bandwidths=(80.0, 100.0, 150.0),
     jitter_pct: float = 0.5,
     shimmer_pct: float = 2.0,
     snr_db: float = 30.0,
     seed: int = 0,
 ) -> np.ndarray:
-    """Vowel-like signal: perturbed pulse source through a resonator cascade."""
+    """Vowel-like signal: perturbed pulse source through a resonator cascade
+    at ``formants`` with FORMANT_BANDWIDTHS."""
     rng = np.random.default_rng(seed)
     src = pulse_train(fs, duration, f0, jitter_pct, shimmer_pct, seed=seed + 1)
-    y = resonator_bank(src, fs, formants, bandwidths)
+    y = resonator_bank(src, fs, formants, FORMANT_BANDWIDTHS)
     y = add_noise_snr(y, snr_db, rng)
     peak = np.max(np.abs(y))
     return 0.7 * y / peak if peak > 0 else y
@@ -142,11 +134,10 @@ def make_regression_cohort(
     vowels=("a",),
     tasks=("s",),
     target: str = "updrs3",
-    fs: int = DEFAULT_FS,
-    duration: float = 2.0,
     seed: int = 7,
 ) -> Path:
-    """Cohort whose target score is a monotone function of injected jitter.
+    """Cohort of 2 s DEFAULT_FS recordings whose target score is a monotone
+    function of injected jitter.
 
     Returns the manifest path. Scores span roughly half the target scale so
     estimation-error arithmetic has a meaningful observed range.
@@ -166,12 +157,11 @@ def make_regression_cohort(
             for t in tasks:
                 wav = outdir / f"{sid}_{v}_{t}.wav"
                 x = synth_vowel(
-                    fs=fs, duration=duration, f0=110.0 + 30.0 * rng.random(),
-                    formants=VOWEL_FORMANTS[v],
+                    f0=110.0 + 30.0 * rng.random(), formants=VOWEL_FORMANTS[v],
                     jitter_pct=jitter, shimmer_pct=1.0 + jitter,
                     snr_db=25.0, seed=seed + 97 * i,
                 )
-                write_wav(wav, x, fs)
+                write_wav(wav, x, DEFAULT_FS)
                 row[f"path_{v}_{t}"] = wav.name
         rows.append(row)
     manifest = outdir / "manifest.csv"
@@ -185,11 +175,11 @@ def make_classification_cohort(
     n_hc: int = 12,
     vowels=("a",),
     tasks=("s",),
-    fs: int = DEFAULT_FS,
     duration: float = 2.0,
     seed: int = 11,
 ) -> Path:
-    """Two well-separated groups: PD-like rows carry heavy perturbation."""
+    """Two well-separated groups of DEFAULT_FS recordings: PD-like rows carry
+    heavy perturbation."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -205,12 +195,12 @@ def make_classification_cohort(
             for t in tasks:
                 wav = outdir / f"{sid}_{v}_{t}.wav"
                 x = synth_vowel(
-                    fs=fs, duration=duration, f0=105.0 + 40.0 * rng.random(),
+                    duration=duration, f0=105.0 + 40.0 * rng.random(),
                     formants=VOWEL_FORMANTS[v],
                     jitter_pct=jitter, shimmer_pct=2 * jitter, snr_db=snr,
                     seed=seed + 131 * i,
                 )
-                write_wav(wav, x, fs)
+                write_wav(wav, x, DEFAULT_FS)
                 row[f"path_{v}_{t}"] = wav.name
         rows.append(row)
     manifest = outdir / "manifest.csv"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import TASKS, VOWELS
-from .errors import ConfigError
+from .errors import ConfigError, PhonassessError
 from .features import articulation
 from .features.registry import REGISTRY, SUMMARY_STATS, column_names
 from .manifest import SCORE_COLUMNS, CohortManifest
@@ -116,24 +116,35 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path, scope: str = "") -> "FeatureMatrix":
+        """The matrix ``to_csv`` wrote to ``path``. A file that is not one
+        raises ``PhonassessError`` naming the file, the line and the column."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        header = rows[0]
+        if not rows or len(rows[0]) < 2:
+            raise PhonassessError(f"{path}, line 1: no header of subject_id, group and columns")
+        header, rows = rows[0], rows[1:]
+        cells = []  # every row's scores, then its values
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise PhonassessError(f"{path}, line {line}: {len(row)} cells where the "
+                                      f"header has {len(header)}")
+            try:
+                cells.append([float(c) if c else float("nan") for c in row[2:]])
+            except ValueError:
+                for name, text in zip(header[2:], row[2:]):
+                    try:
+                        float(text or 0)
+                    except ValueError:
+                        raise PhonassessError(f"{path}, line {line}, column {name}: "
+                                              f"{text!r} is not a number") from None
+        cells = np.asarray(cells, dtype=np.float64).reshape(len(rows), len(header) - 2)
         score_names = [h for h in header[2:] if h in SCORE_COLUMNS]
-        n_meta = 2 + len(score_names)
-        columns = header[n_meta:]
-        ids, groups = [], []
-        vals, scores = [], {s: [] for s in score_names}
-        for row in rows[1:]:
-            ids.append(row[0])
-            groups.append(row[1])
-            for k, s in enumerate(score_names):
-                cell = row[2 + k]
-                scores[s].append(float(cell) if cell else float("nan"))
-            vals.append([float(c) if c else float("nan") for c in row[n_meta:]])
-        return cls(scope=scope, subject_ids=ids, columns=columns,
-                   values=np.asarray(vals, dtype=np.float64), groups=groups,
-                   scores={s: np.asarray(v) for s, v in scores.items()})
+        n_scores = len(score_names)
+        return cls(scope=scope, subject_ids=[row[0] for row in rows],
+                   columns=header[2 + n_scores:],
+                   values=np.ascontiguousarray(cells[:, n_scores:]),
+                   groups=[row[1] for row in rows],
+                   scores={s: cells[:, k].copy() for k, s in enumerate(score_names)})
 
 
 def parse_scope(scope: str) -> tuple[str, str]:

@@ -227,18 +227,18 @@ def test_criterion_8_model_protocol():
     rng = np.random.default_rng(66)
     X = np.vstack([rng.normal(0, 0.4, (12, 3)), rng.normal(4, 0.4, (12, 3))])
     y = np.array(["HC"] * 12 + ["PD"] * 12)
-    spec = LearnerSpec(kind="forest", n_trees=30)
-    loo = loo_validate(X, y, spec, seed=7)
+    spec = LearnerSpec(kind="forest", n_trees=30, seed=7)
+    loo = loo_validate(X, y, spec)
     metrics = classification_metrics(loo.predictions, y)
 
     # poisoning: an outlier target must not leak into its own fold
     Xp = rng.uniform(0, 1, (12, 1))
     yp = np.full(12, 5.0)
     yp[4] = 500.0
-    loo_p = loo_validate(Xp, yp, LearnerSpec(min_leaf=6), seed=0)
+    loo_p = loo_validate(Xp, yp, LearnerSpec(min_leaf=6))
     poison_ok = abs(loo_p.predictions[4] - 5.0) < 1.0
 
-    again = loo_validate(X, y, spec, seed=7)
+    again = loo_validate(X, y, spec)
     identical = list(loo.predictions) == list(again.predictions)
     ok = metrics.acc == 100.0 and poison_ok and identical
     report(8, ok, (f"blobs LOO acc {metrics.acc:.0f}%, poison fold isolated, "

@@ -171,10 +171,12 @@ def test_non_integer_config_value(tmp_path):
     ("classify", ["--mrmr-k", "0"]),
     ("regress", ["--sffs-patience", "0"]),
     ("regress", ["--min-leaf", "0"]),
-], ids=["trees", "mrmr_k", "sffs_patience", "min_leaf"])
+    ("classify", ["--seed", "-3"]),
+], ids=["trees", "mrmr_k", "sffs_patience", "min_leaf", "seed"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_out_of_range_value_is_config_error(tmp_path, command, flags, source):
-    """Tree counts, mRMR size, SFFS patience and leaf size must be at least 1."""
+    """Tree counts, mRMR size, SFFS patience and leaf size must be at least 1,
+    and the seed at least 0."""
     rng = np.random.default_rng(2)
     FeatureMatrix(scope="a_s", subject_ids=[f"S{i:02d}" for i in range(14)],
                   columns=["c0", "c1"], values=rng.standard_normal((14, 2)),
@@ -335,3 +337,24 @@ def test_synth_regress_manifest(tmp_path):
     lines = (tmp_path / "c" / "manifest.csv").read_text().splitlines()
     assert len(lines) == 7
     assert lines[0].startswith("subject_id,group,sex,age,duration")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--vowels", "q"],
+    ["--vowels", "a,"],
+    ["--tasks", "zz"],
+    ["--subjects", "-2"],
+    ["--subjects", "0"],
+], ids=["seed", "vowel", "empty_vowel", "task", "negative_subjects", "no_subjects"])
+@pytest.mark.parametrize("mode", ["regress", "classify"])
+def test_bad_synth_value_is_config_error(tmp_path, mode, flags):
+    assert main(["synth", "--mode", mode, "--out", str(tmp_path / "c"), *flags]) == EXIT_CONFIG
+    assert not (tmp_path / "c").exists()
+
+
+def test_malformed_feature_matrix_is_data_error(tmp_path, caplog):
+    (tmp_path / "features_a_s.csv").write_text("subject_id,group,updrs3,c0\nS1,PD,12,abc\n")
+    code = main(["correlate", "--features", str(tmp_path), "--out", str(tmp_path / "rep")])
+    assert code == EXIT_DATA
+    assert "line 2, column c0" in caplog.text

@@ -213,8 +213,7 @@ class TestLoo:
         rng = np.random.default_rng(66)
         X = np.vstack([rng.normal(0, 0.4, (12, 3)), rng.normal(4, 0.4, (12, 3))])
         y = np.array(["HC"] * 12 + ["PD"] * 12)
-        result = loo_validate(X, y, LearnerSpec(kind="forest", n_trees=25),
-                              seed=7)
+        result = loo_validate(X, y, LearnerSpec(kind="forest", n_trees=25, seed=7))
         m = classification_metrics(result.predictions, y)
         assert m.acc == 100.0 and m.tss == 2.0
 
@@ -222,9 +221,9 @@ class TestLoo:
         rng = np.random.default_rng(67)
         X = np.vstack([rng.normal(0, 1, (10, 3)), rng.normal(2, 1, (10, 3))])
         y = np.array(["HC"] * 10 + ["PD"] * 10)
-        spec = LearnerSpec(kind="forest", n_trees=20)
-        a = loo_validate(X, y, spec, seed=11)
-        b = loo_validate(X, y, spec, seed=11)
+        spec = LearnerSpec(kind="forest", n_trees=20, seed=11)
+        a = loo_validate(X, y, spec)
+        b = loo_validate(X, y, spec)
         assert list(a.predictions) == list(b.predictions)
 
     def test_too_few_rows(self):

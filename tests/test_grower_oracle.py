@@ -265,11 +265,11 @@ def test_loo_predictions_match_per_fold_training(case, forest, data):
     n = len(X)
     if forest:
         y = class_target(data.draw, rng, n, 2)
-        spec = LearnerSpec(kind="forest", n_trees=4)
+        spec = LearnerSpec(kind="forest", n_trees=4, seed=5)
     else:
         y = regression_target(data.draw, rng, n)
-        spec = LearnerSpec(kind="cart", min_leaf=2)
-    result = loo_validate(X, y, spec, seed=5)
+        spec = LearnerSpec(kind="cart", min_leaf=2, seed=5)
+    result = loo_validate(X, y, spec)
     for i in range(n):
         rows = np.delete(np.arange(n), i)
         if forest and len(set(y[rows])) < 2:

@@ -66,7 +66,7 @@ class TestComplexity:
 
     def test_periodic_lle_near_zero(self):
         x = np.sin(2 * np.pi * np.arange(4000) / 160)
-        feats = complexity_features(embed(x, 3, 40), x)
+        feats = complexity_features(x, 40)
         assert feats["lle"] <= 0.01
 
     def test_alternating_zl_brute_force(self):
@@ -89,32 +89,39 @@ class TestComplexity:
     def test_trajectory_too_short(self):
         x = np.sin(np.arange(150) / 5.0)
         with pytest.raises(InsufficientSignalError):
-            complexity_features(embed(x, 3, 30), x)
+            complexity_features(x, 30)
 
     def test_no_scaling_region_leaves_cd_out(self):
         # a 1.0 every 400 samples: too few positive distances for a slope
         x = np.zeros(8000)
         x[::400] = 1.0
-        feats = complexity_features(embed(x, 3, 1), x)
+        feats = complexity_features(x, 1)
         assert "cd" not in feats
         assert "he" in feats and "lle" not in feats
 
     def test_constant_signal_leaves_he_and_lle_out(self):
         x = np.zeros(8000)
-        feats = complexity_features(embed(x, 3, 1), x)
+        feats = complexity_features(x, 1)
         assert "he" not in feats and "lle" not in feats
+
+    def test_embed_rows_are_delayed_samples(self):
+        x = np.arange(10.0)
+        traj = embed(x, 3, 2)
+        assert traj.shape == (6, 3)
+        assert np.array_equal(traj[1], [1.0, 3.0, 5.0])
+        with pytest.raises(InsufficientSignalError):
+            embed(x, 3, 5)
 
     def test_deterministic(self):
         x = np.sin(2 * np.pi * np.arange(3000) / 100) + 0.1 * np.random.default_rng(23).standard_normal(3000)
-        e = embed(x, 3, 25)
-        assert complexity_features(e, x) == complexity_features(e, x)
+        assert complexity_features(x, 25) == complexity_features(x, 25)
 
 
 class TestEntropies:
     def test_constant_leaves_template_entropies_out(self):
         # the tolerance r = 0.2 std is 0: ae and se_* get no made-up 0.0
         x = np.zeros(8000)
-        feats = entropy_features(x, embed(x, 3, 1))
+        feats = entropy_features(x, 1)
         assert feats["pe"] == pytest.approx(0.0, abs=1e-12)
         assert "ae" not in feats
         assert not [key for key in feats if key.startswith("se_")]
@@ -133,32 +140,32 @@ class TestEntropies:
     def test_noise_exceeds_sine_every_kernel(self):
         sine = np.sin(2 * np.pi * np.arange(2000) / 160)
         noise = np.random.default_rng(26).standard_normal(2000)
-        se_s = entropy_features(sine, embed(sine, 3, 1))
-        se_n = entropy_features(noise, embed(noise, 3, 1))
+        se_s = entropy_features(sine, 1)
+        se_n = entropy_features(noise, 1)
         for k in range(1, 9):
             assert se_n[f"se_k{k}"] > se_s[f"se_k{k}"], k
 
     def test_amplitude_scale_invariance(self):
         x = np.sin(2 * np.pi * np.arange(1500) / 90) + 0.05 * np.random.default_rng(27).standard_normal(1500)
-        a = entropy_features(x, embed(x, 3, 1))
-        b = entropy_features(0.5 * x, embed(0.5 * x, 3, 1))
+        a = entropy_features(x, 1)
+        b = entropy_features(0.5 * x, 1)
         for key in ["ae", *(f"se_k{k}" for k in range(1, 9))]:
             assert a[key] == pytest.approx(b[key], rel=1e-9), key
 
     def test_entropies_nonnegative(self):
         x = np.random.default_rng(28).standard_normal(1200)
-        feats = entropy_features(x, embed(x, 3, 1))
+        feats = entropy_features(x, 1)
         for key in ("she", "re", "pe", "rbe1", "rbe2"):
             assert feats[key] >= 0.0
 
     def test_too_short(self):
         with pytest.raises(InsufficientSignalError):
-            entropy_features(np.ones(100), embed(np.ones(100), 2, 1))
+            entropy_features(np.ones(100), 1)
 
     def test_delay_too_long_leaves_ce_out(self):
         # 1000-sample window minus 3 * 350 leaves no (m+1)-dim delay vectors
         x = np.random.default_rng(29).standard_normal(8000)
-        feats = entropy_features(x, embed(x, 3, 350))
+        feats = entropy_features(x, 350)
         assert "ce" not in feats
         assert "ae" in feats and "se_k1" in feats
 
@@ -166,10 +173,10 @@ class TestEntropies:
         # a 1.0 every 400 samples: the 10th and 60th distance percentiles are equal
         x = np.zeros(8000)
         x[::400] = 1.0
-        feats = entropy_features(x, embed(x, 3, 1))
+        feats = entropy_features(x, 1)
         assert "ce" not in feats
         assert "ae" in feats and "se_k1" in feats
 
     def test_constant_block_leaves_ce_out(self):
         x = np.zeros(8000)
-        assert "ce" not in entropy_features(x, embed(x, 3, 1))
+        assert "ce" not in entropy_features(x, 1)

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from phonassess.errors import PhonassessError
 from phonassess.features import articulation
 from phonassess.features.registry import REGISTRY, column_names, per_vowel_width
 from phonassess.manifest import CohortManifest, SubjectRow
@@ -156,6 +159,28 @@ class TestBuildMatrix:
         assert np.allclose(back.values, matrix.values, equal_nan=True)
         assert back.groups == matrix.groups
         assert np.allclose(back.scores["updrs3"], matrix.scores["updrs3"], equal_nan=True)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "line 1"),
+    ("subject_id\nS1\n", "line 1"),
+    ("subject_id,group,updrs3,c0,c1\nS1,PD,12,0.5,1\nS2,HC,abc,0.5,1\n", "line 3, column updrs3"),
+    ("subject_id,group,updrs3,c0,c1\nS1,PD,12,abc,1\n", "line 2, column c0"),
+    ("subject_id,group,updrs3,c0,c1\nS1,PD,12,0.5\n", "line 2: 4 cells"),
+    ("subject_id,group,updrs3,c0,c1\nS1,PD,12,0.5,1,7\n", "line 2: 6 cells"),
+], ids=["empty", "short_header", "bad_score", "bad_value", "short_row", "long_row"])
+def test_malformed_csv_is_a_data_error_naming_its_place(tmp_path, text, where):
+    path = tmp_path / "features_a_s.csv"
+    path.write_text(text)
+    with pytest.raises(PhonassessError, match=re.escape(f"{path}, {where}")):
+        FeatureMatrix.from_csv(path, scope="a_s")
+
+
+def test_header_only_csv_is_an_empty_matrix(tmp_path):
+    path = tmp_path / "features_a_s.csv"
+    path.write_text("subject_id,group,updrs3,c0,c1\n")
+    matrix = FeatureMatrix.from_csv(path, scope="a_s")
+    assert matrix.values.shape == (0, 2) and matrix.columns == ["c0", "c1"]
 
 
 def test_parse_scope():
