@@ -7,9 +7,10 @@ with random forests, and emits evaluation tables and correlation plot data.
 Importing ``phonassess.cli`` loads numpy and no scipy module: each scipy
 import sits in the function that calls it, so ``classify`` and ``regress``
 never load scipy and ``correlate`` loads only ``scipy.special``. ``extract``
-imports the signal stack once, before it forks its workers
-(``phonassess.parallel``), so the workers inherit it. Import the submodules
-themselves; this package re-exports nothing.
+needs only ``scipy.fft``, ``scipy.linalg`` and ``scipy.special`` (its
+signal routines are in ``phonassess.dsp``) and imports them once, before it
+forks its workers (``phonassess.parallel``), so the workers inherit them.
+Import the submodules themselves; this package re-exports nothing.
 """
 import os
 

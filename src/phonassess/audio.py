@@ -9,12 +9,14 @@ live here. VOWELS and TASKS are the cohort's vowel and task tokens.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from . import dsp
 from .errors import AudioError, InsufficientSignalError
 
 VOWELS = ("a", "e", "i", "o", "u")
@@ -23,12 +25,15 @@ ANALYSIS_RATE = 16_000
 FRAME_MS = 25.0
 HOP_MS = 10.0
 
-# Integer PCM is scaled by the full-scale divisor of its width (asymmetric
-# full scale accepted), so golden files are stable across platforms.
-_PCM_SCALE = {
-    np.dtype(np.int16): 32768.0,
-    np.dtype(np.int32): 2147483648.0,
-}
+# WAVE format tags; WAVE_FORMAT_EXTENSIBLE names one of the first two in the
+# first four bytes of its sub-format GUID, whose other twelve bytes are these
+WAVE_PCM, WAVE_FLOAT, WAVE_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+              ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
+# Integer PCM is scaled by the full-scale divisor of its container (asymmetric
+# full scale accepted), so golden files are stable across platforms; 24-bit
+# samples sit in the top three bytes of a 32-bit container, as scipy reads them.
+_PCM_SCALE = {2: 32768.0, 3: 2147483648.0, 4: 2147483648.0}
 
 
 @dataclass
@@ -77,36 +82,130 @@ class FrameSequence:
 
 
 def load_recording(path) -> Recording:
-    """Decode a PCM/float WAV file into a mono Recording in [-1, 1].
+    """Decode a WAV file into a mono Recording in [-1, 1].
 
-    Stereo input is averaged to mono. Peak normalization, if wanted, is
+    Accepted: RIFF (little-endian), RIFX (big-endian) and RF64 files holding
+    8-bit unsigned, 16-, 24- or 32-bit signed PCM or 32-/64-bit IEEE float
+    samples, in a plain or WAVE_FORMAT_EXTENSIBLE fmt chunk; other chunks are
+    skipped, odd-sized ones with their pad byte. Stereo input is averaged to
+    mono. Anything else, a data chunk cut short, or a non-finite sample raises
+    AudioError naming the file. Peak normalization, if wanted, is
     ``extract_recording(peak_normalize=True)``.
     """
-    from scipy.io import wavfile
-
     path = Path(path)
-    if not path.exists():
-        raise AudioError(f"no such audio file: {path}")
     try:
-        fs, data = wavfile.read(path)
-    except Exception as exc:  # noqa: BLE001 - scipy raises bare ValueError/OSError
-        raise AudioError(f"cannot decode {path}: {exc}") from exc
-    if data.size == 0:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise AudioError(f"cannot read audio file {path}: {exc.strerror}") from exc
+    fs, x = _WavBytes(raw, path).decode()
+    if x.size == 0:
         raise AudioError(f"zero-length audio: {path}")
-
-    if data.dtype in _PCM_SCALE:
-        x = data.astype(np.float64) / _PCM_SCALE[data.dtype]
-    elif data.dtype == np.uint8:
-        x = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(np.float64)
-    else:
-        raise AudioError(f"unsupported sample encoding {data.dtype} in {path}")
-
+    if not np.all(np.isfinite(x)):
+        raise AudioError(f"non-finite samples in {path}")
     if x.ndim == 2:  # average channels
         x = x.mean(axis=1)
+    return Recording(samples=x, fs=fs)
 
-    return Recording(samples=x, fs=int(fs))
+
+class _WavBytes:
+    """The bytes of one WAV file, decoded chunk by chunk."""
+
+    def __init__(self, raw: bytes, path: Path):
+        self.raw, self.path, self.endian = raw, path, "<"
+
+    def fail(self, reason: str) -> AudioError:
+        return AudioError(f"cannot decode {self.path}: {reason}")
+
+    def fields(self, layout: str, at: int) -> tuple:
+        if at + struct.calcsize(layout) > len(self.raw):
+            raise self.fail("file ends inside a header")
+        return struct.unpack_from(self.endian + layout, self.raw, at)
+
+    def decode(self) -> tuple[int, np.ndarray]:
+        """(rate, float64 samples with one column per channel if more than one)."""
+        raw = self.raw
+        form = raw[:4]
+        if form not in (b"RIFF", b"RIFX", b"RF64") or raw[8:12] != b"WAVE":
+            raise self.fail("not a RIFF, RIFX or RF64 WAVE file")
+        self.endian = ">" if form == b"RIFX" else "<"
+        end, pos, rf64_data_size = self.fields("I", 4)[0] + 8, 12, None
+        if form == b"RF64":
+            if raw[12:16] != b"ds64":
+                raise self.fail("RF64 file without a ds64 chunk")
+            ds64_size, riff_size, rf64_data_size = self.fields("IQQ", 16)
+            end, pos = riff_size + 8, 20 + ds64_size
+
+        fmt = x = None
+        # a chunk header past the end of the file ends the chunk list: the
+        # RIFF size a streaming recorder writes may overstate the file
+        while pos < end and pos + 8 <= len(raw):
+            chunk_id, (size,) = raw[pos:pos + 4], self.fields("I", pos + 4)
+            body = pos + 8
+            if chunk_id == b"fmt ":
+                fmt = self.format(size, body)
+            elif chunk_id == b"data":
+                if fmt is None:
+                    raise self.fail("data chunk before the fmt chunk")
+                if rf64_data_size is not None:
+                    size = rf64_data_size
+                x = self.samples(body, size, *fmt[1:])
+            pos = body + size + size % 2
+        if x is None:
+            raise self.fail("no data chunk")
+        return fmt[0], x
+
+    def format(self, size: int, body: int) -> tuple[int, int, int, int, int]:
+        """(rate, format tag, channels, bytes per sample, bits per sample) of a fmt chunk."""
+        if size < 16:
+            raise self.fail(f"fmt chunk of {size} bytes")
+        tag, channels, fs, byte_rate, block_align, bits = self.fields("HHIIHH", body)
+        if tag == WAVE_EXTENSIBLE and size >= 18:
+            if self.fields("H", body + 16)[0] < 22 or size < 40:
+                raise self.fail("WAVE_FORMAT_EXTENSIBLE fmt chunk without its sub-format")
+            guid = self.raw[body + 24 : body + 40]
+            if guid.endswith(_GUID_TAIL[self.endian]):
+                tag = self.fields("I", body + 24)[0]
+        if tag not in (WAVE_PCM, WAVE_FLOAT):
+            raise self.fail(f"format tag {tag:#06x}; only PCM and IEEE float are read")
+        if fs == 0:
+            raise self.fail("sample rate 0")
+        if channels == 0 or block_align < channels:
+            raise self.fail(f"{channels} channels in blocks of {block_align} bytes")
+        if tag == WAVE_PCM and byte_rate != fs * block_align:
+            raise self.fail(f"byte rate {byte_rate} is not rate {fs} x block align {block_align}")
+        return fs, tag, channels, block_align // channels, bits
+
+    def samples(self, body: int, size: int, tag: int, channels: int, width: int,
+                bits: int) -> np.ndarray:
+        """A data chunk's samples as float64, one column per channel if more than one."""
+        if body + size > len(self.raw):
+            raise self.fail(f"data chunk of {size} bytes, {len(self.raw) - body} in the file")
+        count = size // width
+        if tag == WAVE_FLOAT:
+            kind, known = "f", bits in (32, 64) and width in (4, 8)
+        elif 1 <= bits <= 8:
+            kind, known = "u", width == 1
+        else:
+            kind, known = "i", bits <= 64 and width in _PCM_SCALE
+        if not known:
+            raise self.fail(f"unsupported sample encoding: {bits}-bit "
+                            f"{'float' if tag == WAVE_FLOAT else 'PCM'} in {width}-byte samples")
+        if count % channels or (width == 3 and size % 3):
+            raise self.fail(f"data chunk of {size} bytes does not hold whole frames")
+        if width == 3:  # into the top three bytes of a 32-bit container
+            wide = np.zeros((count, 4), dtype=np.uint8)
+            top = slice(1, 4) if self.endian == "<" else slice(0, 3)
+            wide[:, top] = np.frombuffer(self.raw, np.uint8, size, body).reshape(count, 3)
+            data = wide.view(self.endian + "i4")[:, 0]
+        else:
+            data = np.frombuffer(self.raw, f"{self.endian}{kind}{width}", count, body)
+        if kind == "u":
+            x = (data.astype(np.float64) - 128.0) / 128.0
+        elif kind == "i":
+            x = data.astype(np.float64) / _PCM_SCALE[width]
+        else:
+            x = data.astype(np.float64)
+        return x.reshape(-1, channels) if channels > 1 else x
 
 
 def write_wav(path, samples: np.ndarray, fs: int) -> None:
@@ -124,14 +223,12 @@ def resample(rec: Recording, target_fs: int) -> Recording:
     Idempotent at the target rate: a recording already at ``target_fs`` is
     returned sample-identical.
     """
-    from scipy.signal import resample_poly
-
     if target_fs <= 0:
         raise ValueError(f"target_fs must be positive, got {target_fs}")
     if rec.fs == target_fs:
         return Recording(rec.samples.copy(), rec.fs)
     ratio = Fraction(int(target_fs), int(rec.fs))
-    y = resample_poly(rec.samples, ratio.numerator, ratio.denominator, window=("kaiser", 9.0))
+    y = dsp.resample_poly(rec.samples, ratio.numerator, ratio.denominator, beta=9.0)
     return Recording(y, target_fs)
 
 

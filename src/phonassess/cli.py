@@ -5,13 +5,13 @@ Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
 ``trees``, ``mrmr_k``, ``sffs_patience``, ``min_leaf`` and ``workers`` must be
 at least 1 and ``seed`` at least 0; a boolean config value is one of
 1/true/yes/0/false/no. ``synth`` takes vowels and tasks from ``audio.VOWELS``
-and ``audio.TASKS`` and at least one subject.
+and ``audio.TASKS``, each at most once, and at least one subject.
 ``extract`` runs its recordings over ``workers`` forked processes (default:
 the CPUs this process may run on; 1 runs them in this process), with the
 same outputs for every worker count.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
-file or value, scope token or target, a missing --manifest, a bad synth
-vowel, task or subject count; or an argparse
+file or value, scope token or target, a missing --manifest, a bad or repeated
+synth vowel or task, a bad subject count; or an argparse
 usage error such as a flag the subcommand does not take), 2 data error (any
 other ``PhonassessError``).
 """
@@ -128,6 +128,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     for flag, tokens, allowed in (("--vowels", vowels, VOWELS), ("--tasks", tasks, TASKS)):
         if bad := [t for t in tokens if t not in allowed]:
             raise ConfigError(f"{flag} takes tokens from {','.join(allowed)}, got {bad[0]!r}")
+        if len(set(tokens)) < len(tokens):
+            raise ConfigError(f"{flag} names a token twice: {','.join(tokens)}")
     if args.subjects < 1:
         raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
     if args.mode == "classify":
@@ -163,7 +165,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     jobs = [(row.subject_id, v, t, row.recordings[(v, t)])
             for row in manifest.rows for (v, t) in sorted(needed) if (v, t) in row.recordings]
     # imported once here so forked workers inherit them instead of each importing them
-    import scipy.interpolate, scipy.io.wavfile, scipy.linalg, scipy.signal  # noqa: E401, F401
+    import scipy.fft, scipy.linalg, scipy.special  # noqa: E401, F401
     results = ordered_map(partial(_extract_job, peak_normalize=cfg.peak_normalize),
                           [path for *_, path in jobs], cfg.workers)
     extracted: dict[tuple[str, str, str], dict] = {}

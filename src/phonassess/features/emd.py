@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import pitch
+from .. import dsp, pitch
 from ..audio import FRAME_MS, HOP_MS, Recording, frame_signal
 from ..errors import InsufficientSignalError, PhonassessError
 from . import nonlinear, phonation, quality
@@ -26,12 +26,6 @@ MIRROR = 2
 class ImfSet:
     imfs: list[np.ndarray]
     residual: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        out = self.residual.copy()
-        for imf in self.imfs:
-            out += imf
-        return out
 
     def __len__(self) -> int:
         return len(self.imfs)
@@ -52,25 +46,19 @@ def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
-def _envelope(x: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
-    """Cubic envelope through extrema with mirrored boundary extension."""
-    from scipy.interpolate import CubicSpline
+def _envelope(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Cubic envelope through extrema with mirrored boundary extension.
 
-    if len(idx) < 2:
-        return None
+    ``idx`` holds at least two extrema, all in [1, n - 2] (``_extrema``), so
+    the MIRROR knots on each side fall outside [0, n - 1] and the knots are
+    strictly increasing.
+    """
     n = len(x)
-    k = min(MIRROR, len(idx))
-    left_t = -idx[:k][::-1]
-    right_t = 2 * (n - 1) - idx[-k:][::-1]
+    left_t = -idx[:MIRROR][::-1]
+    right_t = 2 * (n - 1) - idx[-MIRROR:][::-1]
     t = np.concatenate([left_t, idx, right_t])
-    v = np.concatenate([x[idx[:k]][::-1], x[idx], x[idx[-k:]][::-1]])
-    order = np.argsort(t)
-    t, v = t[order], v[order]
-    t, keep = np.unique(t, return_index=True)
-    v = v[keep]
-    if len(t) < 2:
-        return None
-    return CubicSpline(t, v)(np.arange(n))
+    v = np.concatenate([x[idx[:MIRROR]][::-1], x[idx], x[idx[-MIRROR:]][::-1]])
+    return dsp.envelope_spline(t, v, n)
 
 
 def _count_balance(h: np.ndarray) -> int:
@@ -94,13 +82,9 @@ def _sift(x: np.ndarray) -> np.ndarray | None:
     h = x.copy()
     for _ in range(SIFT_MAX_ITER):
         maxima, minima = _extrema(h)
-        if len(maxima) + len(minima) < 4 or len(maxima) < 2 or len(minima) < 2:
+        if len(maxima) < 2 or len(minima) < 2:
             return None
-        upper = _envelope(h, maxima)
-        lower = _envelope(h, minima)
-        if upper is None or lower is None:
-            return None
-        mean_env = 0.5 * (upper + lower)
+        mean_env = 0.5 * (_envelope(h, maxima) + _envelope(h, minima))
         h_new = h - mean_env
         denom = np.sum(h**2)
         sd = np.sum((h - h_new) ** 2) / denom if denom > 0 else 0.0

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import dsp
 from ..audio import FrameSequence, Recording, context_sums
 from ..errors import InsufficientSignalError
 from ..pitch import CycleMarks, F0Contour
@@ -108,8 +109,6 @@ def energy_features(frames: FrameSequence, rec: Recording):
     Returns (E contour, TKEO contour, me_4hz, mpsd, lster). E and TKEO come
     from the raw (untapered) frame slices.
     """
-    from scipy.signal import welch
-
     if rec.duration < 1.0:
         raise InsufficientSignalError("need >= 1 s of signal for modulation energy")
     raw = frames.raw
@@ -117,7 +116,7 @@ def energy_features(frames: FrameSequence, rec: Recording):
     tkeo = np.mean(teager_kaiser(raw), axis=1)
 
     me = modulation_energy_4hz(rec.samples, rec.fs)
-    freqs, pxx = welch(rec.samples, fs=rec.fs, nperseg=min(1024, len(rec.samples)))
+    freqs, pxx = dsp.welch(rec.samples, rec.fs, nperseg=1024)
     mpsd = float(np.median(pxx))
     lster = low_energy_ratio(energy, frames.hop, rec.fs)
     return energy, tkeo, me, mpsd, lster

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import dsp
 from ..audio import (FRAME_MS, HOP_MS, FrameSequence, Recording, autocorrelation,
                      context_sums, frame_signal)
 from ..errors import InsufficientSignalError
@@ -248,9 +249,7 @@ def _band_energy(freqs: np.ndarray, pxx: np.ndarray, lo: float, hi: float) -> fl
 
 
 def _band_ratios(x: np.ndarray, fs: int) -> tuple[float, float]:
-    from scipy.signal import welch
-
-    freqs, pxx = welch(x, fs=fs, nperseg=min(2048, len(x)))
+    freqs, pxx = dsp.welch(x, fs, nperseg=2048)
     spi_hi = _band_energy(freqs, pxx, 1600, min(4500, fs / 2))
     spi = _band_energy(freqs, pxx, 70, 1600) / max(spi_hi, TINY)
     vti_lo = _band_energy(freqs, pxx, 70, 2800)
@@ -344,8 +343,6 @@ def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray,
     callers floor their band ratios with it so an unmodulated carrier reads
     ~0 instead of a ratio of numerical leakage.
     """
-    from scipy.signal import hilbert, resample_poly
-
     if len(x) < fs:
         raise InsufficientSignalError("need >= 1 s for modulation analysis")
     n = len(x)
@@ -360,8 +357,8 @@ def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray,
         band = np.zeros_like(spec)
         m = (freqs >= lo) & (freqs < min(hi, fs / 2))
         band[m] = spec[m]
-        env = np.abs(hilbert(np.fft.irfft(band, n)))
-        env = resample_poly(env, ENVELOPE_RATE, fs)
+        env = np.abs(dsp.hilbert(np.fft.irfft(band, n)))
+        env = dsp.resample_poly(env, ENVELOPE_RATE, fs, beta=5.0)
         env = env[trim:-trim] if len(env) > 3 * trim else env
         dc_energy += float(np.sum(env**2))
         env = env - env.mean()

@@ -31,13 +31,6 @@ class SubjectRow:
 @dataclass
 class CohortManifest:
     rows: list[SubjectRow]
-    path: Path | None = None
-
-    def group_counts(self) -> dict[str, int]:
-        counts = {g: 0 for g in GROUPS}
-        for row in self.rows:
-            counts[row.group] += 1
-        return counts
 
     def tasks_present(self) -> list[str]:
         seen = {t for row in self.rows for (_, t) in row.recordings}
@@ -75,8 +68,9 @@ def _parse_score(name: str, cell: str, subject_id: str) -> float | None:
 def load_manifest(path) -> CohortManifest:
     """Read and validate a cohort manifest CSV.
 
-    Raises ManifestError on duplicate subject ids, unknown group labels, or
-    clinical scores outside their scale's theoretical range. Recording paths
+    Raises ManifestError on a header column named twice, duplicate subject
+    ids, unknown group labels, or clinical scores outside their scale's
+    theoretical range. Recording paths
     are resolved relative to the manifest's directory.
     """
     path = Path(path)
@@ -89,6 +83,11 @@ def load_manifest(path) -> CohortManifest:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "subject_id" not in reader.fieldnames:
             raise ManifestError(f"{path}: missing header with subject_id column")
+        named = set()
+        for col in reader.fieldnames:
+            if col in named:
+                raise ManifestError(f"{path}: header column {col!r} appears twice")
+            named.add(col)
         path_cols = [c for c in reader.fieldnames if c.startswith("path_")]
         for rec in reader:
             sid = (rec.get("subject_id") or "").strip()
@@ -112,4 +111,4 @@ def load_manifest(path) -> CohortManifest:
                 recordings[(parts[1], parts[2])] = base / cell
             rows.append(SubjectRow(subject_id=sid, group=group, scores=scores,
                                    recordings=recordings))
-    return CohortManifest(rows=rows, path=path)
+    return CohortManifest(rows=rows)

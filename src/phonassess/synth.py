@@ -47,12 +47,6 @@ def pulse_train(
     return x
 
 
-def duty_train(fs: int, duration: float, f0: float = 100.0, duty: float = 0.3) -> np.ndarray:
-    """Rectangular train with a fixed open fraction per cycle."""
-    t = np.arange(int(fs * duration)) / fs
-    return np.where((t * f0) % 1.0 < duty, 1.0, 0.0)
-
-
 def resonator_bank(x: np.ndarray, fs: int, freqs, bws) -> np.ndarray:
     """Run x through a cascade of two-pole resonators (unit gain at peak)."""
     y = x.astype(np.float64)
@@ -74,18 +68,6 @@ def add_noise_snr(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.
         return x.copy()
     noise *= np.sqrt(p_sig / (p_noise * 10 ** (snr_db / 10.0)))
     return x + noise
-
-
-def harmonic_tone(fs: int, duration: float, f0: float, n_harmonics: int = 8) -> np.ndarray:
-    """Sum of equal-amplitude harmonics, normalized to 0.5 peak."""
-    t = np.arange(int(fs * duration)) / fs
-    x = sum(np.sin(2 * np.pi * f0 * (h + 1) * t) / (h + 1) for h in range(n_harmonics))
-    return 0.5 * x / np.max(np.abs(x))
-
-
-def am_tone(fs: int, duration: float, fc: float, fm: float, depth: float = 0.5) -> np.ndarray:
-    t = np.arange(int(fs * duration)) / fs
-    return (1.0 + depth * np.sin(2 * np.pi * fm * t)) * 0.4 * np.sin(2 * np.pi * fc * t)
 
 
 def synth_vowel(

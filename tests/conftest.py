@@ -55,3 +55,23 @@ def alternating_pulse_train(fs, duration, p1, p2, a1=1.0, a2=1.0, width=0.001):
         pos += (p1 if k % 2 == 0 else p2) * fs
         k += 1
     return x
+
+
+def duty_train(fs, duration, f0=100.0, duty=0.3):
+    """Rectangular train with a fixed open fraction per cycle."""
+    t = np.arange(int(fs * duration)) / fs
+    return np.where((t * f0) % 1.0 < duty, 1.0, 0.0)
+
+
+def harmonic_tone(fs, duration, f0, n_harmonics=8):
+    """Sum of the first n_harmonics harmonics of f0, the k-th at amplitude 1/k,
+    normalized to 0.5 peak."""
+    t = np.arange(int(fs * duration)) / fs
+    x = sum(np.sin(2 * np.pi * f0 * (h + 1) * t) / (h + 1) for h in range(n_harmonics))
+    return 0.5 * x / np.max(np.abs(x))
+
+
+def am_tone(fs, duration, fc, fm, depth=0.5):
+    """Carrier fc at 0.4 amplitude, amplitude-modulated at fm with the given depth."""
+    t = np.arange(int(fs * duration)) / fs
+    return (1.0 + depth * np.sin(2 * np.pi * fm * t)) * 0.4 * np.sin(2 * np.pi * fc * t)

@@ -346,11 +346,23 @@ def test_synth_regress_manifest(tmp_path):
     ["--tasks", "zz"],
     ["--subjects", "-2"],
     ["--subjects", "0"],
-], ids=["seed", "vowel", "empty_vowel", "task", "negative_subjects", "no_subjects"])
+    ["--vowels", "a,a"],
+    ["--tasks", "s,l,s"],
+], ids=["seed", "vowel", "empty_vowel", "task", "negative_subjects", "no_subjects",
+        "repeated_vowel", "repeated_task"])
 @pytest.mark.parametrize("mode", ["regress", "classify"])
 def test_bad_synth_value_is_config_error(tmp_path, mode, flags):
     assert main(["synth", "--mode", mode, "--out", str(tmp_path / "c"), *flags]) == EXIT_CONFIG
     assert not (tmp_path / "c").exists()
+
+
+def test_manifest_column_named_twice_is_data_error(tmp_path, caplog):
+    # csv.DictReader would keep the second path_a_s cell and drop the first
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("subject_id,group,path_a_s,path_a_s\nP1,PD,one.wav,two.wav\n")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats")])
+    assert code == EXIT_DATA
+    assert "'path_a_s' appears twice" in caplog.text
 
 
 def test_malformed_feature_matrix_is_data_error(tmp_path, caplog):

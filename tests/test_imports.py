@@ -2,8 +2,10 @@
 
 ``import phonassess.cli`` loads no scipy module; ``classify`` and
 ``regress`` run without one, and ``correlate`` loads ``scipy.special``
-only. ``extract`` imports the extraction stack's scipy modules before it
-forks its workers, so they inherit them.
+only. ``extract`` imports the extraction stack's scipy modules,
+``scipy.fft``, ``scipy.linalg`` and ``scipy.special``, before it forks its
+workers, so they inherit them, and extraction loads no other scipy
+subpackage.
 """
 import json
 import os
@@ -35,7 +37,8 @@ print(json.dumps(seen))
 """
 
 # runs extract with --workers 2, recording which scipy modules are loaded
-# when cmd_extract calls ordered_map, then again with --workers 1
+# when cmd_extract calls ordered_map, then again with --workers 1, and prints
+# the scipy modules loaded at the end
 RECORD_PRE_FORK = """
 import json, sys
 from phonassess import cli
@@ -51,7 +54,7 @@ cli.ordered_map = recording_map
 manifest, out = sys.argv[1:]
 codes = [cli.main(["extract", "--manifest", manifest, "--out", f"{out}{workers}",
                    "--workers", workers]) for workers in ("2", "1")]
-print(json.dumps([codes, loaded]))
+print(json.dumps([codes, loaded, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
@@ -100,12 +103,15 @@ def test_commands_load_only_the_scipy_they_call(tmp_path):
 def test_extract_imports_scipy_before_forking(tmp_path):
     manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1,
                                           vowels=("a",), duration=1.0, seed=5)
-    codes, loaded = run_clean(RECORD_PRE_FORK, str(manifest), str(tmp_path / "feats"))
+    codes, loaded, after = run_clean(RECORD_PRE_FORK, str(manifest), str(tmp_path / "feats"))
 
     assert codes == [0, 0]
     assert [workers for workers, _ in loaded] == [2, 1]
-    for module in ("scipy.signal", "scipy.interpolate", "scipy.linalg", "scipy.io.wavfile"):
-        assert module in loaded[0][1], module
+    assert subpackages(loaded[0][1]) == {"fft", "linalg", "special"}
+    # --workers 1 extracted in this process: what extraction calls loaded nothing more
+    assert subpackages(after) == {"fft", "linalg", "special"}
+    for absent in ("signal", "interpolate", "io", "stats", "sparse", "optimize", "ndimage"):
+        assert f"scipy.{absent}" not in after, absent
     names = sorted(p.name for p in (tmp_path / "feats2").iterdir())
     assert "features_all_s.csv" in names
     assert names == sorted(p.name for p in (tmp_path / "feats1").iterdir())

@@ -1,7 +1,7 @@
 import pytest
 
 from phonassess.errors import ManifestError
-from phonassess.manifest import load_manifest
+from phonassess.manifest import GROUPS, load_manifest
 
 HEADER = ("subject_id,group,sex,age,duration,updrs3,updrs4,rbdsq,fog,nmss,"
           "bdi,mmse,acer,led,path_a_s,path_e_ll")
@@ -11,6 +11,10 @@ def write_manifest(tmp_path, rows):
     path = tmp_path / "manifest.csv"
     path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+def group_counts(manifest):
+    return {group: sum(row.group == group for row in manifest.rows) for group in GROUPS}
 
 
 def test_basic_load(tmp_path):
@@ -43,7 +47,7 @@ def test_group_counts(tmp_path):
     rows = [f"P{i},PD,F,66,,,,,,,,,,,," for i in range(84)]
     rows += [f"H{i},HC,M,65,,,,,,,,,,,," for i in range(49)]
     m = load_manifest(write_manifest(tmp_path, rows))
-    assert m.group_counts() == {"PD": 84, "HC": 49}
+    assert group_counts(m) == {"PD": 84, "HC": 49}
 
 
 def test_duplicate_subject(tmp_path):
@@ -52,6 +56,15 @@ def test_duplicate_subject(tmp_path):
         "P1,PD,M,70,,,,,,,,,,,,",
     ])
     with pytest.raises(ManifestError, match="duplicate"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("column", ["path_a_s", "updrs3", "group"])
+def test_column_named_twice(tmp_path, column):
+    # the reader would keep the second cell of a repeated column and drop the first
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"subject_id,group,updrs3,path_a_s,{column}\nP1,PD,20,a.wav,b.wav\n")
+    with pytest.raises(ManifestError, match=f"'{column}' appears twice"):
         load_manifest(path)
 
 
@@ -82,4 +95,4 @@ def test_unbounded_scales_accept_large(tmp_path):
 def test_demographic_cells_are_not_parsed(tmp_path):
     # sex and age are carried in the header but read by nothing
     m = load_manifest(write_manifest(tmp_path, ["P1,PD,F,sixty,,,,,,,,,,,,"]))
-    assert m.group_counts() == {"PD": 1, "HC": 0}
+    assert group_counts(m) == {"PD": 1, "HC": 0}

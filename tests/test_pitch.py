@@ -5,9 +5,9 @@ from scipy.signal import sawtooth
 from phonassess.audio import Recording
 from phonassess.errors import InsufficientSignalError
 from phonassess.pitch import F0_MAX, F0_MIN, detect_cycles, estimate_f0, pitch_lag_in_range
-from phonassess.synth import duty_train, pulse_train
+from phonassess.synth import pulse_train
 
-from conftest import FS, alternating_pulse_train
+from conftest import FS, alternating_pulse_train, duty_train
 
 
 class TestEstimateF0:

@@ -7,9 +7,9 @@ from phonassess.features.quality import (cepstral_quality, glottal_noise_excitat
                                          modulation_measures, noise_measures,
                                          spectral_quality, temporal_quality)
 from phonassess.pitch import F0Contour, estimate_f0
-from phonassess.synth import add_noise_snr, am_tone, harmonic_tone
+from phonassess.synth import add_noise_snr
 
-from conftest import FS
+from conftest import FS, am_tone, harmonic_tone
 
 
 def all_voiced_contour(n_frames, f0=100.0):
