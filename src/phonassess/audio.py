@@ -87,9 +87,11 @@ def load_recording(path) -> Recording:
     Accepted: RIFF (little-endian), RIFX (big-endian) and RF64 files holding
     8-bit unsigned, 16-, 24- or 32-bit signed PCM or 32-/64-bit IEEE float
     samples, in a plain or WAVE_FORMAT_EXTENSIBLE fmt chunk; other chunks are
-    skipped, odd-sized ones with their pad byte. Stereo input is averaged to
-    mono. Anything else, a data chunk cut short, or a non-finite sample raises
-    AudioError naming the file. Peak normalization, if wanted, is
+    skipped, odd-sized ones with their pad byte. A data chunk cut short by the
+    end of the file yields the whole samples it holds, as scipy.io.wavfile
+    reads it. Stereo input is averaged to mono. Anything else, samples that
+    do not fill whole frames, a 24-bit sample cut in two, or a non-finite
+    sample raises AudioError naming the file. Peak normalization, if wanted, is
     ``extract_recording(peak_normalize=True)``.
     """
     path = Path(path)
@@ -178,8 +180,9 @@ class _WavBytes:
     def samples(self, body: int, size: int, tag: int, channels: int, width: int,
                 bits: int) -> np.ndarray:
         """A data chunk's samples as float64, one column per channel if more than one."""
-        if body + size > len(self.raw):
-            raise self.fail(f"data chunk of {size} bytes, {len(self.raw) - body} in the file")
+        # a recording cut off mid-write declares more data than the file holds;
+        # the samples present are read, as scipy.io.wavfile reads them
+        size = min(size, len(self.raw) - body)
         count = size // width
         if tag == WAVE_FLOAT:
             kind, known = "f", bits in (32, 64) and width in (4, 8)

@@ -16,19 +16,15 @@ original.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 
-@lru_cache(maxsize=None)
 def _psd_window(nperseg: int, fs: float) -> np.ndarray:
     """Periodic Hann window scaled to a power spectral density (ShortTimeFFT.fac_psd)."""
     fac = np.linspace(-np.pi, np.pi, nperseg + 1)
     win = (0.5 + 0.5 * np.cos(fac))[:-1]
-    win = win * (1 / np.sqrt(sum(win**2) / (1 / fs)))  # built-in sum: scipy's order
-    win.setflags(write=False)
-    return win
+    return win * (1 / np.sqrt(sum(win**2) / (1 / fs)))  # built-in sum: scipy's order
 
 
 def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,8 +46,7 @@ def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarra
     # averages along its rows; the same layout gives the same sums
     power = np.ascontiguousarray((spec.real**2 + spec.imag**2).T)
     power[1 : -1 if nperseg % 2 == 0 else None] *= 2
-    pxx = power.mean(axis=-1) if count > 1 else power[:, 0]
-    return rfftfreq(nperseg, 1 / fs), pxx
+    return rfftfreq(nperseg, 1 / fs), power.mean(axis=-1)
 
 
 def hilbert(x: np.ndarray) -> np.ndarray:
@@ -69,7 +64,6 @@ def hilbert(x: np.ndarray) -> np.ndarray:
     return ifft(spec)
 
 
-@lru_cache(maxsize=None)
 def _lowpass_taps(up: int, down: int, beta: float) -> np.ndarray:
     """``firwin(2 * half_len + 1, 1 / max(up, down), window=("kaiser", beta)) * up``.
 
@@ -91,7 +85,6 @@ def _lowpass_taps(up: int, down: int, beta: float) -> np.ndarray:
     h *= window
     h /= np.sum(h)
     h *= up
-    h.setflags(write=False)
     return h
 
 
@@ -109,7 +102,7 @@ def resample_poly(x: np.ndarray, up: int, down: int, beta: float) -> np.ndarray:
         return x.copy()
     n_in = x.size
     n_out = -(-n_in * up // down)
-    taps = _lowpass_taps(up, down, float(beta))
+    taps = _lowpass_taps(up, down, beta)
     half_len = (taps.size - 1) // 2
     n_pre_pad = down - half_len % down
     n_pre_remove = (half_len + n_pre_pad) // down
@@ -130,7 +123,7 @@ def resample_poly(x: np.ndarray, up: int, down: int, beta: float) -> np.ndarray:
     padded = np.zeros(per_phase - 1 + max(n_in, last // up + 1))
     padded[per_phase - 1 : per_phase - 1 + n_in] = x
     y = np.zeros(n_out)
-    if up == 1:
+    if up == 1:  # strided views take a third of the gathers' time at 1/16
         for j in range(per_phase):
             y += padded[first + j : last + j + 1 : down] * h[per_phase - 1 - j, 0]
     else:

@@ -278,6 +278,42 @@ def test_wav_riff_size_past_the_end(tmp_path):
     assert_decodes_like_scipy(path)
 
 
+def decodes_or_fails_like_scipy(path):
+    try:
+        fs, x = scipy_decode(path)
+    except ValueError:  # what scipy raises for a file it cannot decode
+        x = None
+    if x is None or x.size == 0:
+        with pytest.raises(AudioError, match=path.name):
+            load_recording(path)
+    else:
+        rec = load_recording(path)
+        assert rec.fs == fs
+        assert same_bits(rec.samples, x)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("width,tag", [(1, 1), (2, 1), (3, 1), (4, 1), (4, 3), (8, 3)])
+def test_wav_cut_in_data_decodes_like_scipy(tmp_path, width, tag, channels):
+    # a recorder cut off mid-write leaves a data size larger than the file:
+    # scipy returns the samples present, or fails where they are not whole frames
+    rng = np.random.default_rng(width * channels)
+    if width == 3:
+        data = pcm24(rng.integers(-(2**23), 2**23, 40 * channels))
+    else:
+        kind = "f" if tag == 3 else "u" if width == 1 else "i"
+        data = random_samples(rng, np.dtype(f"{kind}{width}"), 40 * channels).tobytes()
+    full = riff(chunk(b"fmt ", fmt_body(tag, channels, 16000, width, 8 * width)),
+                chunk(b"data", data))
+    for cut in range(1, 3 * width * channels + 2):
+        path = tmp_path / f"cut{cut}.wav"
+        path.write_bytes(full[:-cut])
+        decodes_or_fails_like_scipy(path)
+    path = tmp_path / "data_header_only.wav"
+    path.write_bytes(full[:-len(data)])
+    decodes_or_fails_like_scipy(path)
+
+
 def good_wav():
     data = np.arange(-100, 100, dtype=np.int16).tobytes()
     return riff(chunk(b"fmt ", fmt_body(1, 1, 16000, 2, 16)), chunk(b"data", data))
@@ -289,7 +325,6 @@ BAD_WAVS = {
     "text": b"subject_id,group\nP1,PD\n" * 20,
     "header_only": good_wav()[:12],
     "cut_in_fmt": good_wav()[:30],
-    "cut_in_data": good_wav()[:-7],
     "no_data_chunk": riff(chunk(b"fmt ", fmt_body(1, 1, 16000, 2, 16))),
     "data_before_fmt": riff(chunk(b"data", b"\0\0" * 10),
                             chunk(b"fmt ", fmt_body(1, 1, 16000, 2, 16))),
