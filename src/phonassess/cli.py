@@ -38,9 +38,10 @@ from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
 from .features.extract import ExtractionResult, extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
 from .manifest import load_manifest
-from .models import predict  # noqa: F401 (perfbench/tracing.py wraps it at this module)
+# perfbench/tracing.py wraps predict at this module
+from .models import MIN_LEAF_DEFAULT, N_TREES_DEFAULT, predict  # noqa: F401
 from .parallel import ordered_map
-from .selection import LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
+from .selection import SFFS_PATIENCE_DEFAULT, LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
 from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
 
 log = logging.getLogger("phonassess")
@@ -62,9 +63,9 @@ class RunConfig:
     target: str = "group"
     seed: int = 0
     mrmr_k: int = 500
-    sffs_patience: int = 3
-    trees: int = 500
-    min_leaf: int = 3
+    sffs_patience: int = SFFS_PATIENCE_DEFAULT
+    trees: int = N_TREES_DEFAULT
+    min_leaf: int = MIN_LEAF_DEFAULT
     peak_normalize: bool = False
     workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
 

@@ -9,7 +9,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import PhonassessError
-from .models import LearnerSpec, is_regression_target
+from .models import LearnerSpec, check_complete, is_regression_target
 
 POSITIVE_CLASS = "PD"
 
@@ -203,13 +203,13 @@ def loo_validate(X, y, learner: LearnerSpec) -> LooResult:
 
     The rows must be complete: a missing cell in ``X``, or a missing or
     infinite value in a numeric ``y``, raises ``PhonassessError`` before any
-    fold is built (every fold but that row's own would fail to train).
-    No model is built. The lanes of all folds go through one call of the
+    fold is built (``models.check_complete``; every fold but that row's own
+    would fail to train). The lanes of all folds go through one call of the
     learner's router (``LearnerSpec.route``), which grows them in batches
     under its byte budget (``models.LANE_BUDGET_BYTES``) and carries each
-    fold's held-out row down its trees' splits as they are made. A fold
-    predicts what ``models.predict`` would: its CART's leaf, or its forest's
-    majority label (a tie goes to the lexicographically smallest). Fold i
+    fold's held-out row down the splits as they are made. A fold predicts
+    its CART's leaf, or the label most of its forest's trees reach (a tie
+    goes to the lexicographically smallest): ``LearnerSpec.vote``. Fold i
     trains with ``learner.seed + i``, so the result is deterministic given
     the learner, and a forest's tree streams are set up once per process
     (``models.STREAM_MEMO_BYTES``) however many subsets a search scores.
@@ -217,19 +217,14 @@ def loo_validate(X, y, learner: LearnerSpec) -> LooResult:
     recorded and predict NaN. A numeric ``y`` gives float predictions, class
     labels object ones.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    n = len(X)
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
-    y = np.asarray(y)
-    if np.isnan(X).any():
-        raise PhonassessError("leave-one-out matrix contains missing values; drop rows first")
-    if is_regression_target(y) and not np.isfinite(y).all():
-        raise PhonassessError("target contains missing or infinite values; drop rows first")
+    X, y = check_complete(X, y)
     folds = {}
     for i in range(n):
         try:
-            folds[i] = learner.lanes(X, y, np.delete(np.arange(n), i), learner.seed + i)
+            folds[i] = learner.lanes(y, np.delete(np.arange(n), i), learner.seed + i)
         except PhonassessError:
             pass
     held_out = np.repeat(np.fromiter(folds, dtype=np.intp, count=len(folds)),

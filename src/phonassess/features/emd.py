@@ -103,9 +103,7 @@ def emd(samples: np.ndarray) -> ImfSet:
     imfs: list[np.ndarray] = []
     residual = x.copy()
     while len(imfs) < MAX_IMFS:
-        maxima, minima = _extrema(residual)
-        if len(maxima) + len(minima) < 4:
-            break
+        # a residual with fewer than 4 extrema lacks 2 maxima or 2 minima: no IMF
         imf = _sift(residual)
         if imf is None:
             break

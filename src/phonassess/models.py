@@ -1,34 +1,33 @@
-"""Decision trees (CART) and bagged random forests, built from scratch.
+"""Decision trees (CART) and bagged random forests, grown from scratch only
+as far as leave-one-out needs them.
 
 The contracts the report pipeline relies on are all here: split thresholds
 are midpoints between neighboring values, rows equal to a threshold go left,
 ties between equally good splits resolve to the lowest feature index then
 the lowest threshold, and every tree draws its randomness from a stream
-spawned off the master seed so serial and parallel training produce the same
-model. The target's dtype picks the task (``is_regression_target``): numbers
-are regressed, anything else (class labels such as "PD"/"HC") is classified.
+spawned off the master seed, whatever the order its lanes grow in. The
+target's dtype picks the task (``is_regression_target``): numbers are
+regressed, anything else (class labels such as "PD"/"HC") is classified.
 
-Every tree comes from one grower. A *lane* is one tree on its own row
-sample: the tree of ``train_cart``, one of ``train_forest``'s bootstrapped
-trees, or, in ``evaluation.loo_validate``, one such tree per leave-one-out
-fold. Each lane expands its nodes in its own depth-first preorder (a node,
-then its left subtree, then its right one), and at step t every lane still
-growing expands its t-th node. Each lane sorts every column once (stable,
-so tied values keep row order) and keeps its rows in one array where every
-pending node's rows form a run, in row order; a split partitions the run.
-A node's rows by value are its run's ranks in a column, sorted. The split
-scans of all the step's nodes over all their candidate columns are one
+One grower does it all, and it builds no tree. A *lane* is one tree on its
+own row sample (a CART, or one of a forest's bootstrapped trees) with one
+held-out row; in ``evaluation.loo_validate`` there is one CART or forest per
+leave-one-out fold. Each lane expands its nodes in its own depth-first
+preorder (a node, then its left subtree, then its right one), and at step t
+every lane still growing expands its t-th node. Each lane sorts every column
+once (stable, so tied values keep row order) and keeps its rows in one array
+where every pending node's rows form a run, in row order; a split partitions
+the run. A node's rows by value are its run's ranks in a column, sorted. The
+split scans of all the step's nodes over all their candidate columns are one
 numpy pass, taken by buckets of nodes of similar size (2^(b-1)+1 to 2^b
 rows), each padded only to its own widest node. Lanes are grown in batches
 whose working arrays stay under ``LANE_BUDGET_BYTES``.
 
-``_grow`` (called by ``LearnerSpec.grow`` and ``.route``) turns each lane
-into a tree or, given a held-out row per lane, builds none: each lane
-carries its row down its splits as they are made (with the same ``<=``)
-and gives the leaf it reaches, which is all a leave-one-out fold needs.
-Held-out rows are complete (``evaluation.loo_validate`` checks). A CART
-lane grows only its row's path; a forest lane grows the whole tree, because
-its node draws follow the whole preorder. A routing lane expands no leaf: a
+``_grow`` (called by ``LearnerSpec.route``) carries each lane's held-out row
+down its splits as they are made (with the same ``<=``) and gives the value
+of the leaf it reaches. Held-out rows are complete (``check_complete``). A
+CART lane grows only its row's path; a forest lane grows the whole tree,
+because its node draws follow the whole preorder. A lane expands no leaf: a
 child that cannot split (too small, or one target value) gives its value at
 once if the row goes there, and is dropped if not.
 
@@ -72,30 +71,6 @@ PASS_CELLS = 2048  # padded cells that cost as much as one more padded pass
 def is_regression_target(y) -> bool:
     """True for a numeric target (regression), False for class labels."""
     return bool(np.issubdtype(np.asarray(y).dtype, np.number))
-
-
-@dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    prediction: float | str | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
-class DecisionTree:
-    root: TreeNode
-    n_features: int
-
-
-@dataclass
-class ForestModel:
-    trees: list[DecisionTree]
 
 
 # ---- random draws from raw stream words -----------------------------------
@@ -288,19 +263,17 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
 
 
-def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out=None):
-    """Yield one tree per lane, in lane order, or with ``held_out`` (one row
-    index per lane) the leaf each lane's tree sends ``X[held_out[i]]`` to.
+def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out):
+    """Yield, in lane order, the value of the leaf lane i's tree sends its
+    held-out row ``X[held_out[i]]`` to (its label for class targets).
 
     ``lanes`` yields ``(rows, stream)`` pairs: the training rows as indices
     into ``X`` (in order, repeats allowed) and, for a forest tree, its
     (seed, tree) stream, which bootstraps ``rows`` and draws each node's
     ``n_candidates`` candidate columns; a CART lane's stream is None. With
     ``n_candidates`` None (or at least the column count) every column is a
-    candidate. A leaf gives its value (its label for class targets). With
-    ``held_out`` no tree is built, and each held-out row must miss no value.
-    The target is coded once and the lanes grow in batches under
-    ``LANE_BUDGET_BYTES``.
+    candidate. Each held-out row must miss no value. The target is coded
+    once and the lanes grow in batches under ``LANE_BUDGET_BYTES``.
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
@@ -316,14 +289,14 @@ def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out=None):
     lanes = iter(lanes)
     done = 0
     while batch := list(islice(lanes, per_batch)):
-        held = None if held_out is None else held_out[done:done + len(batch)]
+        held = held_out[done:done + len(batch)]
         done += len(batch)
         yield from _grow_batch(X, target, classes, batch, min_leaf, n_candidates, held)
 
 
 def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
-    """Grow a batch of lanes in lockstep preorder; yields their trees, or
-    with ``held`` (a row per lane) the leaves those rows reach."""
+    """Grow a batch of lanes in lockstep preorder; the values of the leaves
+    their held-out rows ``held`` (one per lane) reach."""
     m, p = len(lanes), X.shape[1]
     size = np.array([len(rows) for rows, _ in lanes])
     width = int(size.max())
@@ -356,12 +329,11 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     # a pending node's rows are one run of ``runs``, which holds each lane's
     # positions with every node's rows together, in row order
     runs = np.broadcast_to(np.arange(width), (m, width)).copy()
-    if held is not None:  # the held-out row's stack slot; -1 once in its leaf
-        held_slot = np.zeros(m, dtype=np.intp)
-        reached = np.zeros(m, dtype=np.intp if classes else np.float64)
-        # a routing lane grows only its row's path, unless node draws (which
-        # follow the whole preorder) need the whole tree
-        whole = n_candidates is not None
+    held_slot = np.zeros(m, dtype=np.intp)  # the held-out row's stack slot; -1 once in its leaf
+    reached = np.zeros(m, dtype=np.intp if classes else np.float64)
+    # a lane grows only its row's path, unless node draws (which follow the
+    # whole preorder) need the whole tree
+    whole = n_candidates is not None
 
     # Each lane's stack of pending nodes, its top slot the next node: where
     # the node's run starts, its row count, and whether its targets all agree.
@@ -371,7 +343,6 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     counts[:, 0] = size
     pures[:, 0] = ~(in_lane & (ys != ys[:, :1])).any(axis=1)
     depth = np.ones(m, dtype=np.intp)
-    features, thresholds, leaves = [], [], []
     while (live := np.flatnonzero(depth)).size:
         top = depth[live] - 1
         lo, count, pure = start[live, top], counts[live, top], pures[live, top]
@@ -389,19 +360,10 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 None if n_classes is None else n_classes[lane], min_leaf)
 
         split = feature >= 0
-        # leaf values: of every leaf of a tree, or of the leaf a held-out row reaches
-        here = None if held is None else held_slot[live] == top
-        ends = np.flatnonzero(~split if held is None else here & ~split)
-        leaf = np.zeros(live.size, dtype=np.intp if classes else np.float64)
-        if ends.size:
-            leaf[ends] = _leaf_values(runs, ys, raw, live[ends], lo[ends], count[ends],
-                                      pure[ends], small[ends], len(classes))
-        if held is None:
-            for record, value in ((features, feature), (thresholds, threshold), (leaves, leaf)):
-                record.append(np.full(m, -2, dtype=value.dtype))  # -2: no t-th node
-                record[-1][live] = value
-        else:
-            reached[live[ends]] = leaf[ends]
+        here = held_slot[live] == top  # the held-out row is at this node
+        if (ends := np.flatnonzero(here & ~split)).size:  # and this node is its leaf
+            reached[live[ends]] = _leaf_values(runs, ys, raw, live[ends], lo[ends], count[ends],
+                                               pure[ends], small[ends], len(classes))
             held_slot[live[ends]] = -1
 
         if (cut := np.flatnonzero(split)).size:  # ties go left; the left child goes on top
@@ -409,23 +371,22 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
             n_left, pure_left, pure_right = _partition(
                 values, runs, ys, lane, lo, count, feature[cut], threshold[cut])
             sides = ((lo, n_left, pure_left), (lo + n_left, count - n_left, pure_right))
-            # A routing lane keeps no child that is a leaf: it takes the leaf's
-            # value at once if its row goes there. A path lane keeps only the
-            # side its row goes to.
-            kept = [np.ones(cut.size, dtype=bool) for _ in sides]
-            if held is not None:
-                left = X[held[lane], feature[cut]] <= threshold[cut]
-                goes = (left, ~left)
-                for side, keep, go in zip(sides, kept, goes):
-                    leafy = (side[1] < 2 * min_leaf) | side[2]
-                    keep &= ~leafy & (whole | go)
-                    if (at := np.flatnonzero(here[cut] & go & leafy)).size:
-                        reached[lane[at]] = _leaf_values(
-                            runs, ys, raw, lane[at], side[0][at], side[1][at], side[2][at],
-                            side[1][at] < 2 * min_leaf, len(classes))
-                        held_slot[lane[at]] = -1
-                moves = here[cut] & ((goes[0] & kept[0]) | (goes[1] & kept[1]))
-                held_slot[lane[moves]] = t[moves] + (goes[0] & kept[1])[moves]
+            # A lane keeps no child that is a leaf: it takes the leaf's value
+            # at once if its row goes there. A path lane keeps only the side
+            # its row goes to.
+            left = X[held[lane], feature[cut]] <= threshold[cut]
+            goes = (left, ~left)
+            kept = []
+            for (first, n, pure_side), go in zip(sides, goes):
+                leafy = (n < 2 * min_leaf) | pure_side
+                kept.append(~leafy & (whole | go))
+                if (at := np.flatnonzero(here[cut] & go & leafy)).size:
+                    reached[lane[at]] = _leaf_values(runs, ys, raw, lane[at], first[at], n[at],
+                                                     pure_side[at], n[at] < 2 * min_leaf,
+                                                     len(classes))
+                    held_slot[lane[at]] = -1
+            moves = here[cut] & ((goes[0] & kept[0]) | (goes[1] & kept[1]))
+            held_slot[lane[moves]] = t[moves] + (goes[0] & kept[1])[moves]
             # the right child (when kept) below the left one
             slot = t.copy()
             for (first, n, pure_side), keep in zip(sides[::-1], kept[::-1]):
@@ -435,15 +396,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 slot += keep
             depth[live[cut]] = slot
         depth[live[~split]] = top[~split]
-
-    if held is not None:
-        for i in range(m):
-            yield classes[reached[i]] if classes else float(reached[i])
-        return
-    features, thresholds, leaves = np.array(features), np.array(thresholds), np.array(leaves)
-    for i in range(m):
-        yield _from_preorder(features[:, i].tolist(), thresholds[:, i].tolist(),
-                             leaves[:, i].tolist(), classes, p)
+    return [classes[r] for r in reached] if classes else reached.tolist()
 
 
 def _best_splits(by_rank, rank, runs, lane, lo, count, cand, n_classes, min_leaf):
@@ -570,26 +523,19 @@ def _groups(count: np.ndarray, cells: int) -> list[tuple[int, int]]:
     return groups
 
 
-def _from_preorder(features, thresholds, leaves, classes, n_features) -> DecisionTree:
-    """The tree whose preorder node list this is (feature -1: leaf, -2: end)."""
-    root = None
-    open_nodes: list[TreeNode] = []  # internal nodes still missing a child
-    for f, thr, leaf in zip(features, thresholds, leaves):
-        if f == -2:
-            break
-        if f < 0:
-            node = TreeNode(prediction=classes[leaf] if classes else leaf)
-        else:
-            node = TreeNode(feature=f, threshold=thr)
-        if root is None:
-            root = node
-        elif open_nodes[-1].left is None:
-            open_nodes[-1].left = node
-        else:
-            open_nodes.pop().right = node
-        if f >= 0:
-            open_nodes.append(node)
-    return DecisionTree(root=root, n_features=n_features)
+def check_complete(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` as a float matrix and ``y`` as an array, once they are known to
+    train a model: ``X`` is 2-D and misses no cell, and a numeric ``y`` holds
+    no missing or infinite value. Else raises ``PhonassessError``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    if X.ndim != 2:
+        raise PhonassessError("X must be 2-D")
+    if np.isnan(X).any():
+        raise PhonassessError("matrix contains missing values; drop rows first")
+    if is_regression_target(y) and not np.isfinite(y).all():
+        raise PhonassessError("target contains missing or infinite values; drop rows first")
+    return X, y
 
 
 @dataclass
@@ -603,8 +549,8 @@ class LearnerSpec:
     """
 
     kind: str = "cart"             # "cart" | "forest"
-    n_trees: int = 50
-    min_leaf: int = 3
+    n_trees: int = N_TREES_DEFAULT
+    min_leaf: int = MIN_LEAF_DEFAULT
     seed: int = 0
 
     def __post_init__(self):
@@ -613,99 +559,36 @@ class LearnerSpec:
         if self.n_trees < 1:
             raise PhonassessError(f"n_trees must be at least 1, got {self.n_trees}")
 
-    def lanes(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray, seed: int) -> list:
-        """The lanes of one model trained on ``X[rows]``, ``y[rows]``.
+    def lanes(self, y: np.ndarray, rows: np.ndarray, seed: int) -> list:
+        """The lanes of one model trained on the rows ``rows`` of a complete
+        matrix and its target ``y`` (``check_complete``).
 
-        Raises ``PhonassessError`` when those rows cannot train the model.
+        Raises ``PhonassessError`` when those rows cannot train the model:
+        there are none, or a forest's rows hold one class only.
         """
-        sub = X[rows]
-        if sub.ndim != 2:
-            raise PhonassessError("X must be 2-D")
         if len(rows) < 1:
             raise PhonassessError("empty training set")
-        if np.isnan(sub).any():
-            raise PhonassessError("training matrix contains missing values; drop rows first")
-        if is_regression_target(y) and not np.isfinite(y[rows]).all():
-            raise PhonassessError("target contains missing or infinite values; drop rows first")
         if self.kind == "cart":
             return [(rows, None)]
         if len(set(map(str, y[rows].tolist()))) < 2:
             raise PhonassessError("need at least two classes to train a forest")
         return [(rows, (seed, tree)) for tree in range(self.n_trees)]
 
-    def _grower(self, X: np.ndarray, y: np.ndarray):
-        """(target, min_leaf, candidates per node) the grower gets for this learner."""
-        if self.kind == "forest":  # string labels: a forest classifies any y
-            return [str(v) for v in y], 1, max(1, int(np.sqrt(X.shape[1])))
-        return y, self.min_leaf, None
-
-    def grow(self, X: np.ndarray, y: np.ndarray, lanes):
-        """Trees for ``lanes`` (of this learner), in order."""
-        return _grow(X, *self._grower(X, y), lanes)
-
     def route(self, X: np.ndarray, y: np.ndarray, lanes, held_out):
         """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to, in
         order: its value. The held-out rows must miss no value."""
-        return _grow(X, *self._grower(X, y), lanes, np.asarray(held_out, dtype=np.intp))
-
-    def model(self, trees):
-        """The model made of the next trees ``grow`` yields for one training set."""
-        if self.kind == "forest":
-            return ForestModel(trees=list(islice(trees, self.n_trees)))
-        return next(trees)
+        if self.kind == "forest":  # string labels: a forest classifies any y
+            grower = [str(v) for v in y], 1, max(1, int(np.sqrt(X.shape[1])))
+        else:
+            grower = y, self.min_leaf, None
+        return _grow(X, *grower, lanes, np.asarray(held_out, dtype=np.intp))
 
     def vote(self, leaves):
-        """What ``predict`` gives for one row from the next leaves ``route``
-        yields for it: a CART's leaf, or the label most of a forest's trees
-        reach (``_majority``, as in ``predict_forest``)."""
+        """One row's prediction from the next leaves ``route`` yields for it:
+        a CART's leaf, or the label most of a forest's trees reach
+        (``_majority``)."""
         reached = list(islice(leaves, self.n_trees if self.kind == "forest" else 1))
         return _majority(reached) if self.kind == "forest" else reached[0]
-
-    def train(self, X, y, seed: int = 0):
-        """One model on all of ``X``, ``y``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        lanes = self.lanes(X, y, np.arange(len(X)), seed)
-        return self.model(self.grow(X, y, lanes))
-
-
-def train_cart(X, y, min_leaf: int = MIN_LEAF_DEFAULT) -> DecisionTree:
-    """Greedy binary CART: variance reduction and mean leaves for a numeric
-    ``y``, Gini decrease and majority leaves for class labels."""
-    return LearnerSpec(kind="cart", min_leaf=min_leaf).train(X, y)
-
-
-def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> ForestModel:
-    """Bagged classification CARTs, sqrt(p) candidate features per node.
-
-    The trees get ``y`` as string labels, so they classify whatever its dtype.
-    Every tree gets its own stream spawned from the master seed, so the
-    model is identical whether trees are trained serially or in parallel.
-    Trees grow to purity (``min_leaf=1``) on a bootstrap sample.
-    """
-    return LearnerSpec(kind="forest", n_trees=n_trees).train(X, y, seed)
-
-
-def predict_tree(tree: DecisionTree, row) -> float | str:
-    row = np.asarray(row, dtype=np.float64)
-    if np.isnan(row[: tree.n_features]).any():
-        needed = _features_used(tree.root)
-        if any(np.isnan(row[j]) for j in needed):
-            raise PhonassessError("row is missing a feature the model references")
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.prediction
-
-
-def _features_used(node: TreeNode) -> set[int]:
-    if node.is_leaf:
-        return set()
-    return {node.feature} | _features_used(node.left) | _features_used(node.right)
-
-
-def predict_forest(model: ForestModel, row) -> str:
-    return _majority([predict_tree(t, row) for t in model.trees])
 
 
 def _majority(labels: list[str]) -> str:
@@ -713,8 +596,49 @@ def _majority(labels: list[str]) -> str:
     return max(sorted(set(labels)), key=labels.count)  # max keeps the first best
 
 
-def predict(model, row):
-    """Dispatch on model type; missing referenced features raise."""
-    if isinstance(model, ForestModel):
-        return predict_forest(model, row)
-    return predict_tree(model, row)
+@dataclass(eq=False)
+class Model:
+    """A learner and the complete rows it trains on; ``predict`` grows its
+    trees again for every row it routes."""
+
+    spec: LearnerSpec
+    X: np.ndarray
+    y: np.ndarray
+    trees: list  # the learner's lanes on every row, one per tree
+
+
+def _train(spec: LearnerSpec, X, y, seed: int) -> Model:
+    X, y = check_complete(X, y)
+    return Model(spec, X, y, spec.lanes(y, np.arange(len(X)), seed))
+
+
+def train_cart(X, y, min_leaf: int = MIN_LEAF_DEFAULT) -> Model:
+    """Greedy binary CART: variance reduction and mean leaves for a numeric
+    ``y``, Gini decrease and majority leaves for class labels."""
+    return _train(LearnerSpec(kind="cart", min_leaf=min_leaf), X, y, 0)
+
+
+def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> Model:
+    """Bagged classification CARTs, sqrt(p) candidate features per node.
+
+    The trees get ``y`` as string labels, so they classify whatever its dtype.
+    Tree t draws from the stream ``SeedSequence(seed).spawn(n_trees)[t]``.
+    Trees grow to purity (``min_leaf=1``) on a bootstrap sample.
+    """
+    return _train(LearnerSpec(kind="forest", n_trees=n_trees), X, y, seed)
+
+
+def predict(model: Model, row):
+    """What ``model`` predicts for ``row``: its CART's leaf, or the label most
+    of its forest's trees reach (a tie goes to the lexicographically
+    smallest). The row is routed as a leave-one-out fold routes its held-out
+    row: it goes in as row n after the model's n training rows, with a
+    target that is never read. A row with a missing value raises
+    ``PhonassessError``."""
+    row = np.asarray(row, dtype=np.float64)
+    if np.isnan(row).any():
+        raise PhonassessError("row has a missing value; a model routes complete rows only")
+    X = np.vstack([model.X, row])
+    y = np.append(model.y, model.y[:1])
+    held = np.full(len(model.trees), len(model.X))
+    return model.spec.vote(model.spec.route(X, y, model.trees, held))

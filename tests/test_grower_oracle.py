@@ -1,19 +1,39 @@
 """The lockstep grower against the recursive grower it replaced.
 
 ``ref_grow`` and its helpers are the former ``models._grow``,
-``_best_split``, ``_leaf`` and ``_gini``, kept verbatim; ``ref_train_cart``
-and ``ref_train_forest`` are the former trainers built on them. Trees must
-be equal node for node: feature, threshold bits, and leaf value bits or
-label.
+``_best_split``, ``_leaf`` and ``_gini``, kept verbatim with the
+``TreeNode`` they build; ``ref_train_cart`` and ``ref_train_forest`` are the
+former trainers built on them, and ``ref_predict`` the former
+``predict_tree``. The grower builds no tree, so it is checked by routing:
+every row of the matrix, and rows placed at each reference split's
+threshold and one ulp above it, must reach the leaf the reference tree
+gives them, value bits or label alike.
 """
+from dataclasses import dataclass
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import phonassess.models as models
+from phonassess.errors import PhonassessError
 from phonassess.evaluation import loo_validate
-from phonassess.models import GAIN_TOL, LearnerSpec, TreeNode, predict, train_cart
+from phonassess.models import GAIN_TOL, LearnerSpec, predict, train_cart, train_forest
 
 
 # ---- reference: the recursive grower, verbatim --------------------------
+
+@dataclass
+class TreeNode:
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    prediction: float | str | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
 
 def _gini(counts: np.ndarray) -> float:
     total = counts.sum()
@@ -126,15 +146,98 @@ def ref_train_forest(X, y, n_trees, seed) -> list[TreeNode]:
     return trees
 
 
-def shape(node: TreeNode):
-    """Preorder structure with exact bits of every threshold and leaf value."""
+def ref_predict(node: TreeNode, row) -> float | str:
+    """The leaf ``row`` reaches; a missing value the tree splits on raises."""
+    row = np.asarray(row, dtype=np.float64)
+    if np.isnan(row).any():
+        needed = features_used(node)
+        if any(np.isnan(row[j]) for j in needed):
+            raise PhonassessError("row is missing a feature the model references")
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.prediction
+
+
+def features_used(node: TreeNode) -> set[int]:
     if node.is_leaf:
-        value = node.prediction
-        if isinstance(value, str):  # the former labels were numpy strings
-            return ("leaf", str(value))
-        return ("leaf", np.float64(value).tobytes(), type(value).__name__)
-    return (node.feature, np.float64(node.threshold).tobytes(),
-            shape(node.left), shape(node.right))
+        return set()
+    return {node.feature} | features_used(node.left) | features_used(node.right)
+
+
+def ref_majority(labels: list[str]) -> str:
+    """The label most of ``labels`` are; a tie goes to the lexicographically smallest."""
+    return max(sorted(set(labels)), key=labels.count)
+
+
+def ref_trees(spec: LearnerSpec, X, y, seed: int) -> list[TreeNode]:
+    """The reference trees of ``spec`` trained on all of ``X``, ``y``."""
+    if spec.kind == "forest":
+        return ref_train_forest(X, y, spec.n_trees, seed)
+    return [ref_train_cart(X, y, spec.min_leaf)]
+
+
+def ref_vote(spec: LearnerSpec, trees: list[TreeNode], row):
+    """What the reference model made of ``trees`` predicts for ``row``."""
+    leaves = [ref_predict(t, row) for t in trees]
+    return ref_majority(leaves) if spec.kind == "forest" else leaves[0]
+
+
+# ---- routing probes ---------------------------------------------------------
+
+def threshold_rows(node: TreeNode, X) -> list[np.ndarray]:
+    """For every split, a row of ``X`` that reaches it with the split's
+    column set to the threshold, and again to the next float above it.
+
+    The threshold lies strictly between two values of rows that reach the
+    split, so a row that reaches it still does with either value in that
+    column: one tests that a tie goes left, the other that the threshold is
+    not an ulp high.
+    """
+    out = []
+
+    def walk(node, rows):
+        if node.is_leaf:
+            return
+        for value in (node.threshold, np.nextafter(node.threshold, np.inf)):
+            out.append(rows[0].copy())
+            out[-1][node.feature] = value
+        left = rows[:, node.feature] <= node.threshold
+        walk(node.left, rows[left])
+        walk(node.right, rows[~left])
+
+    walk(node, np.asarray(X, dtype=np.float64))
+    return out
+
+
+def bits(value):
+    """A leaf value's exact bits and type, or its label."""
+    if isinstance(value, str):
+        return value
+    return np.float64(value).tobytes(), type(value).__name__
+
+
+def assert_routes_like_reference(spec: LearnerSpec, X, y, sets) -> None:
+    """Route, in one call, every probe of every set through each of the
+    set's lanes, and compare each leaf with the one its reference tree gives.
+
+    ``sets`` holds (lanes, reference trees, training rows) triples, one tree
+    per lane; a set's probes are every row of ``X`` and the threshold rows of
+    its reference trees on its training rows.
+    """
+    n, p = X.shape
+    extra, lanes, held, want = [], [], [], []
+    for set_lanes, trees, rows in sets:
+        placed = [r for tree in trees for r in threshold_rows(tree, X[rows])]
+        index = [*range(n), *range(n + len(extra), n + len(extra) + len(placed))]
+        extra += placed
+        for i, row in zip(index, [*X, *placed]):
+            for lane, tree in zip(set_lanes, trees, strict=True):
+                lanes.append(lane)
+                held.append(i)
+                want.append(bits(ref_predict(tree, row)))
+    probes = np.vstack([X, np.array(extra, dtype=np.float64).reshape(len(extra), p)])
+    targets = np.concatenate([y, np.repeat(y[:1], len(extra))])  # probes' targets go unread
+    assert [bits(v) for v in spec.route(probes, targets, lanes, held)] == want
 
 
 # ---- inputs: tie-heavy columns, awkward targets -------------------------
@@ -175,15 +278,24 @@ def class_target(draw, rng, n, n_classes):
     return names[rng.choice(n_classes, size=n, p=weights)]
 
 
-# ---- node-for-node equality ----------------------------------------------
+
+
+# ---- routing equality ---------------------------------------------------------
+
+def assert_model_like_reference(model, trees, X, y) -> None:
+    """``model``'s lanes route like ``trees``, and ``predict`` gives what
+    the reference model gives on the rows of ``X``."""
+    assert_routes_like_reference(model.spec, X, y, [(model.trees, trees, np.arange(len(X)))])
+    for row in X[:4]:
+        assert bits(predict(model, row)) == bits(ref_vote(model.spec, trees, row))
+
 
 @settings(max_examples=300, deadline=None)
 @given(matrices(), st.integers(1, 4), st.data())
 def test_cart_regression_matches_recursive_grower(case, min_leaf, data):
     X, rng = case
     y = regression_target(data.draw, rng, len(X))
-    tree = train_cart(X, y, min_leaf)
-    assert shape(tree.root) == shape(ref_train_cart(X, y, min_leaf))
+    assert_model_like_reference(train_cart(X, y, min_leaf), [ref_train_cart(X, y, min_leaf)], X, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,8 +303,7 @@ def test_cart_regression_matches_recursive_grower(case, min_leaf, data):
 def test_cart_classification_matches_recursive_grower(case, min_leaf, n_classes, data):
     X, rng = case
     y = class_target(data.draw, rng, len(X), n_classes)
-    tree = train_cart(X, y, min_leaf)
-    assert shape(tree.root) == shape(ref_train_cart(X, y, min_leaf))
+    assert_model_like_reference(train_cart(X, y, min_leaf), [ref_train_cart(X, y, min_leaf)], X, y)
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,15 +314,14 @@ def test_forest_matches_recursive_grower(case, n_trees, n_classes, seed, data):
     X, rng = case
     y = class_target(data.draw, rng, len(X), max(n_classes, 2))
     y[0], y[-1] = "HC", "PD"
-    forest = LearnerSpec(kind="forest", n_trees=n_trees).train(X, y, seed)
-    assert ([shape(t.root) for t in forest.trees]
-            == [shape(t) for t in ref_train_forest(X, y, n_trees, seed)])
+    assert_model_like_reference(train_forest(X, y, n_trees, seed),
+                                ref_train_forest(X, y, n_trees, seed), X, y)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(min_rows=3, max_rows=25, max_cols=9), st.integers(1, 5), st.data())
 def test_forest_lanes_of_mixed_row_counts_grow_as_one_call_each(case, n_trees, data):
-    """Training sets of different sizes, grown in one call, give each set's own trees."""
+    """Training sets of different sizes, routed in one call, give each set's own trees."""
     X, rng = case
     n = len(X)
     y = class_target(data.draw, rng, n, 2)
@@ -220,42 +330,31 @@ def test_forest_lanes_of_mixed_row_counts_grow_as_one_call_each(case, n_trees, d
     sets = data.draw(st.lists(st.tuples(st.lists(st.integers(2, n - 1), max_size=n),
                                         st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
     sets = [(np.array([0, 1] + extra, dtype=np.intp), seed) for extra, seed in sets]
-    lanes = [lane for rows, seed in sets for lane in spec.lanes(X, y, rows, seed)]
-    trees = spec.grow(X, y, lanes)
-    for rows, seed in sets:
-        alone = spec.model(spec.grow(X, y, spec.lanes(X, y, rows, seed)))
-        assert ([shape(t.root) for t in spec.model(trees).trees]
-                == [shape(t.root) for t in alone.trees])
+    assert_routes_like_reference(spec, X, y, [
+        (spec.lanes(y, rows, seed), ref_train_forest(X[rows], y[rows], n_trees, seed), rows)
+        for rows, seed in sets])
 
 
 @settings(max_examples=100, deadline=None)
-@given(matrices(min_rows=3, max_rows=20), st.integers(1, 4), st.booleans(),
-       st.integers(0, 1000), st.data())
-def test_loo_lanes_match_recursive_grower(case, min_leaf, forest, seed, data):
-    """Every fold's trees, grown together in one batch, equal the per-fold trees."""
+@given(matrices(min_rows=3, max_rows=20), st.integers(1, 4),
+       st.sampled_from(["forest", "cart_class", "cart_reg"]), st.integers(0, 1000), st.data())
+def test_loo_lanes_match_recursive_grower(case, min_leaf, kind, seed, data):
+    """Every fold's lanes, routed together in one call, route like the per-fold trees."""
     X, rng = case
     n = len(X)
-    if forest:
-        y = class_target(data.draw, rng, n, 2)
-        y[:4] = ["HC", "PD", "HC", "PD"][:n]
-        spec = LearnerSpec(kind="forest", n_trees=3, seed=seed)
-    else:
+    if kind == "cart_reg":
         y = regression_target(data.draw, rng, n)
-        spec = LearnerSpec(kind="cart", min_leaf=min_leaf, seed=seed)
+    else:
+        y = class_target(data.draw, rng, n, 2 if kind == "forest" else 3)
+        y[:4] = ["HC", "PD", "HC", "PD"][:n]
+    spec = (LearnerSpec(kind="forest", n_trees=3, seed=seed) if kind == "forest"
+            else LearnerSpec(kind="cart", min_leaf=min_leaf, seed=seed))
     folds = [(i, np.delete(np.arange(n), i)) for i in range(n)]
-    if forest:  # a fold left with one class cannot train a forest
+    if kind == "forest":  # a fold left with one class cannot train a forest
         folds = [(i, rows) for i, rows in folds if len(set(y[rows])) == 2]
-    lanes = [lane for i, rows in folds for lane in spec.lanes(X, y, rows, seed + i)]
-    trees = spec.grow(X, y, lanes)
-    for i, rows in folds:
-        model = spec.model(trees)
-        if forest:
-            got = [shape(t.root) for t in model.trees]
-            want = [shape(t) for t in ref_train_forest(X[rows], y[rows], 3, seed + i)]
-        else:
-            got = shape(model.root)
-            want = shape(ref_train_cart(X[rows], y[rows], min_leaf))
-        assert got == want
+    assert_routes_like_reference(spec, X, y, [
+        (spec.lanes(y, rows, seed + i), ref_trees(spec, X[rows], y[rows], seed + i), rows)
+        for i, rows in folds])
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,19 +374,20 @@ def test_loo_predictions_match_per_fold_training(case, forest, data):
         if forest and len(set(y[rows])) < 2:
             assert i in result.failed_folds
             continue
-        model = spec.train(X[rows], y[rows], 5 + i)
-        assert np.asarray(predict(model, X[i])).tobytes() == \
-            np.asarray(result.predictions[i]).tobytes()
+        want = ref_vote(spec, ref_trees(spec, X[rows], y[rows], 5 + i), X[i])
+        assert np.asarray(result.predictions[i]).tobytes() == np.asarray(want).tobytes()
 
 
 def test_batches_split_lanes_without_changing_trees(monkeypatch):
-    """A byte budget of one lane per batch grows the same trees."""
-    import phonassess.models as models
-
+    """A byte budget of one lane per batch routes every row to the same leaves."""
     rng = np.random.default_rng(3)
     X = np.round(rng.normal(0, 1, (24, 4)), 1)
     y = np.where(X[:, 0] + rng.normal(0, 0.5, 24) > 0, "PD", "HC")
     spec = LearnerSpec(kind="forest", n_trees=6)
-    whole = spec.train(X, y, 9)
+    lanes = spec.lanes(y, np.arange(24), 9) * 24
+    held = np.repeat(np.arange(24), 6)
+    whole = list(spec.route(X, y, lanes, held))
+    assert whole == [ref_predict(tree, X[i]) for i in range(24)
+                     for tree in ref_train_forest(X, y, 6, 9)]
     monkeypatch.setattr(models, "LANE_BUDGET_BYTES", 1)
-    assert spec.train(X, y, 9) == whole
+    assert list(spec.route(X, y, lanes, held)) == whole

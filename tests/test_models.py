@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from phonassess.errors import PhonassessError
-from phonassess.models import (DecisionTree, ForestModel, LearnerSpec, TreeNode, predict,
-                               predict_forest, train_cart, train_forest)
+from phonassess.models import LearnerSpec, predict, train_cart, train_forest
 
 
 class TestCart:
     def test_constant_target_single_leaf(self):
-        X = np.random.default_rng(0).uniform(0, 1, (12, 3))
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0, 1, (12, 3))
         tree = train_cart(X, np.full(12, 4.2))
-        assert tree.root.is_leaf
-        assert predict(tree, X[0]) == 4.2
+        for row in np.vstack([X, rng.uniform(-5, 5, (20, 3))]):
+            assert predict(tree, row) == 4.2
 
     def test_step_function_threshold(self):
         X = np.linspace(0, 1, 40).reshape(-1, 1)
         y = np.where(X[:, 0] > 0.5, 10.0, 0.0)
         tree = train_cart(X, y)
-        assert 0.4 < tree.root.threshold < 0.6
+        assert predict(tree, [0.4]) == 0.0 and predict(tree, [0.6]) == 10.0  # 0.4 < threshold < 0.6
         mae = np.mean([abs(predict(tree, r) - v) for r, v in zip(X, y)])
         assert mae == 0.0
 
@@ -33,14 +33,15 @@ class TestCart:
         X = np.ones((10, 2))
         y = np.array([0.0, 1.0] * 5)
         tree = train_cart(X, y)
-        assert tree.root.is_leaf
+        for row in ([1.0, 1.0], [0.0, 2.0], [-7.0, 1e9]):
+            assert predict(tree, row) == 0.5  # one leaf: the mean of every target
 
     def test_tie_at_threshold_goes_left(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
         y = np.array([0.0, 0.0, 0.0, 9.0, 9.0, 9.0])
         tree = train_cart(X, y, min_leaf=1)
-        thr = tree.root.threshold
-        assert predict(tree, [thr]) == 0.0  # exactly at the threshold -> left
+        assert predict(tree, [0.5]) == 0.0  # exactly at the midpoint threshold -> left
+        assert predict(tree, [np.nextafter(0.5, 1.0)]) == 9.0
 
     def test_missing_referenced_feature_raises(self):
         X = np.linspace(0, 1, 20).reshape(-1, 1)
@@ -49,10 +50,15 @@ class TestCart:
         with pytest.raises(PhonassessError):
             predict(tree, [np.nan])
 
-    def test_single_leaf_predicts_constant_for_missing(self):
-        tree = train_cart(np.ones((6, 1)), np.full(6, 2.5))
-        # no feature referenced: NaN row is fine
-        assert predict(tree, [np.nan]) == 2.5
+    def test_any_missing_value_raises(self):
+        # a model routes complete rows only, even where no split reads the value
+        X = np.column_stack([np.linspace(0, 1, 20), np.ones(20)])  # column 1 is never split on
+        tree = train_cart(X, (X[:, 0] > 0.5).astype(float))
+        assert predict(tree, [0.1, 5.0]) == 0.0
+        with pytest.raises(PhonassessError, match="missing"):
+            predict(tree, [0.1, np.nan])
+        with pytest.raises(PhonassessError, match="missing"):
+            predict(train_cart(np.ones((6, 1)), np.full(6, 2.5)), [np.nan])  # a single leaf
 
     def test_missing_target_raises(self):
         X = np.linspace(0, 1, 12).reshape(-1, 1)
@@ -75,10 +81,12 @@ class TestCart:
 
 class TestForest:
     def test_majority_vote(self):
-        leaf_a = DecisionTree(root=TreeNode(prediction="A"), n_features=1)
-        leaf_b = DecisionTree(root=TreeNode(prediction="B"), n_features=1)
-        forest = ForestModel(trees=[leaf_a, leaf_a, leaf_b])
-        assert predict_forest(forest, [0.0]) == "A"
+        spec = LearnerSpec(kind="forest", n_trees=3)
+        assert spec.vote(iter(["B", "A", "B", "A"])) == "B"  # takes only its 3 trees' leaves
+        assert spec.vote(iter(["A", "B", "A"])) == "A"
+        # a tie goes to the lexicographically smallest label
+        assert LearnerSpec(kind="forest", n_trees=2).vote(iter(["PD", "HC"])) == "HC"
+        assert LearnerSpec(kind="forest", n_trees=4).vote(iter(["b", "a", "a", "b"])) == "a"
 
     def test_single_class_error(self):
         X = np.random.default_rng(5).uniform(0, 1, (10, 2))
@@ -105,6 +113,5 @@ class TestForest:
         y = np.array(["HC"] * 12 + ["PD"] * 12)
         a = train_forest(X, y, n_trees=15, seed=42)
         b = train_forest(X, y, n_trees=15, seed=42)
-        assert a == b
         probe = rng.normal(1.5, 1, (20, 4))
-        assert [predict_forest(a, r) for r in probe] == [predict_forest(b, r) for r in probe]
+        assert [predict(a, r) for r in probe] == [predict(b, r) for r in probe]

@@ -1,11 +1,11 @@
-"""Routed leave-one-out against per-fold training and ``predict``.
+"""Routed leave-one-out against the recursive reference trees.
 
-``loo_validate`` builds no model: it carries each held-out row down its
+``loo_validate`` builds no tree: it carries each held-out row down its
 fold's trees while they grow. Every fold must still predict exactly what
-``train_cart``/``train_forest`` on the other rows and ``predict`` give, and
-fail exactly where training cannot run. Rows with a missing value never
-reach a fold: ``loo_validate`` raises first, where a fold's model or
-``predict`` would raise or a complete row would be predicted alike.
+the reference trees (``test_grower_oracle``) grown on the other rows give
+it, and fail exactly where a forest fold is left with one class. Rows with
+a missing value never reach a fold: ``loo_validate`` raises first, where a
+reference tree would raise or a complete row would be predicted alike.
 """
 from dataclasses import replace
 
@@ -16,24 +16,22 @@ from hypothesis import given, settings, strategies as st
 import phonassess.models as models
 from phonassess.errors import PhonassessError
 from phonassess.evaluation import loo_validate
-from phonassess.models import LearnerSpec, predict, train_cart, train_forest
+from phonassess.models import LearnerSpec, predict, train_cart
+from test_grower_oracle import (features_used, ref_majority, ref_predict, ref_train_cart,
+                                ref_train_forest, ref_trees, ref_vote)
 
 
 def per_fold(X, y, spec):
-    """(predictions, failed folds) of training each fold and calling ``predict``."""
+    """(predictions, failed folds) of the reference trees of each fold."""
     n, seed = len(X), spec.seed
     preds, failed = [], []
     for i in range(n):
         rows = np.delete(np.arange(n), i)
-        try:
-            if spec.kind == "forest":
-                model = train_forest(X[rows], y[rows], n_trees=spec.n_trees, seed=seed + i)
-            else:
-                model = train_cart(X[rows], y[rows], min_leaf=spec.min_leaf)
-            preds.append(predict(model, X[i]))
-        except PhonassessError:
+        if spec.kind == "forest" and len(set(y[rows])) < 2:
             failed.append(i)
             preds.append(float("nan"))
+        else:
+            preds.append(ref_vote(spec, ref_trees(spec, X[rows], y[rows], seed + i), X[i]))
     return preds, failed
 
 
@@ -103,10 +101,12 @@ def _split_off_the_path():
 
 def test_held_out_row_missing_a_feature_split_on_off_its_path_fails():
     X, y = _split_off_the_path()
-    tree = train_cart(X[1:], y[1:], min_leaf=1)
-    assert tree.root.feature == 0 and tree.root.left.is_leaf and tree.root.right.feature == 1
+    tree = ref_train_cart(X[1:], y[1:], min_leaf=1)
+    assert tree.feature == 0 and tree.left.is_leaf and tree.right.feature == 1
     with pytest.raises(PhonassessError):
-        predict(tree, X[0])
+        ref_predict(tree, X[0])
+    with pytest.raises(PhonassessError):
+        predict(train_cart(X[1:], y[1:], min_leaf=1), X[0])
     with pytest.raises(PhonassessError, match="matrix contains missing"):
         loo_validate(X, y, LearnerSpec(kind="cart", min_leaf=1))
     X[0, 1] = 0.5  # now its path decides
@@ -115,14 +115,15 @@ def test_held_out_row_missing_a_feature_split_on_off_its_path_fails():
 
 
 def test_held_out_row_missing_a_feature_no_tree_uses_is_predicted():
-    """``predict`` reads only the features a tree splits on; leave-one-out
-    refuses the incomplete row, and once it is complete predicts it alike."""
+    """A tree reads only the features it splits on; leave-one-out refuses
+    the incomplete row, and once it is complete predicts it alike."""
     rng = np.random.default_rng(4)
     X = np.column_stack([rng.normal(size=20), np.ones(20)])  # column 1 is never split on
     y = np.where(X[:, 0] > 0, "PD", "HC")
     held = X[3].copy()
     held[1] = np.nan
-    want = predict(train_forest(np.delete(X, 3, 0), np.delete(y, 3), n_trees=9, seed=5), held)
+    forest = ref_train_forest(np.delete(X, 3, 0), np.delete(y, 3), n_trees=9, seed=5)
+    want = ref_majority([ref_predict(tree, held) for tree in forest])
     spec = LearnerSpec(kind="forest", n_trees=9, seed=2)
     X[3] = held
     with pytest.raises(PhonassessError, match="matrix contains missing"):
@@ -137,19 +138,19 @@ def test_forest_fold_fails_when_one_tree_uses_the_missing_feature():
     X = rng.normal(size=(16, 4))
     y = np.where(X[:, 2] + 0.3 * rng.normal(size=16) > 0, "PD", "HC")
     X[5, 2] = np.nan
-    forest = train_forest(np.delete(X, 5, 0), np.delete(y, 5), n_trees=6, seed=5)
-    assert any(2 in models._features_used(t.root) for t in forest.trees)
+    forest = ref_train_forest(np.delete(X, 5, 0), np.delete(y, 5), n_trees=6, seed=5)
+    assert any(2 in features_used(tree) for tree in forest)
     with pytest.raises(PhonassessError):
-        predict(forest, X[5])
+        ref_predict(next(t for t in forest if 2 in features_used(t)), X[5])
     with pytest.raises(PhonassessError, match="matrix contains missing"):
         loo_validate(X, y, LearnerSpec(kind="forest", n_trees=6))
 
 
 def test_loo_builds_no_tree_and_calls_no_predict(monkeypatch):
     def refuse(*args):
-        raise AssertionError("leave-one-out built a tree or called predict")
+        raise AssertionError("leave-one-out trained a model or called predict")
 
-    for name in ("_from_preorder", "predict", "predict_tree", "predict_forest"):
+    for name in ("train_cart", "train_forest", "predict"):
         monkeypatch.setattr(models, name, refuse)
     rng = np.random.default_rng(1)
     X = np.round(rng.normal(size=(15, 3)), 1)

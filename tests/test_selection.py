@@ -173,10 +173,10 @@ def test_sffs_scores_each_subset_once(monkeypatch):
 class _FailsOnFold(LearnerSpec):
     """A learner whose training fails for one LOO fold (fold i trains with seed i)."""
 
-    def lanes(self, X, y, rows, seed):
+    def lanes(self, y, rows, seed):
         if seed == 3:
             raise PhonassessError("cannot train this fold")
-        return super().lanes(X, y, rows, seed)
+        return super().lanes(y, rows, seed)
 
 
 class TestFailedFolds:
