@@ -32,7 +32,8 @@ import numpy as np
 from .allocator import keep_freed_memory
 from .audio import TASKS, VOWELS, load_recording
 from .errors import AudioError, ConfigError, PhonassessError
-from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
+# perfbench/tracing.py wraps loo_validate at this module
+from .evaluation import (SCALES, classification_metrics, correlation_graph_data,  # noqa: F401
                          estimation_errors, loo_validate, regression_metrics,
                          round_half_away, spearman)
 from .features.extract import ExtractionResult, extract_recording
@@ -157,6 +158,8 @@ def _extract_job(path: Path, peak_normalize: bool) -> ExtractionResult | AudioEr
 
 
 def cmd_extract(cfg: RunConfig) -> int:
+    if not cfg.manifest:
+        raise ConfigError("extract needs --manifest")
     manifest = load_manifest(cfg.manifest)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,36 +194,33 @@ def cmd_extract(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_matrix(cfg: RunConfig, scope: str) -> FeatureMatrix:
+def _report_matrices(cfg: RunConfig):
+    """Each report scope's feature matrix, loaded as it is reached.
+
+    The scopes are those given, else every ``features_<scope>.csv`` found;
+    the output directory is made before the first matrix is loaded.
+    """
     base = Path(cfg.features or cfg.out)
-    path = base / f"features_{scope}.csv"
-    if not path.exists():
-        raise PhonassessError(f"missing feature matrix {path}; run extract first")
-    return FeatureMatrix.from_csv(path, scope=scope)
-
-
-def _scopes_from_features_dir(cfg: RunConfig) -> list[str]:
-    base = Path(cfg.features or cfg.out)
-    return sorted(p.stem.replace("features_", "", 1) for p in base.glob("features_*.csv"))
-
-
-def _report_scopes(cfg: RunConfig) -> tuple[list[str], Path]:
-    """Scopes to report on (given, else every matrix found) and the output dir."""
-    scopes = cfg.scopes() or _scopes_from_features_dir(cfg)
+    scopes = cfg.scopes() or sorted(p.stem.replace("features_", "", 1)
+                                    for p in base.glob("features_*.csv"))
     if not scopes:
         raise ConfigError("no scopes given and no feature matrices found")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return scopes, out
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    for scope in scopes:
+        path = base / f"features_{scope}.csv"
+        if not path.exists():
+            raise PhonassessError(f"missing feature matrix {path}; run extract first")
+        yield FeatureMatrix.from_csv(path, scope=scope)
 
 
 def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: LearnerSpec,
                     cfg: RunConfig):
-    """mRMR + SFFS on the rows with a target, then LOO of the selected subset.
+    """mRMR + SFFS on the rows with a target; the report is the search's LOO.
 
     Writes how selection went to ``selection_<target>_<scope>.json`` and
-    returns (selection, LOO predictions, truth of the evaluated rows); a LOO
-    fold that cannot train is an error naming the held-out subjects.
+    returns (selection, the selected subset's LOO predictions from the
+    search, truth of the rows they are for). A search in which no subset
+    could be scored is an error, raised after that file is written.
     """
     rows = drop_incomplete_rows(matrix.values, target, [])  # rows with a finite target
     X, y = matrix.values[rows], np.asarray(target)[rows]
@@ -236,20 +236,18 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
     ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, len(usable)))
     sel = sffs(X, y, matrix.columns, spec, candidates=[usable[j] for j in ranked],
                patience=cfg.sffs_patience)
-    ok = drop_incomplete_rows(X, y, sel.selected_indices)
     _write_selection(Path(cfg.out) / f"selection_{target_name}_{matrix.scope}.json", sel,
-                     no_target=np.asarray(matrix.subject_ids)[~rows], dropped=ids[~ok])
-    loo = loo_validate(X[np.ix_(ok, sel.selected_indices)], y[ok], spec)
-    if loo.failed_folds:
-        held_out = ", ".join(ids[ok][loo.failed_folds])
-        raise PhonassessError(f"scope {matrix.scope}: {len(loo.failed_folds)} LOO fold(s) "
-                              f"could not be trained (held-out subjects: {held_out})")
-    return sel, loo.predictions, y[ok]
+                     no_target=np.asarray(matrix.subject_ids)[~rows], dropped=ids[~sel.rows])
+    if sel.predictions is None:
+        raise PhonassessError(f"scope {matrix.scope}: no feature subset could be scored (each "
+                              "left fewer than 3 complete rows or a LOO fold that could not "
+                              "be trained)")
+    return sel, sel.predictions, y[sel.rows]
 
 
 def _write_selection(path: Path, sel, no_target, dropped) -> None:
     """The SFFS trace and its counts; no timings, so repeated runs match byte for byte."""
-    def score(value: float) -> float | None:  # a subset no fold could train scores -inf
+    def score(value: float) -> float | None:  # a subset that could not be scored is -inf
         return float(value) if np.isfinite(value) else None
 
     record = {
@@ -268,10 +266,9 @@ def _write_selection(path: Path, sel, no_target, dropped) -> None:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    scopes, out = _report_scopes(cfg)
     rows = []
-    for scope in scopes:
-        matrix = _load_matrix(cfg, scope)
+    for matrix in _report_matrices(cfg):
+        scope = matrix.scope
         if len(set(matrix.groups)) < 2:
             raise PhonassessError(f"scope {scope}: only one group present in the cohort")
         spec = LearnerSpec(kind="forest", n_trees=cfg.trees, seed=cfg.seed)
@@ -282,10 +279,11 @@ def cmd_classify(cfg: RunConfig) -> int:
             "acc": round_half_away(metrics.acc), "sen": round_half_away(metrics.sen),
             "spe": round_half_away(metrics.spe), "tss": round_half_away(metrics.tss, 4),
             "n_selected": sel.size, "selected_features": sel.selected,
-            "n_dropped_rows": sel.n_dropped_rows,
+            "n_dropped_rows": int((~sel.rows).sum()),
         })
         log.info("classified %s: ACC %.2f SEN %.2f SPE %.2f TSS %.4f (%d features)",
                  scope, metrics.acc, metrics.sen, metrics.spe, metrics.tss, sel.size)
+    out = Path(cfg.out)
     with open(out / "classification.json", "w") as fh:
         json.dump(rows, fh, indent=1)
     with open(out / "classification.csv", "w", newline="") as fh:
@@ -302,11 +300,10 @@ def cmd_regress(cfg: RunConfig) -> int:
         raise ConfigError("regress needs --target <clinical scale id>")
     if cfg.target not in SCALES:
         raise ConfigError(f"unknown clinical scale {cfg.target!r}")
-    scopes, out = _report_scopes(cfg)
     scale = SCALES[cfg.target]
     rows = []
-    for scope in scopes:
-        matrix = _load_matrix(cfg, scope)
+    for matrix in _report_matrices(cfg):
+        scope = matrix.scope
         y = matrix.scores.get(cfg.target)
         if y is None or np.isfinite(y).sum() < 10:
             raise PhonassessError(f"scope {scope}: fewer than 10 subjects rated on {cfg.target}")
@@ -330,6 +327,7 @@ def cmd_regress(cfg: RunConfig) -> int:
         "ee1_percent": round_half_away(ee1),
         "ee2_percent": round_half_away(ee2) if ee2 is not None else None,
     }
+    out = Path(cfg.out)
     with open(out / f"regression_{cfg.target}.json", "w") as fh:
         json.dump({"rows": rows, "best": summary}, fh, indent=1)
     with open(out / f"regression_{cfg.target}.csv", "w", newline="") as fh:
@@ -342,8 +340,8 @@ def cmd_regress(cfg: RunConfig) -> int:
 
 
 def cmd_correlate(cfg: RunConfig) -> int:
-    scopes, out = _report_scopes(cfg)
-    matrices = [_load_matrix(cfg, scope) for scope in scopes]
+    matrices = list(_report_matrices(cfg))
+    out = Path(cfg.out)
     panels = []
     for scale_id in SCALES:
         best = None
@@ -443,17 +441,8 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         if args.command == "synth":
             return cmd_synth(cfg, args)
-        if args.command == "extract":
-            if not cfg.manifest:
-                raise ConfigError("extract needs --manifest")
-            return cmd_extract(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "regress":
-            return cmd_regress(cfg)
-        if args.command == "correlate":
-            return cmd_correlate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # looked up at call time, so a wrapper set on this module is the one called
+        return globals()[f"cmd_{args.command}"](cfg)
     except PhonassessError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_DATA

@@ -143,13 +143,8 @@ REGISTRY: list[FeatureEntry] = [
     FeatureEntry("fmmi", 6, "scalar"),
 ]
 
-_BY_NAME = {e.name: e for e in REGISTRY}
-if len(_BY_NAME) != len(REGISTRY):
+if len({e.name for e in REGISTRY}) != len(REGISTRY):
     raise RuntimeError("duplicate feature names in registry")
-
-
-def entry(name: str) -> FeatureEntry:
-    return _BY_NAME[name]
 
 
 def column_names(include_cross_vowel: bool = True) -> list[str]:

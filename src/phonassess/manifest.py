@@ -40,12 +40,6 @@ class CohortManifest:
         seen = {vt for row in self.rows for vt in row.recordings}
         return [(v, t) for v in VOWELS for t in TASKS if (v, t) in seen]
 
-    def subject(self, subject_id: str) -> SubjectRow:
-        for row in self.rows:
-            if row.subject_id == subject_id:
-                return row
-        raise KeyError(subject_id)
-
 
 def _parse_score(name: str, cell: str, subject_id: str) -> float | None:
     cell = cell.strip()

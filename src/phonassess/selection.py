@@ -2,8 +2,9 @@
 
 Mutual information for mRMR runs on 10-quantile-discretized values, which
 makes the ranking invariant to strictly monotone transforms of any feature.
-The SFFS wrapper evaluates candidate subsets with the same leave-one-out
-protocol the final report uses; all ties break to the lowest column index.
+The SFFS wrapper scores candidate subsets by leave-one-out, and the final
+report takes the selected subset's LOO predictions from that search; all
+ties break to the lowest column index.
 The target's dtype picks the task (``models.is_regression_target``): a
 numeric target is regressed, class labels are classified.
 """
@@ -151,11 +152,18 @@ def mrmr_rank(X, y, k: int) -> list[int]:
 
 @dataclass
 class SelectionResult:
+    """The best subset SFFS saw, with the LOO it was scored by.
+
+    ``rows`` marks the rows that subset is scored on (complete in its columns
+    and, for a numeric target, in the target); ``predictions`` are its LOO
+    predictions for those rows, or None when no subset scored.
+    """
     selected: list[str]
     selected_indices: list[int]
     objective: float
+    rows: np.ndarray
+    predictions: np.ndarray | None
     trace: list[tuple[str, str, float]] = field(default_factory=list)  # (action, name, objective)
-    n_dropped_rows: int = 0
     n_candidates: int = 0
     n_evaluations: int = 0  # distinct subsets scored by a LOO run
     n_memo_hits: int = 0    # subsets asked for again and answered from the memo
@@ -167,25 +175,25 @@ class SelectionResult:
 
 def drop_incomplete_rows(X: np.ndarray, y: np.ndarray, cols: list[int]):
     """Remove rows with missing values in the candidate columns or target."""
-    sub = X[:, cols] if cols else X[:, :0]
-    ok = ~np.isnan(sub).any(axis=1)
+    ok = ~np.isnan(X[:, cols]).any(axis=1)
     if is_regression_target(y):
         ok &= np.isfinite(np.asarray(y, dtype=np.float64))
     return ok
 
 
-def loo_objective(X, y, spec: LearnerSpec) -> float:
-    """LOO objective: negative MAE for a numeric target, TSS for class labels.
+def loo_objective(X, y, spec: LearnerSpec) -> tuple[float, np.ndarray | None]:
+    """(LOO objective, LOO predictions): the objective is negative MAE for a
+    numeric target, TSS for class labels.
 
-    A subset on which any fold fails to train scores ``-inf``.
+    A subset on which any fold fails to train scores ``(-inf, None)``.
     """
     result = loo_validate(X, y, spec)
     if result.failed_folds:
-        return -np.inf
+        return -np.inf, None
     preds = result.predictions
     if is_regression_target(y):
-        return -float(np.mean(np.abs(preds - np.asarray(y, dtype=np.float64))))
-    return classification_metrics(preds, y).tss
+        return -float(np.mean(np.abs(preds - np.asarray(y, dtype=np.float64)))), preds
+    return classification_metrics(preds, y).tss, preds
 
 
 def sffs(
@@ -204,7 +212,10 @@ def sffs(
     The best subset ever seen is returned, so the result's objective is
     always at least the best single feature's. Subsets grow to at most
     ``SFFS_MAX_FEATURES`` columns. Each subset, keyed by its columns in
-    order (the order decides ties inside the learner), is scored once.
+    order (the order decides ties inside the learner), is scored once; its
+    objective and LOO predictions stay in a memo, and the best subset's
+    predictions are the result's. When no subset scores, the result selects
+    nothing, with objective ``-inf`` and no predictions.
     """
     X = np.asarray(X, dtype=np.float64)
     names = list(names)
@@ -217,7 +228,7 @@ def sffs(
     best_obj = -np.inf
     trace: list[tuple[str, str, float]] = []
     stall = 0
-    memo: dict[tuple[int, ...], float] = {}
+    memo: dict[tuple[int, ...], tuple[float, np.ndarray | None]] = {}
     asked = 0
 
     def objective(cols: list[int]) -> float:
@@ -226,7 +237,7 @@ def sffs(
         key = tuple(cols)
         if key not in memo:
             memo[key] = _masked_objective(X, y, cols, spec)
-        return memo[key]
+        return memo[key][0]
 
     while len(current) < SFFS_MAX_FEATURES and stall < patience:
         options = [j for j in pool if j not in current]
@@ -260,25 +271,27 @@ def sffs(
         else:
             stall += 1
 
-    ok_rows = drop_incomplete_rows(X, y, best_subset)
     return SelectionResult(
         selected=[names[j] for j in best_subset],
         selected_indices=best_subset,
         objective=float(best_obj),
+        rows=drop_incomplete_rows(X, y, best_subset),
+        predictions=memo[tuple(best_subset)][1] if best_subset else None,
         trace=trace,
-        n_dropped_rows=int(len(X) - ok_rows.sum()),
         n_candidates=len(pool),
         n_evaluations=len(memo),
         n_memo_hits=asked - len(memo),
     )
 
 
-def _masked_objective(X, y, cols: list[int], spec: LearnerSpec) -> float:
+def _masked_objective(X, y, cols: list[int], spec: LearnerSpec) -> tuple[float, np.ndarray | None]:
+    """``loo_objective`` on the rows complete in ``cols``; ``(-inf, None)``
+    with fewer than 3 such rows or when the LOO raises."""
     ok = drop_incomplete_rows(X, np.asarray(y), cols)
     if ok.sum() < 3:
-        return -np.inf
+        return -np.inf, None
     y_arr = np.asarray(y)
     try:
         return loo_objective(X[np.ix_(ok, cols)], y_arr[ok], spec)
     except PhonassessError:
-        return -np.inf
+        return -np.inf, None

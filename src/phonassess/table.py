@@ -97,9 +97,6 @@ class FeatureMatrix:
         if self.values.shape != (len(self.subject_ids), len(self.columns)):
             raise ValueError("matrix shape does not match ids/columns")
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
-
     def to_csv(self, path) -> None:
         """Deterministic CSV: header, then one row per subject; missing = empty."""
         score_names = sorted(self.scores)

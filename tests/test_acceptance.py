@@ -180,7 +180,7 @@ def test_criterion_7_selection_oracles():
     X = np.column_stack([rng.normal(0, 1, 24), x1, x2, rng.normal(0, 1, 24)])
     res = sffs(X, y, ["n1", "x1", "x2", "n2"], spec, patience=3)
     exhaustive = max(
-        _masked_objective(X, y, list(c), spec)
+        _masked_objective(X, y, list(c), spec)[0]
         for r in range(1, 5) for c in combinations(range(4), r)
     )
     xor_ok = {"x1", "x2"} <= set(res.selected) and abs(res.objective - exhaustive) < 1e-9
@@ -191,7 +191,7 @@ def test_criterion_7_selection_oracles():
     ys = np.array(["PD"] * 15 + ["HC"] * 15)
     res2 = sffs(Xs, ys, list("abcdef"), spec, patience=2)
     ex2 = max(
-        _masked_objective(Xs, ys, list(c), spec)
+        _masked_objective(Xs, ys, list(c), spec)[0]
         for r in range(1, 4) for c in combinations(range(6), r)
     )
     sep_ok = abs(res2.objective - ex2) < 1e-9

@@ -160,6 +160,23 @@ def test_failed_loo_fold_is_data_error(tmp_path):
     assert not (tmp_path / "classification.json").exists()
 
 
+def test_search_that_scores_nothing_is_data_error(tmp_path, caplog):
+    """c0 is missing in one HC row and c1 in the other, so every subset keeps at
+    most one HC row and no subset scores; the report is not a LOO on no columns."""
+    values = np.random.default_rng(0).standard_normal((10, 2))
+    values[8, 0] = values[9, 1] = np.nan
+    _write_matrix(tmp_path, ["PD"] * 8 + ["HC"] * 2, values)
+    code = main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
+                 "--scope", "a_s", "--trees", "3", "--mrmr-k", "2", "--sffs-patience", "1"])
+    assert code == EXIT_DATA
+    assert "scope a_s: no feature subset could be scored" in caplog.text
+    assert not (tmp_path / "classification.json").exists()
+    selection = json.loads((tmp_path / "selection_group_a_s.json").read_text())
+    assert selection["selected_features"] == []
+    assert selection["objective"] is None
+    assert selection["trace"] and all(step["objective"] is None for step in selection["trace"])
+
+
 def test_non_integer_config_value(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("trees=abc\n")

@@ -24,11 +24,12 @@ def test_basic_load(tmp_path):
     ])
     m = load_manifest(path)
     assert len(m.rows) == 2
-    p1 = m.subject("P1")
+    p1, h1 = m.rows
+    assert (p1.subject_id, h1.subject_id) == ("P1", "H1")
     assert p1.scores["mmse"] == 27
     assert ("a", "s") in p1.recordings
     assert p1.recordings[("a", "s")].name == "p1_a_s.wav"
-    assert ("e", "ll") not in m.subject("H1").recordings
+    assert ("e", "ll") not in h1.recordings
 
 
 def test_mmse_range_violation(tmp_path):
@@ -40,7 +41,7 @@ def test_mmse_range_violation(tmp_path):
 def test_controls_all_missing_accepted(tmp_path):
     path = write_manifest(tmp_path, ["H1,HC,F,60,,,,,,,,,,,,"])
     m = load_manifest(path)
-    assert all(v is None for v in m.subject("H1").scores.values())
+    assert all(v is None for v in m.rows[0].scores.values())
 
 
 def test_group_counts(tmp_path):
@@ -89,7 +90,7 @@ def test_theoretical_ranges(tmp_path, column, value):
 def test_unbounded_scales_accept_large(tmp_path):
     path = write_manifest(tmp_path, ["P1,PD,F,66,30,,,,,,,,,5000,,"])
     m = load_manifest(path)
-    assert m.subject("P1").scores["led"] == 5000
+    assert m.rows[0].scores["led"] == 5000
 
 
 def test_demographic_cells_are_not_parsed(tmp_path):

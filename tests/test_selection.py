@@ -109,7 +109,7 @@ class TestSffs:
         assert {"x1", "x2"} <= set(res.selected)
         # oracle: exhaustive subset search with the same objective
         best = max(
-            _masked_objective(X, y, list(c), SPEC)
+            _masked_objective(X, y, list(c), SPEC)[0]
             for r in range(1, 5) for c in combinations(range(4), r)
         )
         assert res.objective == pytest.approx(best)
@@ -119,7 +119,7 @@ class TestSffs:
         X = rng.normal(0, 1, (30, 5))
         X[:15] += 1.5
         y = np.array(["PD"] * 15 + ["HC"] * 15)
-        singles = [_masked_objective(X, y, [j], SPEC) for j in range(5)]
+        singles = [_masked_objective(X, y, [j], SPEC)[0] for j in range(5)]
         res = sffs(X, y, list("abcde"), SPEC)
         assert res.objective >= max(singles) - 1e-12
 
@@ -142,6 +142,8 @@ def test_drop_incomplete_rows():
     assert list(ok) == [True, True, False]
     ok2 = drop_incomplete_rows(X, y, [0, 1])
     assert list(ok2) == [False, True, False]
+    y[1] = np.nan  # no columns: only the target decides
+    assert list(drop_incomplete_rows(X, y, [])) == [True, False, True]
 
 
 def test_regression_objective_path():
@@ -185,7 +187,7 @@ class TestFailedFolds:
         X = np.random.default_rng(0).standard_normal((8, 2))
         y = np.array(["PD"] * 7 + ["HC"])
         spec = LearnerSpec(kind="forest", n_trees=5)
-        assert loo_objective(X, y, spec) == -np.inf
+        assert loo_objective(X, y, spec) == (-np.inf, None)
 
     @pytest.mark.parametrize("mode", ["classification", "regression"])
     def test_any_failed_fold_scores_minus_inf(self, mode):
@@ -193,5 +195,5 @@ class TestFailedFolds:
         X = rng.uniform(0, 1, (12, 2))
         y = (np.where(X[:, 0] > 0.5, "PD", "HC") if mode == "classification"
              else 10 * X[:, 0])
-        assert np.isfinite(loo_objective(X, y, LearnerSpec(min_leaf=2)))
-        assert loo_objective(X, y, _FailsOnFold(min_leaf=2)) == -np.inf
+        assert np.isfinite(loo_objective(X, y, LearnerSpec(min_leaf=2))[0])
+        assert loo_objective(X, y, _FailsOnFold(min_leaf=2)) == (-np.inf, None)

@@ -123,7 +123,7 @@ class TestBuildMatrix:
     def test_cross_vowel_values_present(self):
         manifest = small_manifest()
         matrix = build_matrix(manifest, extraction_for(manifest), "a_s")
-        vsa = matrix.column("vsa")
+        vsa = matrix.values[:, matrix.columns.index("vsa")]
         assert np.all(np.isfinite(vsa))
         expected = 0.5 * abs(300 * (1200 - 800) + 800 * (800 - 2300) + 350 * (2300 - 1200))
         assert vsa[0] == pytest.approx(expected, rel=1e-9)
