@@ -38,7 +38,7 @@ from .evaluation import (SCALES, classification_metrics, correlation_graph_data,
                          round_half_away, spearman)
 from .features.extract import ExtractionResult, extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
-from .manifest import load_manifest
+from .manifest import GROUPS, load_manifest
 # perfbench/tracing.py wraps predict at this module
 from .models import MIN_LEAF_DEFAULT, N_TREES_DEFAULT, predict  # noqa: F401
 from .parallel import ordered_map
@@ -269,8 +269,9 @@ def cmd_classify(cfg: RunConfig) -> int:
     rows = []
     for matrix in _report_matrices(cfg):
         scope = matrix.scope
-        if len(set(matrix.groups)) < 2:
-            raise PhonassessError(f"scope {scope}: only one group present in the cohort")
+        if (found := sorted(set(matrix.groups))) != sorted(GROUPS):
+            raise PhonassessError(f"scope {scope}: classify needs the groups PD and HC, "
+                                  f"found {', '.join(found) or 'none'}")
         spec = LearnerSpec(kind="forest", n_trees=cfg.trees, seed=cfg.seed)
         sel, preds, truth = _select_and_loo(matrix, matrix.groups, "group", spec, cfg)
         metrics = classification_metrics(preds, truth)

@@ -3,10 +3,10 @@
 Each function repeats its scipy 1.17 original operation for operation, so it
 returns the same bits: ``welch`` is ``scipy.signal.welch(x, fs, nperseg=...)``
 with its defaults (periodic Hann window, half overlap, constant detrend,
-density scaling, mean average), ``hilbert`` is ``scipy.signal.hilbert``,
-``resample_poly`` is ``scipy.signal.resample_poly`` with a Kaiser window and
-zero padding, and ``envelope_spline`` is ``scipy.interpolate.CubicSpline``
-with not-a-knot ends, evaluated at the samples 0 .. n-1. They need only
+density scaling, mean average), ``resample_poly`` is
+``scipy.signal.resample_poly`` with a Kaiser window and zero padding, and
+``envelope_spline`` is ``scipy.interpolate.CubicSpline`` with not-a-knot
+ends, evaluated at the samples 0 .. n-1. They need only
 ``scipy.fft``, ``scipy.linalg`` and ``scipy.special``, which import in a
 fraction of the time and memory of ``scipy.signal`` and
 ``scipy.interpolate``; like the rest of the package, each imports them where
@@ -47,21 +47,6 @@ def welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarra
     power = np.ascontiguousarray((spec.real**2 + spec.imag**2).T)
     power[1 : -1 if nperseg % 2 == 0 else None] *= 2
     return rfftfreq(nperseg, 1 / fs), power.mean(axis=-1)
-
-
-def hilbert(x: np.ndarray) -> np.ndarray:
-    """Analytic signal of a real sequence, through ``scipy.fft``.
-
-    ``numpy.fft.fft`` of a real input differs from ``scipy.fft.fft`` in the
-    last bit, so the transform comes from scipy.
-    """
-    from scipy.fft import fft, ifft
-
-    n = len(x)
-    spec = fft(x, n)
-    spec[1 : (n + 1) // 2] *= 2.0
-    spec[n // 2 + 1 :] = 0.0
-    return ifft(spec)
 
 
 def _lowpass_taps(up: int, down: int, beta: float) -> np.ndarray:

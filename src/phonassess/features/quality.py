@@ -285,11 +285,12 @@ def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
 
 
 def _analytic_band(spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
-    """Analytic signal of one FFT band: envelope = |ifft(2 * positive part)|."""
+    """Envelope of the band [lo, hi) of ``spec``, the fft or rfft of n samples
+    at ``freqs`` (lo > 0): |ifft(2 * its positive bins)|, where a Nyquist bin
+    counts once, as in ``scipy.signal.hilbert``."""
     full = np.zeros(n, dtype=complex)
-    m = (freqs >= lo) & (freqs < hi)
-    idx = np.flatnonzero(m)
-    full[idx] = spec[idx] * 2.0
+    idx = np.flatnonzero((freqs >= lo) & (freqs < hi))
+    full[idx] = spec[idx] * np.where(2 * idx == n, 1.0, 2.0)
     return np.abs(np.fft.ifft(full))
 
 
@@ -339,9 +340,12 @@ IC_BAND = (64.0, 128.0)
 def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Band-averaged envelope power spectrum: (mod_freqs, power, dc_energy).
 
-    dc_energy is the summed energy of the raw (pre-mean-removal) envelopes;
-    callers floor their band ratios with it so an unmodulated carrier reads
-    ~0 instead of a ratio of numerical leakage.
+    Each band's envelope is its analytic signal's magnitude, taken from the
+    band's rfft bins (``_analytic_band``), then resampled to
+    ``ENVELOPE_RATE`` with 50 ms trimmed off each edge. dc_energy is the
+    summed energy of the raw (pre-mean-removal) envelopes; callers floor
+    their band ratios with it so an unmodulated carrier reads ~0 instead of
+    a ratio of numerical leakage.
     """
     if len(x) < fs:
         raise InsufficientSignalError("need >= 1 s for modulation analysis")
@@ -354,10 +358,7 @@ def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray,
     for lo, hi in MOD_BANDS:
         if lo >= fs / 2:
             continue
-        band = np.zeros_like(spec)
-        m = (freqs >= lo) & (freqs < min(hi, fs / 2))
-        band[m] = spec[m]
-        env = np.abs(dsp.hilbert(np.fft.irfft(band, n)))
+        env = _analytic_band(spec, freqs, lo, min(hi, fs / 2), n)
         env = dsp.resample_poly(env, ENVELOPE_RATE, fs, beta=5.0)
         env = env[trim:-trim] if len(env) > 3 * trim else env
         dc_energy += float(np.sum(env**2))

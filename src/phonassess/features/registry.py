@@ -84,11 +84,12 @@ REGISTRY: list[FeatureEntry] = [
     FeatureEntry("fluf", 3, "scalar"),
     FeatureEntry("sdbm", 3, "scalar", provisional=True),
     FeatureEntry("sdbp", 3, "scalar", provisional=True),
-    FeatureEntry("mser", 3, "scalar", provisional=True),
-    FeatureEntry("mfp", 3, "scalar"),
-    FeatureEntry("rphm", 3, "scalar", provisional=True),
-    FeatureEntry("icer", 3, "scalar", provisional=True),
-    FeatureEntry("rphic", 3, "scalar", provisional=True),
+    # version 2: band envelopes from the band's rfft bins (docs/features.md)
+    FeatureEntry("mser", 3, "scalar", provisional=True, definition_version=2),
+    FeatureEntry("mfp", 3, "scalar", definition_version=2),
+    FeatureEntry("rphm", 3, "scalar", provisional=True, definition_version=2),
+    FeatureEntry("icer", 3, "scalar", provisional=True, definition_version=2),
+    FeatureEntry("rphic", 3, "scalar", provisional=True, definition_version=2),
     # group 4: bispectrum / bicepstrum (per analysis block)
     FeatureEntry("bis_bii", 4, "contour"),
     FeatureEntry("bis_hfeb", 4, "contour"),

@@ -9,6 +9,7 @@ ignored.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,8 +48,10 @@ def _parse_score(name: str, cell: str, subject_id: str) -> float | None:
         return None
     try:
         value = float(cell)
-    except ValueError as exc:
-        raise ManifestError(f"{subject_id}: {name}={cell!r} is not a number") from exc
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):  # nan and inf are no scores; an empty cell is a missing one
+        raise ManifestError(f"{subject_id}: {name}={cell!r} is not a finite number")
     scale = SCALES[name]
     if value < scale.theoretical_min or (scale.bounded and value > scale.theoretical_max):
         hi = scale.theoretical_max if scale.bounded else "inf"

@@ -7,7 +7,8 @@ ties between equally good splits resolve to the lowest feature index then
 the lowest threshold, and every tree draws its randomness from a stream
 spawned off the master seed, whatever the order its lanes grow in. The
 target's dtype picks the task (``is_regression_target``): numbers are
-regressed, anything else (class labels such as "PD"/"HC") is classified.
+regressed, anything else is classified: two labels at most (the paper's
+PD and HC), coded once as 0 and 1 in sorted order.
 
 One grower does it all, and it builds no tree. A *lane* is one tree on its
 own row sample (a CART, or one of a forest's bootstrapped trees) with one
@@ -257,10 +258,20 @@ def _at(a: np.ndarray, i: np.ndarray) -> np.ndarray:
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the leading class axis, bitwise as np.sum over a trailing one."""
-    if len(a) == 2:  # a two-term sum rounds once, whatever the order
-        return a[0] + a[1]
-    return np.sum(np.ascontiguousarray(np.moveaxis(a, 0, -1)), axis=-1)
+    """Sum over the leading axis of two classes: one rounding, in either order."""
+    return a[0] + a[1]
+
+
+def _codes(y) -> tuple[list[str], np.ndarray]:
+    """A class target's sorted labels and each row's code among them, or no
+    labels and the numeric target as floats. More than two labels raise
+    ``PhonassessError``: trees classify two labels."""
+    if is_regression_target(y):
+        return [], np.asarray(y, dtype=np.float64)
+    names, codes = np.unique(np.asarray([str(v) for v in y]), return_inverse=True)
+    if len(names) > 2:
+        raise PhonassessError(f"trees classify two labels, got {len(names)}")
+    return names.tolist(), codes
 
 
 def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out):
@@ -273,16 +284,12 @@ def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out):
     ``n_candidates`` candidate columns; a CART lane's stream is None. With
     ``n_candidates`` None (or at least the column count) every column is a
     candidate. Each held-out row must miss no value. The target is coded
-    once and the lanes grow in batches under ``LANE_BUDGET_BYTES``.
+    once (``_codes``: at most two labels) and the lanes grow in batches
+    under ``LANE_BUDGET_BYTES``.
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
-    if is_regression_target(y):
-        classes: list[str] = []
-        target = np.asarray(y, dtype=np.float64)
-    else:
-        names, target = np.unique(np.asarray([str(v) for v in y]), return_inverse=True)
-        classes = names.tolist()
+    classes, target = _codes(y)
     if n_candidates is not None and n_candidates >= p:
         n_candidates = None
     per_batch = max(1, LANE_BUDGET_BYTES // (CELL_BYTES * max(n, 1) * max(p, 1)))
@@ -314,13 +321,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 rows[g, :n], words.draw(g, np.full(n, n, dtype=np.uint64)), axis=1)
     values = X[rows].transpose(0, 2, 1).copy()  # (lane, column, position)
     order = np.argsort(values, axis=-1, kind="stable")  # tied values keep row order
-    raw = target[rows]
-    ys, n_classes = raw, None
-    if classes:  # scans see each lane's own class codes: ranks in its sorted label set
-        present = np.zeros((m, len(classes)), dtype=bool)
-        present[np.nonzero(in_lane)[0], raw[in_lane]] = True
-        ys = (np.cumsum(present, axis=1) - 1)[np.arange(m)[:, None], raw]
-        n_classes = present.sum(axis=1)
+    ys = target[rows]
     # by rank: each column's values and targets in its sorted order, and each
     # position's rank there
     by_rank = np.take_along_axis(values, order, -1), ys[np.arange(m)[:, None, None], order]
@@ -357,12 +358,12 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 cand = words.candidates(lane, p, n_candidates)
             feature[scanned], threshold[scanned] = _best_splits(
                 by_rank, rank, runs, lane, lo[scanned], count[scanned], cand,
-                None if n_classes is None else n_classes[lane], min_leaf)
+                len(classes), min_leaf)
 
         split = feature >= 0
         here = held_slot[live] == top  # the held-out row is at this node
         if (ends := np.flatnonzero(here & ~split)).size:  # and this node is its leaf
-            reached[live[ends]] = _leaf_values(runs, ys, raw, live[ends], lo[ends], count[ends],
+            reached[live[ends]] = _leaf_values(runs, ys, live[ends], lo[ends], count[ends],
                                                pure[ends], small[ends], len(classes))
             held_slot[live[ends]] = -1
 
@@ -381,7 +382,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 leafy = (n < 2 * min_leaf) | pure_side
                 kept.append(~leafy & (whole | go))
                 if (at := np.flatnonzero(here[cut] & go & leafy)).size:
-                    reached[lane[at]] = _leaf_values(runs, ys, raw, lane[at], first[at], n[at],
+                    reached[lane[at]] = _leaf_values(runs, ys, lane[at], first[at], n[at],
                                                      pure_side[at], n[at] < 2 * min_leaf,
                                                      len(classes))
                     held_slot[lane[at]] = -1
@@ -406,14 +407,12 @@ def _best_splits(by_rank, rank, runs, lane, lo, count, cand, n_classes, min_leaf
     run of ``runs`` starting at ``lo[i]`` and may split on the columns
     ``cand[i]``, in ascending order. ``by_rank`` holds each column's values
     and targets in sorted order, ``rank`` each row's place there.
-    ``n_classes`` holds each lane's class count, or is None for a numeric
-    target. Nodes go to ``_scan`` in groups of similar size (``_groups``),
-    each padded only to its own widest node.
+    ``n_classes`` is the class count, 0 for a numeric target. Nodes go to
+    ``_scan`` in groups of similar size (``_groups``), each padded only to
+    its own widest node.
     """
     by = np.argsort(count, kind="stable")
     lane, lo, count, cand = lane[by], lo[by], count[by], cand[by]
-    if n_classes is not None:
-        n_classes = n_classes[by]
     width = runs.shape[-1]
     n_cand = cand.shape[1]
     column = (lane[:, None] * rank.shape[1] + cand)[:, :, None] * width  # (node, candidate)
@@ -426,15 +425,7 @@ def _best_splits(by_rank, rank, runs, lane, lo, count, cand, n_classes, min_leaf
                       width - 1)
         at = column[a:z] + np.sort(at, axis=-1)
         xs, sorted_ys = by_rank[0].take(at), by_rank[1].take(at)
-        n = count[a:z, None, None]
-        if n_classes is None:
-            gain[a:z], thr[a:z] = _scan(xs, sorted_ys, n, min_leaf, 0)
-        elif (n_classes[a:z] == n_classes[a]).all():
-            gain[a:z], thr[a:z] = _scan(xs, sorted_ys, n, min_leaf, int(n_classes[a]))
-        else:  # one scan per class count, so each sums over its own classes
-            for c in np.unique(n_classes[a:z]):
-                g = np.flatnonzero(n_classes[a:z] == c)
-                gain[a + g], thr[a + g] = _scan(xs[g], sorted_ys[g], n[g], min_leaf, int(c))
+        gain[a:z], thr[a:z] = _scan(xs, sorted_ys, count[a:z, None, None], min_leaf, n_classes)
 
     best = np.full(lane.size, -np.inf)
     pick = np.full(lane.size, -1)
@@ -484,7 +475,7 @@ def _partition(values, runs, ys, lane, lo, count, feature, threshold):
     return n_left, pure_left, pure_right
 
 
-def _leaf_values(runs, ys, raw, lane, lo, count, pure, small, n_labels):
+def _leaf_values(runs, ys, lane, lo, count, pure, small, n_labels):
     """Each node's leaf: with ``n_labels``, the label code most of its rows
     have (a tie goes to the first label), else its first row's target when
     it is pure and not small, else the mean of its targets in row order."""
@@ -492,11 +483,11 @@ def _leaf_values(runs, ys, raw, lane, lo, count, pure, small, n_labels):
     r = np.arange(count.max())
     at = lane[:, None] * width  # each node's lane in the (lane, position) arrays
     pos = runs.take(at + np.minimum(lo[:, None] + r, width - 1))
+    node_ys = ys.take(at + pos)
     if n_labels:
-        votes = (r < count[:, None])[:, None, :] & (raw.take(at + pos)[:, None, :]
+        votes = (r < count[:, None])[:, None, :] & (node_ys[:, None, :]
                                                     == np.arange(n_labels)[:, None])
         return np.argmax(votes.sum(axis=2), axis=1)
-    node_ys = ys.take(at + pos)
     leaf = node_ys[:, 0].copy()
     averaged = np.flatnonzero(small | ~pure)
     for c in np.unique(count[averaged]):  # one row per leaf, as np.mean(1-D) sums it
@@ -525,8 +516,9 @@ def _groups(count: np.ndarray, cells: int) -> list[tuple[int, int]]:
 
 def check_complete(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``X`` as a float matrix and ``y`` as an array, once they are known to
-    train a model: ``X`` is 2-D and misses no cell, and a numeric ``y`` holds
-    no missing or infinite value. Else raises ``PhonassessError``."""
+    train a model: ``X`` is 2-D and misses no cell, a numeric ``y`` holds no
+    missing or infinite value, and class labels number at most two. Else
+    raises ``PhonassessError``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2:
@@ -535,6 +527,7 @@ def check_complete(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise PhonassessError("matrix contains missing values; drop rows first")
     if is_regression_target(y) and not np.isfinite(y).all():
         raise PhonassessError("target contains missing or infinite values; drop rows first")
+    _codes(y)
     return X, y
 
 
@@ -542,10 +535,11 @@ def check_complete(X, y) -> tuple[np.ndarray, np.ndarray]:
 class LearnerSpec:
     """What to train inside the wrapper and the final evaluation.
 
-    The target's dtype picks what a CART does; a forest always classifies,
-    its trees growing to purity (``min_leaf`` 1) on bootstrap samples with
-    sqrt(p) candidate columns per node. ``min_leaf`` applies to a single
-    CART only; ``seed`` is the leave-one-out seed.
+    The target's dtype picks what a CART does; a forest always classifies.
+    Either classifies two labels at most. A forest's trees grow to purity
+    (``min_leaf`` 1) on bootstrap samples with sqrt(p) candidate columns per
+    node. ``min_leaf`` applies to a single CART only; ``seed`` is the
+    leave-one-out seed.
     """
 
     kind: str = "cart"             # "cart" | "forest"
@@ -614,16 +608,17 @@ def _train(spec: LearnerSpec, X, y, seed: int) -> Model:
 
 def train_cart(X, y, min_leaf: int = MIN_LEAF_DEFAULT) -> Model:
     """Greedy binary CART: variance reduction and mean leaves for a numeric
-    ``y``, Gini decrease and majority leaves for class labels."""
+    ``y``, Gini decrease and majority leaves for class labels (two at most)."""
     return _train(LearnerSpec(kind="cart", min_leaf=min_leaf), X, y, 0)
 
 
 def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> Model:
     """Bagged classification CARTs, sqrt(p) candidate features per node.
 
-    The trees get ``y`` as string labels, so they classify whatever its dtype.
-    Tree t draws from the stream ``SeedSequence(seed).spawn(n_trees)[t]``.
-    Trees grow to purity (``min_leaf=1``) on a bootstrap sample.
+    The trees get ``y`` as string labels, so they classify whatever its
+    dtype; it holds two labels at most. Tree t draws from the stream
+    ``SeedSequence(seed).spawn(n_trees)[t]``. Trees grow to purity
+    (``min_leaf=1``) on a bootstrap sample.
     """
     return _train(LearnerSpec(kind="forest", n_trees=n_trees), X, y, seed)
 

@@ -182,7 +182,7 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
 
     hop_s = contour.times[1] - contour.times[0] if len(contour.times) > 1 else 0.01
 
-    landmarks: list[int] = []
+    periods, amps, opens, positions = [], [], [], []
     for fstart, fend in segs:
         t0 = contour.times[fstart] - hop_s / 2
         t1 = contour.times[fend] + hop_s / 2
@@ -213,18 +213,7 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
                 break
             pos = lo + int(np.argmax(np.abs(x[lo:hi])))
             seg_marks.append(pos)
-        if len(seg_marks) >= 2:
-            landmarks.extend(seg_marks)
-            landmarks.append(-1)  # segment break sentinel
-
-    periods, amps, opens, positions = [], [], [], []
-    run: list[int] = []
-    for mark in landmarks:
-        if mark < 0:
-            run = []
-            continue
-        if run:
-            prev = run[-1]
+        for prev, mark in zip(seg_marks, seg_marks[1:]):  # one cycle per pair of marks
             cyc = x[prev:mark]
             if len(cyc) >= 2:
                 lohi = (cyc.min() + cyc.max()) / 2.0
@@ -232,7 +221,6 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
                 amps.append(float(np.max(np.abs(cyc))))
                 opens.append(float(np.mean(cyc > lohi)))
                 positions.append(prev)
-        run.append(mark)
 
     if len(periods) < 3:
         raise InsufficientSignalError(f"insufficient voicing: {len(periods)} cycles detected")

@@ -160,6 +160,20 @@ def test_failed_loo_fold_is_data_error(tmp_path):
     assert not (tmp_path / "classification.json").exists()
 
 
+@pytest.mark.parametrize("groups, found", [
+    (["PD", "HC", "X"] * 3, "HC, PD, X"),
+    (["PD"] * 9, "PD"),
+], ids=["third_group", "one_group"])
+def test_classify_needs_exactly_pd_and_hc(tmp_path, caplog, groups, found):
+    """A third group is not scored PD-vs-rest: its rows are no true negatives."""
+    _write_matrix(tmp_path, groups, np.random.default_rng(0).standard_normal((9, 2)))
+    code = main(["classify", "--features", str(tmp_path), "--out", str(tmp_path),
+                 "--scope", "a_s", "--trees", "3", "--mrmr-k", "2", "--sffs-patience", "1"])
+    assert code == EXIT_DATA
+    assert f"scope a_s: classify needs the groups PD and HC, found {found}" in caplog.text
+    assert not (tmp_path / "classification.json").exists()
+
+
 def test_search_that_scores_nothing_is_data_error(tmp_path, caplog):
     """c0 is missing in one HC row and c1 in the other, so every subset keeps at
     most one HC row and no subset scores; the report is not a LOO on no columns."""

@@ -1,10 +1,10 @@
 """The in-repo signal routines against the scipy calls they replace, bit for bit.
 
-``phonassess.dsp`` repeats scipy's welch, hilbert, resample_poly and
-CubicSpline, and ``audio.load_recording`` decodes WAV files itself; each must
-return exactly the bits its scipy original returns (``tobytes`` equality, so
-signed zeros and NaN payloads count too). A scipy whose rounding differs
-fails here by name.
+``phonassess.dsp`` repeats scipy's welch, resample_poly and CubicSpline,
+and ``audio.load_recording`` decodes WAV files itself; each must return
+exactly the bits its scipy original returns (``tobytes`` equality, so signed
+zeros and NaN payloads count too). A scipy whose rounding differs fails here
+by name.
 """
 import struct
 import warnings
@@ -55,21 +55,6 @@ def test_welch_random(seed, n, nperseg, fs, scale):
     got_freqs, got_pxx = dsp.welch(x, fs, nperseg)
     assert same_bits(got_freqs, freqs)
     assert same_bits(got_pxx, pxx)
-
-
-# ---- hilbert -----------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1000, 1001, 32000, 32001])
-def test_hilbert(n):
-    x = signal_of(n, n)
-    assert same_bits(dsp.hilbert(x), signal.hilbert(x))
-
-
-@ORACLE
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20000))
-def test_hilbert_random(seed, n):
-    x = signal_of(seed, n)
-    assert same_bits(dsp.hilbert(x), signal.hilbert(x))
 
 
 # ---- resample_poly -----------------------------------------------------------

@@ -38,6 +38,19 @@ def test_mmse_range_violation(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("updrs3, led, bad", [
+    ("nan", "", "updrs3='nan'"),
+    ("22", "inf", "led='inf'"),
+    ("abc", "", "updrs3='abc'"),
+    ("-Infinity", "", "updrs3='-Infinity'"),
+], ids=["nan", "inf_unbounded", "text", "minus_inf"])
+def test_score_cell_is_a_finite_number(tmp_path, updrs3, led, bad):
+    """nan is no missing score, and an unbounded scale takes no inf."""
+    path = write_manifest(tmp_path, [f"P1,PD,F,66,7.5,{updrs3},,,,,,,,{led},,"])
+    with pytest.raises(ManifestError, match=f"P1: {bad} is not a finite number"):
+        load_manifest(path)
+
+
 def test_controls_all_missing_accepted(tmp_path):
     path = write_manifest(tmp_path, ["H1,HC,F,60,,,,,,,,,,,,"])
     m = load_manifest(path)

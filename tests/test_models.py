@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phonassess.errors import PhonassessError
+from phonassess.evaluation import loo_validate
 from phonassess.models import LearnerSpec, predict, train_cart, train_forest
 
 
@@ -115,3 +116,22 @@ class TestForest:
         b = train_forest(X, y, n_trees=15, seed=42)
         probe = rng.normal(1.5, 1, (20, 4))
         assert [predict(a, r) for r in probe] == [predict(b, r) for r in probe]
+
+
+@pytest.mark.parametrize("train", [
+    lambda X, y: train_cart(X, y),
+    lambda X, y: train_forest(X, y, n_trees=3),
+    lambda X, y: loo_validate(X, y, LearnerSpec(kind="cart")),
+    lambda X, y: loo_validate(X, y, LearnerSpec(kind="forest", n_trees=3)),
+], ids=["train_cart", "train_forest", "loo_cart", "loo_forest"])
+def test_three_labels_raise(train):
+    X = np.random.default_rng(7).uniform(0, 1, (9, 2))
+    with pytest.raises(PhonassessError, match="trees classify two labels, got 3"):
+        train(X, np.array(["PD", "HC", "X"] * 3))
+
+
+def test_three_numeric_labels_raise_in_a_forest():
+    """A forest classifies a numeric target's values as labels, two at most."""
+    X = np.random.default_rng(7).uniform(0, 1, (9, 2))
+    with pytest.raises(PhonassessError, match="trees classify two labels, got 3"):
+        loo_validate(X, np.array([0.0, 1.0, 2.0] * 3), LearnerSpec(kind="forest", n_trees=3))

@@ -55,7 +55,7 @@ def tied_problems(draw):
         y = rng.choice([0.1, 0.7, 1.0 / 3.0, 2.5, -1.3], size=n)
         spec = LearnerSpec(kind="cart", min_leaf=draw(st.integers(1, 4)))
     else:
-        y = rng.choice(["HC", "PD", "X"][:draw(st.integers(2, 3))], size=n)
+        y = rng.choice(["HC", "PD"], size=n)
         spec = (LearnerSpec(kind="forest", n_trees=draw(st.integers(1, 7))) if kind == "forest"
                 else LearnerSpec(kind="cart", min_leaf=draw(st.integers(1, 4))))
     return X, y, spec
