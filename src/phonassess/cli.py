@@ -42,7 +42,8 @@ from .manifest import GROUPS, load_manifest
 # perfbench/tracing.py wraps predict at this module
 from .models import MIN_LEAF_DEFAULT, N_TREES_DEFAULT, predict  # noqa: F401
 from .parallel import ordered_map
-from .selection import SFFS_PATIENCE_DEFAULT, LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs
+from .selection import (SFFS_PATIENCE_DEFAULT, LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs,
+                        usable_columns)
 from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
 
 log = logging.getLogger("phonassess")
@@ -225,16 +226,11 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
     rows = drop_incomplete_rows(matrix.values, target, [])  # rows with a finite target
     X, y = matrix.values[rows], np.asarray(target)[rows]
     ids = np.asarray(matrix.subject_ids)[rows]
-    n = X.shape[0]
-    # candidates: mostly-present columns with a finite, positive range, mRMR-ranked
-    # (a range, not a std: the std of a constant 0.1 column is 1.4e-17)
-    usable = [j for j in range(X.shape[1])
-              if np.isfinite(X[:, j]).sum() >= max(3, n // 2)
-              and 0 < np.nanmax(X[:, j]) - np.nanmin(X[:, j]) < np.inf]
-    if not usable:
+    usable = usable_columns(X)  # candidates for mRMR to rank
+    if not usable.size:
         raise PhonassessError("no usable feature columns (all missing or constant)")
-    ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, len(usable)))
-    sel = sffs(X, y, matrix.columns, spec, candidates=[usable[j] for j in ranked],
+    ranked = mrmr_rank(X[:, usable], y, k=min(cfg.mrmr_k, usable.size))
+    sel = sffs(X, y, matrix.columns, spec, candidates=usable[ranked].tolist(),
                patience=cfg.sffs_patience)
     _write_selection(Path(cfg.out) / f"selection_{target_name}_{matrix.scope}.json", sel,
                      no_target=np.asarray(matrix.subject_ids)[~rows], dropped=ids[~sel.rows])

@@ -286,11 +286,11 @@ def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
 
 def _analytic_band(spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     """Envelope of the band [lo, hi) of ``spec``, the fft or rfft of n samples
-    at ``freqs`` (lo > 0): |ifft(2 * its positive bins)|, where a Nyquist bin
-    counts once, as in ``scipy.signal.hilbert``."""
+    at ``freqs``: |ifft(2 * its bins)|. No caller's band holds the Nyquist
+    bin, which an analytic signal would count once."""
     full = np.zeros(n, dtype=complex)
     idx = np.flatnonzero((freqs >= lo) & (freqs < hi))
-    full[idx] = spec[idx] * np.where(2 * idx == n, 1.0, 2.0)
+    full[idx] = 2.0 * spec[idx]
     return np.abs(np.fft.ifft(full))
 
 
@@ -342,16 +342,19 @@ def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray,
 
     Each band's envelope is its analytic signal's magnitude, taken from the
     band's rfft bins (``_analytic_band``), then resampled to
-    ``ENVELOPE_RATE`` with 50 ms trimmed off each edge. dc_energy is the
-    summed energy of the raw (pre-mean-removal) envelopes; callers floor
-    their band ratios with it so an unmodulated carrier reads ~0 instead of
-    a ratio of numerical leakage.
+    ``ENVELOPE_RATE`` with 50 ms trimmed off each edge. A band clipped at
+    fs / 2 stops below the Nyquist bin n / 2 by its index: ``rfftfreq``
+    rounds that bin's frequency just below fs / 2 for some even n. dc_energy
+    is the summed energy of the raw (pre-mean-removal) envelopes; callers
+    floor their band ratios with it so an unmodulated carrier reads ~0
+    instead of a ratio of numerical leakage.
     """
     if len(x) < fs:
         raise InsufficientSignalError("need >= 1 s for modulation analysis")
     n = len(x)
-    spec = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    below = (n + 1) // 2  # the rfft bins under fs / 2
+    spec = np.fft.rfft(x)[:below]
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)[:below]
     trim = ENVELOPE_RATE // 20  # 50 ms of resampling transients per edge
     powers = []
     dc_energy = 0.0

@@ -2,6 +2,13 @@
 
 Mutual information for mRMR runs on 10-quantile-discretized values, which
 makes the ranking invariant to strictly monotone transforms of any feature.
+mRMR runs in whole-matrix passes, each value bitwise the one a per-column
+or per-pair computation gives. The passes rely on two facts of numpy's
+reductions: it sums a contiguous last axis pairwise, row by row, as it sums
+a 1-D array, and it sums a strided axis in sequence. So zero rows appended
+to a joint table leave a pair's sums as they were, except when the table
+has one column (nb == 1): its row axis is then the contiguous one, and
+those pairs keep tables of their own row count (``_block_mi``).
 The SFFS wrapper scores candidate subsets by leave-one-out, and the final
 report takes the selected subset's LOO predictions from that search; all
 ties break to the lowest column index.
@@ -34,28 +41,44 @@ SFFS_MAX_FEATURES = 20
 def quantile_discretize(col: np.ndarray) -> np.ndarray:
     """Bin indices at the column's own quantiles (monotone-invariant)."""
     col = np.asarray(col, dtype=np.float64)
-    return _bin_codes(col, np.quantile(col, QUANTILES))
+    return np.searchsorted(np.unique(np.quantile(col, QUANTILES)), col, side="right")
 
 
-def _bin_codes(col: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    return np.searchsorted(np.unique(edges), col, side="right")
+def usable_columns(X: np.ndarray) -> np.ndarray:
+    """Indices of the mRMR candidates among the columns of ``X``.
+
+    A column is kept when it is finite in at least ``max(3, n // 2)`` rows
+    and the range of its present cells is positive and finite (a range, not a
+    std: the std of a constant 0.1 column is 1.4e-17).
+    """
+    hi = np.fmax.reduce(X, axis=0, initial=np.nan)  # skips NaN; NaN if all missing
+    lo = np.fmin.reduce(X, axis=0, initial=np.nan)
+    with np.errstate(invalid="ignore"):  # inf - inf where every present cell is inf
+        span = hi - lo
+    mostly_present = np.isfinite(X).sum(axis=0) >= max(3, X.shape[0] // 2)
+    return np.flatnonzero(mostly_present & (0 < span) & (span < np.inf))
 
 
 def _feature_codes(X: np.ndarray, finite: np.ndarray) -> np.ndarray:
     """``quantile_discretize`` of each column's finite cells; 0 where missing.
 
-    The edges of all complete columns come from one ``np.quantile`` call,
-    equal column by column to a call per column; a column with missing
-    cells is discretized on its own.
+    Columns are grouped by their count c of finite cells. Each group's finite
+    cells, gathered in row order into a (c, g) matrix, get their edges from
+    one ``np.quantile(..., axis=0)`` call, equal column by column to a call
+    per column. A cell's code is the number of distinct edges at or below
+    it, which is what ``searchsorted(np.unique(edges), v, "right")`` counts.
     """
     codes = np.zeros(X.shape, dtype=np.int64)
-    complete = finite.all(axis=0)
-    edges = np.quantile(X[:, complete], QUANTILES, axis=0)
-    for i, j in enumerate(np.flatnonzero(complete)):
-        codes[:, j] = _bin_codes(X[:, j], edges[:, i])
-    for j in np.flatnonzero(~complete & finite.any(axis=0)):
-        m = finite[:, j]
-        codes[m, j] = quantile_discretize(X[m, j])
+    counts = finite.sum(axis=0)
+    order = np.argsort(~finite, axis=0, kind="stable")  # each column's finite rows first
+    for c in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == c)
+        rows = order[:c, group]
+        values = X[rows, group]
+        edges = np.sort(np.quantile(values, QUANTILES, axis=0), axis=0)
+        distinct = np.ones(edges.shape, dtype=bool)
+        distinct[1:] = edges[1:] != edges[:-1]
+        codes[rows, group] = ((edges[None] <= values[:, None]) & distinct).sum(axis=1)
     return codes
 
 
@@ -75,11 +98,18 @@ def _block_mi(codes: np.ndarray, finite: np.ndarray, b: np.ndarray,
 
     Codes are small non-negative integers; a column with fewer than 3 rows
     complete in both scores 0. Each pair's joint counts are exact integers
-    from one offset ``bincount``; marginals and log terms are reduced per
-    group of pairs with the same code extents (na, nb), and each pair's
-    terms are summed on their own (``np.add.reduce``, what ``np.sum`` runs),
-    so every value is the one a per-pair computation on the pair's (na, nb)
-    table gives.
+    from one offset ``bincount``, and every value is the one a per-pair
+    computation on the pair's own (na, nb) table gives:
+    - Pairs are grouped by the extent nb of ``b``'s codes, and their tables
+      run to the group's largest na. The rows past a pair's own na are zero.
+      numpy sums the strided row axis (the marginal of ``b``) in sequence,
+      so zero rows at its end add nothing. With nb == 1 that axis is the
+      contiguous one, which numpy sums pairwise, and zero rows would
+      reassociate it; so those pairs are grouped by na as well.
+    - A pair's log terms are its nonzero cells in row order. The pairs with
+      L terms are summed in one ``np.add.reduce`` over the last axis of an
+      (pairs, L) gather: numpy reduces a contiguous last axis row by row with
+      the pairwise routine it runs on a 1-D array.
     """
     both = finite & b_finite[:, None]
     n_cols = codes.shape[1]
@@ -90,24 +120,33 @@ def _block_mi(codes: np.ndarray, finite: np.ndarray, b: np.ndarray,
     joint = np.bincount(cells[both], minlength=n_cols * width_a * width_b).reshape(
         n_cols, width_a, width_b)
     mi = np.zeros(n_cols)
-    scored = both.sum(axis=0) >= 3
-    extents = np.stack([a_max + 1, b_max + 1], axis=1)
-    for na, nb in np.unique(extents[scored], axis=0):
-        group = np.flatnonzero(scored & (extents[:, 0] == na) & (extents[:, 1] == nb))
+    complete = both.sum(axis=0)  # each pair's table total, exactly
+    scored = complete >= 3
+    key = np.where(b_max == 0, -a_max - 1, b_max + 1)  # nb, or -na when nb == 1
+    for k in np.unique(key[scored]):
+        group = np.flatnonzero(scored & (key == k))
+        na, nb = int(a_max[group].max()) + 1, int(b_max[group[0]]) + 1
         counts = joint[group, :na, :nb].astype(np.float64)
-        p = counts / counts.sum(axis=(1, 2), keepdims=True)
+        p = counts / complete[group, None, None]
         px = p.sum(axis=2, keepdims=True)
         py = p.sum(axis=1, keepdims=True)
         mask = p > 0
-        terms = p[mask] * np.log(p[mask] / (px * py)[mask])
-        ends = np.cumsum(mask.sum(axis=(1, 2))).tolist()
-        mi[group] = [np.add.reduce(terms[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+        present = p[mask]
+        terms = present * np.log(present / (px * py)[mask])
+        lengths = mask.sum(axis=(1, 2))
+        starts = np.cumsum(lengths) - lengths
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            mi[group[rows]] = np.add.reduce(
+                terms[starts[rows, None] + np.arange(length)], axis=1)
     return mi
 
 
 def _target_codes(y) -> np.ndarray:
     if is_regression_target(y):
         y = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise PhonassessError("target contains missing or infinite values")
         if np.all(y == y[0]):
             raise PhonassessError("constant target: nothing to rank against")
         return quantile_discretize(y)

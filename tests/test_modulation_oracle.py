@@ -2,7 +2,8 @@
 
 ``ref_modulation_spectrum`` is the former ``quality.modulation_spectrum``,
 kept verbatim but for ``scipy.signal.hilbert`` in place of the in-repo copy
-of it that it called: each band went back to the time domain (``irfft``)
+of it that it called, and for a band clipped at fs / 2 stopping below the
+Nyquist bin by index: each band went back to the time domain (``irfft``)
 and through a second FFT for its analytic signal. The current one takes the
 analytic signal from the band's rfft bins (``quality._analytic_band``), which
 moves values in their last bits only. So the spectra must agree to 1e-12 of
@@ -10,6 +11,7 @@ the size of their rounding error (``power_scale``), and the DC energies to
 1e-12 of their own size.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import signal
 
@@ -37,7 +39,7 @@ def ref_modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndar
         if lo >= fs / 2:
             continue
         band = np.zeros_like(spec)
-        m = (freqs >= lo) & (freqs < min(hi, fs / 2))
+        m = (freqs >= lo) & (freqs < min(hi, fs / 2)) & (2 * np.arange(len(freqs)) < n)
         band[m] = spec[m]
         env = np.abs(signal.hilbert(np.fft.irfft(band, n)))
         env = dsp.resample_poly(env, ENVELOPE_RATE, fs, beta=5.0)
@@ -70,8 +72,8 @@ def recordings(draw):
     return x * scale, fs
 
 
-# 2.2 s of noise at 8 kHz whose rfft puts its Nyquist bin just below 4 kHz, in
-# the top band: that bin counts once in an analytic signal, not twice
+# 2.2 s of noise at 8 kHz whose rfft puts its Nyquist bin just below 4 kHz,
+# under the top band's clipped edge: the bin stays out by its index
 NYQUIST_IN_BAND = (np.random.default_rng(0).standard_normal(17650), 8000)
 
 
@@ -100,3 +102,13 @@ def power_scale(power: np.ndarray, dc_energy: float) -> float:
     """
     peak = power.max()
     return max(np.sqrt(peak * max(peak, dc_energy)), 1e-10 * dc_energy)
+
+
+@pytest.mark.parametrize("n", [16000, 17650])
+def test_nyquist_tone_is_in_no_band(n):
+    """(-1)**k is all Nyquist bin: rfftfreq reads it as 4000.0 Hz at n 16000
+    but 3999.9999999999995 Hz at n 17650, and neither length lets it into the
+    top band, clipped at fs / 2."""
+    x = (-1.0) ** np.arange(n)
+    _, _, dc_energy = modulation_spectrum(x, 8000)
+    assert dc_energy < 1e-20

@@ -1,9 +1,11 @@
 """The batched mutual information of mRMR against the per-pair one it replaced.
 
 ``_discrete_mi`` and ``ref_mrmr_rank`` are the former per-pair MI and
-ranking loop, and ``ref_codes`` the former per-column discretization, kept
-verbatim; values must be bitwise equal and rankings identical.
+ranking loop, ``ref_codes`` the former per-column discretization and
+``ref_usable`` the former candidate filter of ``cli``, kept verbatim;
+values must be bitwise equal, rankings and indices identical.
 """
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from phonassess import selection
 from phonassess.selection import (_feature_codes, _mutual_information, _target_codes,
-                                  mrmr_rank, quantile_discretize)
+                                  mrmr_rank, quantile_discretize, usable_columns)
 
 
 def _discrete_mi(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,6 +39,13 @@ def ref_codes(X):
         if m.any():
             codes[m, j] = quantile_discretize(X[m, j])
     return codes, finite
+
+
+def ref_usable(X):
+    n = X.shape[0]
+    return [j for j in range(X.shape[1])
+            if np.isfinite(X[:, j]).sum() >= max(3, n // 2)
+            and 0 < np.nanmax(X[:, j]) - np.nanmin(X[:, j]) < np.inf]
 
 
 def ref_mrmr_rank(X, y, k: int) -> list[int]:
@@ -122,6 +131,41 @@ def test_relevance_and_redundancy_match_per_pair_mi(problem, block):
             assert bits(got) == bits(want)
 
 
+@st.composite
+def single_code_references(draw):
+    """Codes of up to 24 columns and a reference whose codes are 0 on every row
+    some columns are present in, so those pairs have nb == 1. Columns reach
+    codes below 8 and up to 9 in one block."""
+    n = draw(st.integers(6, 40))
+    p = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = rng.integers(1, 10, p)
+    top[rng.integers(p)] = 9
+    codes = (rng.random((n, p)) * (top + 1)).astype(np.int64)
+    b = rng.integers(0, rng.integers(1, 6), n)
+    b[:3] = 0
+    b_finite = rng.random(n) < 0.9
+    b_finite[:3] = True
+    finite = rng.random((n, p)) < 0.9
+    finite[:, rng.random(p) < 0.6] &= (b == 0)[:, None]  # present only where b is 0
+    return codes, finite, b, b_finite
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_code_references())
+def test_pairs_of_one_reference_code_match_per_pair_mi(problem):
+    """A pair with nb == 1 sums its marginal of b along the contiguous axis,
+    pairwise: padding its table to a wider column's na (8 or more) would
+    reassociate that sum, so its value must still be the per-pair one."""
+    codes, finite, b, b_finite = problem
+    want = []
+    for j in range(codes.shape[1]):
+        m = finite[:, j] & b_finite
+        want.append(_discrete_mi(codes[m, j], b[m]) if m.sum() >= 3 else 0.0)
+    got = _mutual_information(codes, finite, np.arange(codes.shape[1]), b, b_finite)
+    assert bits(got) == bits(want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(problems(), st.integers(1, 14))
 def test_ranking_matches_per_pair_ranking(problem, k):
@@ -150,3 +194,36 @@ def test_batched_codes_match_per_column_discretize(X):
     got = _feature_codes(X, finite)
     assert got.dtype == codes.dtype
     assert np.array_equal(got, codes)
+
+
+@st.composite
+def candidate_matrices(draw):
+    """Columns with inf and -inf cells, all missing, constant 0.1 (std 1.4e-17,
+    range 0), or finite in fewer than n // 2 rows."""
+    n = draw(st.integers(0, 30))
+    p = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.normal(0, 1, (n, p)), draw(st.sampled_from([0, 2])))
+    for j in range(p):
+        kind = rng.integers(6)
+        if kind == 0:
+            X[:, j] = 0.1
+        elif kind == 1:
+            X[:, j] = np.nan
+        elif kind == 2:
+            X[rng.random(n) < 0.7, j] = np.nan
+        elif kind == 3:
+            X[rng.random(n) < 0.2, j] = rng.choice([np.inf, -np.inf])
+        elif kind == 4:
+            X[:, j] = np.where(rng.random(n) < 0.5, np.inf, np.nan)
+    X[rng.random((n, p)) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = np.nan
+    return X
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_matrices())
+def test_usable_columns_match_column_loop(X):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = usable_columns(X)
+    assert got.tolist() == ref_usable(X)

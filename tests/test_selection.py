@@ -84,6 +84,15 @@ class TestMrmr:
         with pytest.raises(PhonassessError):
             mrmr_rank(X, np.array(["PD"] * 20), k=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_missing_or_infinite_numeric_target_error(self, bad):
+        rng = np.random.default_rng(47)
+        X = rng.normal(0, 1, (30, 3))
+        y = rng.normal(0, 1, 30)
+        y[7] = bad
+        with pytest.raises(PhonassessError, match="missing or infinite"):
+            mrmr_rank(X, y, k=3)
+
 
 SPEC = LearnerSpec(kind="cart", min_leaf=2)
 
