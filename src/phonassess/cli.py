@@ -250,6 +250,7 @@ def _write_selection(path: Path, sel, no_target, dropped) -> None:
         "n_candidates": sel.n_candidates,
         "n_evaluations": sel.n_evaluations,
         "n_memo_hits": sel.n_memo_hits,
+        "n_stopped": sel.n_stopped,
         "rows_without_target": no_target.tolist(),
         "dropped_rows": dropped.tolist(),
         "selected_features": sel.selected,

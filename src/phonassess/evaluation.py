@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -196,43 +196,80 @@ def correlation_graph_data(feature_values, clinical_values) -> CorrelationPanel:
 class LooResult:
     predictions: np.ndarray
     failed_folds: list[int] = field(default_factory=list)
+    predicted: list[int] = field(default_factory=list)  # folds predicted, in routing order
+
+    @property
+    def stopped(self) -> bool:
+        """True when ``stop`` ended the LOO before its last fold."""
+        return len(self.predicted) + len(self.failed_folds) < len(self.predictions)
 
 
-def loo_validate(X, y, learner: LearnerSpec) -> LooResult:
+def fold_order(y) -> np.ndarray:
+    """The rows in the order their folds are routed: row order for a numeric
+    target; for class labels the classes interleaved, the k-th of a class's
+    c rows placed at (k + 1/2) / c (ties in row order), so any prefix of the
+    folds holds each class in about its share."""
+    y = np.asarray(y)
+    if is_regression_target(y):
+        return np.arange(len(y))
+    _, codes = np.unique(y.astype(str), return_inverse=True)
+    share = np.empty(len(y))
+    for c in np.unique(codes):
+        rows = np.flatnonzero(codes == c)
+        share[rows] = (np.arange(rows.size) + 0.5) / rows.size
+    return np.argsort(share, kind="stable")
+
+
+def loo_validate(X, y, learner: LearnerSpec, stop=None) -> LooResult:
     """Leave-one-out: for each row i, train ``learner`` on the others and predict i.
 
     The rows must be complete: a missing cell in ``X``, or a missing or
     infinite value in a numeric ``y``, raises ``PhonassessError`` before any
     fold is built (``models.check_complete``; every fold but that row's own
     would fail to train). The lanes of all folds go through one call of the
-    learner's router (``LearnerSpec.route``), which grows them in batches
-    under its byte budget (``models.LANE_BUDGET_BYTES``) and carries each
-    fold's held-out row down the splits as they are made. A fold predicts
-    its CART's leaf, or the label most of its forest's trees reach (a tie
-    goes to the lexicographically smallest): ``LearnerSpec.vote``. Fold i
-    trains with ``learner.seed + i``, so the result is deterministic given
-    the learner, and a forest's tree streams are set up once per process
+    learner's router (``LearnerSpec.route``), in ``fold_order``. It grows
+    them lazily, in batches under its byte budget
+    (``models.LANE_BUDGET_BYTES``), and carries each fold's held-out row down
+    the splits as they are made; the folds' leaves are read one fold at a
+    time. A fold predicts its CART's leaf, or the label most of its forest's
+    trees reach (a tie goes to the lexicographically smallest):
+    ``LearnerSpec.vote``. Fold i trains with ``learner.seed + i``, so the
+    result is deterministic given the learner, whatever the fold order, and
+    a forest's tree streams are set up once per process
     (``models.STREAM_MEMO_BYTES``) however many subsets a search scores.
     Folds whose training fails (a forest fold left with one class) are
     recorded and predict NaN. A numeric ``y`` gives float predictions, class
     labels object ones.
+
+    ``stop``, when given, is asked with the result so far (its ``predicted``
+    folds hold their predictions, the others NaN) before any lane is routed
+    and again before each further batch is grown. When it answers True the
+    LOO ends there: the result is ``stopped``, and its folds not predicted
+    yet hold NaN.
     """
     n = len(X)
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
     X, y = check_complete(X, y)
     folds = {}
-    for i in range(n):
+    for i in fold_order(y).tolist():
         try:
             folds[i] = learner.lanes(y, np.delete(np.arange(n), i), learner.seed + i)
         except PhonassessError:
             pass
-    held_out = np.repeat(np.fromiter(folds, dtype=np.intp, count=len(folds)),
-                         [len(lanes) for lanes in folds.values()])
-    leaves = learner.route(X, y, chain.from_iterable(folds.values()), held_out)
-    preds = np.full(n, float("nan"), dtype=object)
-    for i in folds:
-        preds[i] = learner.vote(leaves)  # takes this fold's leaves, in order
+    result = LooResult(np.full(n, float("nan"), dtype=object),
+                       [i for i in range(n) if i not in folds])
+    proceed = None if stop is None else (lambda: not stop(result))
+    if folds and (proceed is None or proceed()):
+        held_out = np.repeat(np.fromiter(folds, dtype=np.intp, count=len(folds)),
+                             [len(lanes) for lanes in folds.values()])
+        leaves = learner.route(X, y, chain.from_iterable(folds.values()), held_out, proceed)
+        for i, lanes in folds.items():
+            reached = list(islice(leaves, len(lanes)))
+            if len(reached) < len(lanes):  # ``stop`` ended the routing
+                break
+            result.predictions[i] = learner.vote(reached)
+            result.predicted.append(i)
     if is_regression_target(y):
-        preds = preds.astype(np.float64)
-    return LooResult(predictions=preds, failed_folds=[i for i in range(n) if i not in folds])
+        result.predictions = result.predictions.astype(np.float64)
+    return result

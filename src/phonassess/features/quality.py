@@ -286,11 +286,14 @@ def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
 
 def _analytic_band(spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float, n: int) -> np.ndarray:
     """Envelope of the band [lo, hi) of ``spec``, the fft or rfft of n samples
-    at ``freqs``: |ifft(2 * its bins)|. No caller's band holds the Nyquist
-    bin, which an analytic signal would count once."""
+    at ``freqs``: the magnitude of its analytic signal, the ifft of its bins
+    doubled but for the DC bin, which an analytic signal counts once. No
+    caller's band holds the Nyquist bin, which it would count once too."""
     full = np.zeros(n, dtype=complex)
     idx = np.flatnonzero((freqs >= lo) & (freqs < hi))
     full[idx] = 2.0 * spec[idx]
+    if idx.size and idx[0] == 0:
+        full[0] = spec[0]
     return np.abs(np.fft.ifft(full))
 
 

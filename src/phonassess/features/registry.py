@@ -76,7 +76,7 @@ REGISTRY: list[FeatureEntry] = [
     FeatureEntry("hnr", 3, "contour"),
     FeatureEntry("nhr", 3, "contour"),
     FeatureEntry("nne", 3, "contour", provisional=True),
-    FeatureEntry("gne", 3, "contour"),
+    FeatureEntry("gne", 3, "contour", definition_version=2),
     FeatureEntry("spi", 3, "contour", provisional=True),
     FeatureEntry("vti", 3, "contour", provisional=True),
     FeatureEntry("ssd", 3, "contour", provisional=True),
@@ -119,7 +119,7 @@ REGISTRY: list[FeatureEntry] = [
     FeatureEntry("imf_nsr_re", 5, "scalar"),
     FeatureEntry("imf_fd", 5, "scalar", scale_invariant=False),
     FeatureEntry("imf_cpp", 5, "scalar"),
-    FeatureEntry("imf_gne", 5, "scalar"),
+    FeatureEntry("imf_gne", 5, "scalar", definition_version=2),
     # group 6: nonlinear dynamics (entropies per analysis block)
     FeatureEntry("she", 6, "contour"),
     FeatureEntry("re", 6, "contour"),

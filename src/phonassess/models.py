@@ -27,10 +27,13 @@ whose working arrays stay under ``LANE_BUDGET_BYTES``.
 ``_grow`` (called by ``LearnerSpec.route``) carries each lane's held-out row
 down its splits as they are made (with the same ``<=``) and gives the value
 of the leaf it reaches. Held-out rows are complete (``check_complete``). A
-CART lane grows only its row's path; a forest lane grows the whole tree,
-because its node draws follow the whole preorder. A lane expands no leaf: a
-child that cannot split (too small, or one target value) gives its value at
-once if the row goes there, and is dropped if not.
+CART lane grows only its row's path. A forest lane grows its tree in
+preorder up to its row's leaf, because its node draws follow the preorder;
+the nodes after that leaf could change only the lane's own later draws, so
+it stops there. A lane expands no leaf: a child that cannot split (too
+small, or one target value) gives its value at once if the row goes there,
+and is dropped if not. A caller may end the routing between two batches
+(``proceed``), so a leave-one-out that can no longer win grows no more.
 
 Random draws. A forest lane is its training rows and its stream (s, t):
 tree t of a forest seeded s draws from the PCG64 stream of
@@ -274,7 +277,7 @@ def _codes(y) -> tuple[list[str], np.ndarray]:
     return names.tolist(), codes
 
 
-def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out):
+def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out, proceed=None):
     """Yield, in lane order, the value of the leaf lane i's tree sends its
     held-out row ``X[held_out[i]]`` to (its label for class targets).
 
@@ -285,7 +288,8 @@ def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out):
     ``n_candidates`` None (or at least the column count) every column is a
     candidate. Each held-out row must miss no value. The target is coded
     once (``_codes``: at most two labels) and the lanes grow in batches
-    under ``LANE_BUDGET_BYTES``.
+    under ``LANE_BUDGET_BYTES``. ``proceed``, when given, is asked before
+    each batch after the first; the leaves end where it answers False.
     """
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
@@ -296,6 +300,8 @@ def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out):
     lanes = iter(lanes)
     done = 0
     while batch := list(islice(lanes, per_batch)):
+        if done and proceed is not None and not proceed():
+            return
         held = held_out[done:done + len(batch)]
         done += len(batch)
         yield from _grow_batch(X, target, classes, batch, min_leaf, n_candidates, held)
@@ -333,7 +339,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     held_slot = np.zeros(m, dtype=np.intp)  # the held-out row's stack slot; -1 once in its leaf
     reached = np.zeros(m, dtype=np.intp if classes else np.float64)
     # a lane grows only its row's path, unless node draws (which follow the
-    # whole preorder) need the whole tree
+    # preorder) need every node before its row's leaf
     whole = n_candidates is not None
 
     # Each lane's stack of pending nodes, its top slot the next node: where
@@ -397,6 +403,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 slot += keep
             depth[live[cut]] = slot
         depth[live[~split]] = top[~split]
+        depth[held_slot < 0] = 0  # a lane whose row is in its leaf is done
     return [classes[r] for r in reached] if classes else reached.tolist()
 
 
@@ -568,14 +575,16 @@ class LearnerSpec:
             raise PhonassessError("need at least two classes to train a forest")
         return [(rows, (seed, tree)) for tree in range(self.n_trees)]
 
-    def route(self, X: np.ndarray, y: np.ndarray, lanes, held_out):
+    def route(self, X: np.ndarray, y: np.ndarray, lanes, held_out, proceed=None):
         """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to, in
-        order: its value. The held-out rows must miss no value."""
+        order: its value. The held-out rows must miss no value. The lanes
+        grow lazily, a batch at a time; ``proceed`` (see ``_grow``) may end
+        them between two batches."""
         if self.kind == "forest":  # string labels: a forest classifies any y
             grower = [str(v) for v in y], 1, max(1, int(np.sqrt(X.shape[1])))
         else:
             grower = y, self.min_leaf, None
-        return _grow(X, *grower, lanes, np.asarray(held_out, dtype=np.intp))
+        return _grow(X, *grower, lanes, np.asarray(held_out, dtype=np.intp), proceed)
 
     def vote(self, leaves):
         """One row's prediction from the next leaves ``route`` yields for it:

@@ -11,7 +11,10 @@ has one column (nb == 1): its row axis is then the contiguous one, and
 those pairs keep tables of their own row count (``_block_mi``).
 The SFFS wrapper scores candidate subsets by leave-one-out, and the final
 report takes the selected subset's LOO predictions from that search; all
-ties break to the lowest column index.
+ties break to the lowest column index. A subset's LOO stops as soon as the
+best objective it can still reach (``_reachable``) cannot beat the value the
+search needs from it: exact branch and bound, so the search selects, traces
+and predicts what it would with every LOO run to its end.
 The target's dtype picks the task (``models.is_regression_target``): a
 numeric target is regressed, class labels are classified.
 """
@@ -23,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhonassessError
-from .evaluation import classification_metrics, loo_validate
+from .evaluation import (POSITIVE_CLASS, LooResult, classification_metrics, loo_validate,
+                         trade_off_sen_spe)
 # predict, train_cart and train_forest stay bound here: perfbench/tracing.py wraps them
 # at this module
 from .models import (LearnerSpec, is_regression_target, predict, train_cart,  # noqa: F401
@@ -206,6 +210,7 @@ class SelectionResult:
     n_candidates: int = 0
     n_evaluations: int = 0  # distinct subsets scored by a LOO run
     n_memo_hits: int = 0    # subsets asked for again and answered from the memo
+    n_stopped: int = 0      # of those subsets, the ones left with a bound: their LOO stopped
 
     @property
     def size(self) -> int:
@@ -220,18 +225,58 @@ def drop_incomplete_rows(X: np.ndarray, y: np.ndarray, cols: list[int]):
     return ok
 
 
-def loo_objective(X, y, spec: LearnerSpec) -> tuple[float, np.ndarray | None]:
+def _reachable(y: np.ndarray, result: LooResult) -> float:
+    """The best objective a LOO can still reach from the folds it has
+    predicted so far, one rule per objective; never below the objective the
+    finished LOO gives.
+
+    - ``-inf`` when a fold cannot train, or when the rows of a class target
+      hold one class only: the objective is then ``-inf`` itself.
+    - TSS: every fold not predicted yet is assumed correct, and the counts go
+      through the ``trade_off_sen_spe`` call ``classification_metrics``
+      makes. TSS does not fall as SEN or SPE rises, and once every fold is
+      predicted this is the TSS.
+    - Negative MAE: 0 before any fold, then ``-max|error| / n`` over the
+      folds predicted. A floating-point sum of non-negative terms is never
+      below its largest term, so no rounding margin is needed.
+    """
+    if result.failed_folds:
+        return -np.inf
+    done = np.asarray(result.predicted, dtype=np.intp)
+    if is_regression_target(y):
+        if not done.size:
+            return 0.0
+        errors = np.abs(result.predictions[done].astype(np.float64) - y[done].astype(np.float64))
+        return -float(errors.max()) / len(y)
+    positive = y == POSITIVE_CLASS
+    positives, negatives = int(positive.sum()), int((~positive).sum())
+    if not positives or not negatives:
+        return -np.inf
+    hit = result.predictions[done] == POSITIVE_CLASS
+    missed, alarms = int((positive[done] & ~hit).sum()), int((~positive[done] & hit).sum())
+    return trade_off_sen_spe((positives - missed) / positives, (negatives - alarms) / negatives)
+
+
+def loo_objective(X, y, spec: LearnerSpec, beat: float = -np.inf
+                  ) -> tuple[float, np.ndarray | None]:
     """(LOO objective, LOO predictions): the objective is negative MAE for a
     numeric target, TSS for class labels.
 
-    A subset on which any fold fails to train scores ``(-inf, None)``.
+    The LOO stops once the best objective it can still reach
+    (``_reachable``) is at most ``beat``: before any fold is routed, then
+    before each further batch its router grows. It then gives that bound,
+    which the objective cannot exceed, and no predictions. A subset on which
+    any fold fails to train scores ``(-inf, None)`` and routes no lane.
     """
-    result = loo_validate(X, y, spec)
+    y = np.asarray(y)
+    result = loo_validate(X, y, spec, stop=lambda partial: _reachable(y, partial) <= beat)
     if result.failed_folds:
         return -np.inf, None
+    if result.stopped:
+        return _reachable(y, result), None
     preds = result.predictions
     if is_regression_target(y):
-        return -float(np.mean(np.abs(preds - np.asarray(y, dtype=np.float64)))), preds
+        return -float(np.mean(np.abs(preds - y.astype(np.float64)))), preds
     return classification_metrics(preds, y).tss, preds
 
 
@@ -250,11 +295,20 @@ def sffs(
     features whose removal strictly improves the objective are floated out.
     The best subset ever seen is returned, so the result's objective is
     always at least the best single feature's. Subsets grow to at most
-    ``SFFS_MAX_FEATURES`` columns. Each subset, keyed by its columns in
-    order (the order decides ties inside the learner), is scored once; its
-    objective and LOO predictions stay in a memo, and the best subset's
-    predictions are the result's. When no subset scores, the result selects
+    ``SFFS_MAX_FEATURES`` columns. When no subset scores, the result selects
     nothing, with objective ``-inf`` and no predictions.
+
+    Each subset is asked to beat a value: in an add step the best objective
+    so far in that step (``np.argmax`` keeps the first maximum), in a
+    removal test ``obj + 1e-12``. Its LOO stops once it cannot
+    (``loo_objective``), so a subset that loses is often never scored in
+    full; no subset that could win is stopped, and the search takes the
+    path it would take with every LOO finished. Subsets are keyed by their
+    columns in order (the order decides ties inside the learner). A memo
+    keeps each one's objective and LOO predictions, or, for a stopped one,
+    its bound and none; that one is scored again only when it is asked to
+    beat a value below its bound. The best subset's predictions are the
+    result's.
     """
     X = np.asarray(X, dtype=np.float64)
     names = list(names)
@@ -268,21 +322,25 @@ def sffs(
     trace: list[tuple[str, str, float]] = []
     stall = 0
     memo: dict[tuple[int, ...], tuple[float, np.ndarray | None]] = {}
-    asked = 0
+    hits = 0
 
-    def objective(cols: list[int]) -> float:
-        nonlocal asked
-        asked += 1
+    def objective(cols: list[int], beat: float) -> float:
+        nonlocal hits
         key = tuple(cols)
-        if key not in memo:
-            memo[key] = _masked_objective(X, y, cols, spec)
+        value, preds = memo.get(key, (np.inf, None))
+        if preds is None and beat < value:  # never scored, or stopped at a bound it may beat
+            memo[key] = _masked_objective(X, y, cols, spec, beat)
+        else:
+            hits += 1
         return memo[key][0]
 
     while len(current) < SFFS_MAX_FEATURES and stall < patience:
         options = [j for j in pool if j not in current]
         if not options:
             break
-        scores = [objective(current + [j]) for j in options]
+        scores: list[float] = []
+        for j in options:
+            scores.append(objective(current + [j], max(scores, default=-np.inf)))
         pick = int(np.argmax(scores))  # first max -> lowest registry index
         j = options[pick]
         current = current + [j]
@@ -295,7 +353,7 @@ def sffs(
             improved_removal = False
             for g in list(current[:-1]):  # never immediately drop the newcomer
                 reduced = [c for c in current if c != g]
-                red_obj = objective(reduced)
+                red_obj = objective(reduced, obj + 1e-12)
                 if red_obj > obj + 1e-12:
                     current = reduced
                     obj = red_obj
@@ -319,11 +377,13 @@ def sffs(
         trace=trace,
         n_candidates=len(pool),
         n_evaluations=len(memo),
-        n_memo_hits=asked - len(memo),
+        n_memo_hits=hits,
+        n_stopped=sum(preds is None and value > -np.inf for value, preds in memo.values()),
     )
 
 
-def _masked_objective(X, y, cols: list[int], spec: LearnerSpec) -> tuple[float, np.ndarray | None]:
+def _masked_objective(X, y, cols: list[int], spec: LearnerSpec, beat: float = -np.inf
+                      ) -> tuple[float, np.ndarray | None]:
     """``loo_objective`` on the rows complete in ``cols``; ``(-inf, None)``
     with fewer than 3 such rows or when the LOO raises."""
     ok = drop_incomplete_rows(X, np.asarray(y), cols)
@@ -331,6 +391,6 @@ def _masked_objective(X, y, cols: list[int], spec: LearnerSpec) -> tuple[float, 
         return -np.inf, None
     y_arr = np.asarray(y)
     try:
-        return loo_objective(X[np.ix_(ok, cols)], y_arr[ok], spec)
+        return loo_objective(X[np.ix_(ok, cols)], y_arr[ok], spec, beat)
     except PhonassessError:
         return -np.inf, None

@@ -9,14 +9,23 @@ analytic signal from the band's rfft bins (``quality._analytic_band``), which
 moves values in their last bits only. So the spectra must agree to 1e-12 of
 the size of their rounding error (``power_scale``), and the DC energies to
 1e-12 of their own size.
+
+A band's envelope is its analytic signal's (``scipy.signal.hilbert``), which
+counts the DC bin once. Only ``gne``'s first band holds that bin; the
+modulation bands start at 100 Hz, so the modulation measures are bitwise
+those of the version that doubled it.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import signal
 
 from phonassess import dsp
+from phonassess.audio import Recording
 from phonassess.errors import InsufficientSignalError
+from phonassess.features import quality
 from phonassess.features.quality import ENVELOPE_RATE, MOD_BANDS, modulation_spectrum
 
 
@@ -112,3 +121,44 @@ def test_nyquist_tone_is_in_no_band(n):
     x = (-1.0) ** np.arange(n)
     _, _, dc_energy = modulation_spectrum(x, 8000)
     assert dc_energy < 1e-20
+
+
+def analytic_band_v1(spec, freqs, lo, hi, n):
+    """``quality._analytic_band`` before version 2 of ``gne``: every bin in
+    the band doubled, the DC bin too."""
+    full = np.zeros(n, dtype=complex)
+    idx = np.flatnonzero((freqs >= lo) & (freqs < hi))
+    full[idx] = 2.0 * spec[idx]
+    return np.abs(np.fft.ifft(full))
+
+
+@pytest.mark.parametrize("band", [(0.0, 1000.0), (300.0, 1300.0)])
+def test_band_envelope_is_the_analytic_signals(band):
+    """A band of noise with a DC offset: its envelope is the magnitude of
+    ``scipy.signal.hilbert`` of the real band signal, DC bin included once."""
+    fs, n = 16000, 4000
+    x = np.random.default_rng(7).standard_normal(n) + 0.3
+    spec = np.fft.fft(x)
+    freqs = np.fft.fftfreq(n, 1.0 / fs)
+    lo, hi = band
+    real_band = ((np.abs(freqs) >= lo) & (np.abs(freqs) < hi)) | ((lo == 0) & (freqs == 0))
+    want = np.abs(signal.hilbert(np.fft.ifft(spec * real_band).real))
+    env = quality._analytic_band(spec, freqs, lo, hi, n)
+    assert np.abs(env - want).max() <= 1e-12 * want.max()
+    if lo == 0:  # version 1 doubled DC: its mean was 0.695, the analytic one's 0.523
+        assert np.abs(analytic_band_v1(spec, freqs, lo, hi, n) - want).max() > 0.1 * want.max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(recordings(), st.sampled_from([0.0, 0.3, -2.0]))
+def test_modulation_measures_do_not_move(recording, offset):
+    """The modulation bands start at 100 Hz and hold no DC bin, so counting DC
+    once changes none of mser, mfp, rphm, icer and rphic: bit for bit, even
+    with a DC offset."""
+    x, fs = recording
+    x = x + offset * np.abs(x).max()
+    rec = Recording(x, fs)
+    now = quality.modulation_measures(rec)
+    with mock.patch.object(quality, "_analytic_band", analytic_band_v1):
+        before = quality.modulation_measures(rec)
+    assert np.asarray(now).tobytes() == np.asarray(before).tobytes()

@@ -170,7 +170,8 @@ def test_sffs_scores_each_subset_once(monkeypatch):
     asked = []
     score = selection._masked_objective
     monkeypatch.setattr(selection, "_masked_objective",
-                        lambda X, y, cols, spec: asked.append(tuple(cols)) or score(X, y, cols, spec))
+                        lambda X, y, cols, spec, beat: asked.append(tuple(cols))
+                        or score(X, y, cols, spec, beat))
     rng = np.random.default_rng(52)
     X = rng.uniform(0, 1, (20, 6))
     y = 10 * X[:, 2] + 5 * X[:, 4] + rng.normal(0, 0.5, 20)
@@ -206,3 +207,19 @@ class TestFailedFolds:
              else 10 * X[:, 0])
         assert np.isfinite(loo_objective(X, y, LearnerSpec(min_leaf=2))[0])
         assert loo_objective(X, y, _FailsOnFold(min_leaf=2)) == (-np.inf, None)
+
+    def test_failed_fold_routes_no_lane(self, monkeypatch):
+        """A fold that cannot train decides the objective: no other fold is grown."""
+        calls = []
+        route = LearnerSpec.route
+        monkeypatch.setattr(LearnerSpec, "route",
+                            lambda self, *args: calls.append(self.kind) or route(self, *args))
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, 2))
+        y = np.array(["PD"] * 7 + ["HC"])  # holding out the only HC leaves one class
+        assert loo_objective(X, y, LearnerSpec(kind="forest", n_trees=5)) == (-np.inf, None)
+        assert loo_objective(X, 10 * X[:, 0], _FailsOnFold(min_leaf=2)) == (-np.inf, None)
+        assert calls == []
+        y[0] = "HC"  # every fold trains: the LOO routes its lanes
+        assert np.isfinite(loo_objective(X, y, LearnerSpec(kind="forest", n_trees=5))[0])
+        assert calls == ["forest"]
