@@ -10,7 +10,7 @@ live here. VOWELS and TASKS are the cohort's vowel and task tokens.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,7 +62,8 @@ class FrameSequence:
     ``frames`` holds the Hann-tapered frames, ``raw`` the same slices before
     the taper (some measures, e.g. energy, TKEO and the pitch tracker, are
     defined on the plain waveform). Frame count is
-    floor((N - frame_length) / hop) + 1.
+    floor((N - frame_length) / hop) + 1; ``times`` are the frame centres in
+    seconds, derived from hop, frame_length and fs.
     """
 
     frames: np.ndarray
@@ -70,15 +71,14 @@ class FrameSequence:
     frame_length: int
     hop: int
     fs: int
-    times: np.ndarray = field(default=None)  # frame centers in seconds
-
-    def __post_init__(self):
-        if self.times is None:
-            starts = np.arange(self.frames.shape[0]) * self.hop
-            self.times = (starts + self.frame_length / 2) / self.fs
 
     def __len__(self) -> int:
         return self.frames.shape[0]
+
+    @property
+    def times(self) -> np.ndarray:
+        starts = np.arange(self.frames.shape[0]) * self.hop
+        return (starts + self.frame_length / 2) / self.fs
 
 
 def load_recording(path) -> Recording:

@@ -33,9 +33,9 @@ from .allocator import keep_freed_memory
 from .audio import TASKS, VOWELS, load_recording
 from .errors import AudioError, ConfigError, PhonassessError
 # perfbench/tracing.py wraps loo_validate at this module
-from .evaluation import (SCALES, classification_metrics, correlation_graph_data,  # noqa: F401
-                         estimation_errors, loo_validate, regression_metrics,
-                         round_half_away, spearman)
+from .evaluation import (SCALES, classification_metrics, clinical_scale,  # noqa: F401
+                         correlation_graph_data, estimation_errors, loo_validate,
+                         regression_metrics, round_half_away, spearman)
 from .features.extract import ExtractionResult, extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
 from .manifest import GROUPS, load_manifest
@@ -296,9 +296,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 def cmd_regress(cfg: RunConfig) -> int:
     if cfg.target in ("", "group"):
         raise ConfigError("regress needs --target <clinical scale id>")
-    if cfg.target not in SCALES:
-        raise ConfigError(f"unknown clinical scale {cfg.target!r}")
-    scale = SCALES[cfg.target]
+    scale = clinical_scale(cfg.target)
     rows = []
     for matrix in _report_matrices(cfg):
         scope = matrix.scope

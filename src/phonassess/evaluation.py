@@ -8,7 +8,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import PhonassessError
+from .errors import ConfigError, PhonassessError
 from .models import LearnerSpec, check_complete, is_regression_target
 
 POSITIVE_CLASS = "PD"
@@ -24,7 +24,6 @@ class ClinicalScale:
 
     id: str
     theoretical_max: float | None
-    theoretical_min: float = 0.0
 
     @property
     def bounded(self) -> bool:
@@ -46,6 +45,13 @@ SCALES: dict[str, ClinicalScale] = {
         ClinicalScale("led", None),
     )
 }
+
+
+def clinical_scale(scale_id: str) -> ClinicalScale:
+    """The scale of ``SCALES`` named ``scale_id``; ConfigError if none is."""
+    if scale_id not in SCALES:
+        raise ConfigError(f"unknown clinical scale {scale_id!r}")
+    return SCALES[scale_id]
 
 
 def round_half_away(x: float, decimals: int = 2) -> float:
@@ -99,13 +105,13 @@ def classification_metrics(pred, truth) -> ClassificationMetrics:
 
 
 def regression_metrics(pred, truth) -> tuple[float, float]:
-    """(mae, pearson rho); rho is NaN when the truth is constant."""
+    """(mae, pearson rho); rho is NaN when the truth or the prediction is constant."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if len(pred) != len(truth) or len(truth) < 3:
         raise PhonassessError("need >= 3 prediction/truth pairs")
     mae = float(np.mean(np.abs(pred - truth)))
-    if np.std(truth) == 0 or np.std(pred) == 0:
+    if np.ptp(truth) == 0 or np.ptp(pred) == 0:
         return mae, float("nan")
     rho = float(np.corrcoef(pred, truth)[0, 1])
     return mae, rho
@@ -152,7 +158,7 @@ def spearman(x, y) -> tuple[float, float]:
     n = len(x)
     if n < 5:
         raise PhonassessError("need >= 5 complete pairs for rank correlation")
-    if np.std(x) == 0 or np.std(y) == 0:
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise PhonassessError("constant input: rank correlation undefined")
     rx = average_ranks(x)
     ry = average_ranks(y)

@@ -48,7 +48,7 @@ class ExtractionResult:
 
 def _slice_contour(contour: F0Contour, t0: float, t1: float) -> F0Contour:
     m = (contour.times >= t0) & (contour.times < t1)
-    return F0Contour(times=contour.times[m] - t0, f0=contour.f0[m], voicing=contour.voicing[m])
+    return F0Contour(times=contour.times[m] - t0, f0=contour.f0[m])
 
 
 @dataclass

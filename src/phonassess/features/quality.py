@@ -40,9 +40,10 @@ def _clamp_db(v: float) -> float:
 
 def frame_voicing(frames: FrameSequence, contour: F0Contour) -> tuple[np.ndarray, np.ndarray]:
     """(voicing flag, f0) per frame, both read at the nearest contour time."""
-    idx = np.clip(np.searchsorted(contour.times, frames.times), 0, len(contour.times) - 1)
+    times = frames.times
+    idx = np.clip(np.searchsorted(contour.times, times), 0, len(contour.times) - 1)
     left = np.clip(idx - 1, 0, len(contour.times) - 1)
-    use_left = np.abs(contour.times[left] - frames.times) < np.abs(contour.times[idx] - frames.times)
+    use_left = np.abs(contour.times[left] - times) < np.abs(contour.times[idx] - times)
     idx = np.where(use_left, left, idx)
     return contour.voicing[idx], contour.f0[idx]
 
@@ -128,8 +129,6 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour):
     h2h1 = []
     for i in np.flatnonzero(voiced):
         f0 = f0_per_frame[i]
-        if f0 <= 0:
-            continue
         cep = np.fft.irfft(20.0 * np.log10(np.maximum(spec_all[i], TINY)), CEPSTRUM_NFFT)
         powers.append(cep[: CEPSTRUM_NFFT // 2] ** 2)
         f0_used.append(f0)
@@ -137,8 +136,6 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour):
         h2 = _harmonic_db(spec_all[i], freq_axis, 2 * f0)
         if h1 is not None and h2 is not None:
             h2h1.append(h2 - h1)
-    if not powers:
-        raise InsufficientSignalError("no usable voiced frames for cepstral measures")
 
     power = np.mean(powers, axis=0)
     power_db = 10.0 * np.log10(power + TINY)
@@ -199,10 +196,7 @@ def harmonicity_r(rec: Recording, contour: F0Contour) -> np.ndarray:
     voiced, f0s = frame_voicing(frames, contour)
     out = []
     for i in np.flatnonzero(voiced):
-        f0 = f0s[i]
-        if f0 <= 0:
-            continue
-        lag = fs / f0
+        lag = fs / f0s[i]
         lo = max(1, int(lag * 0.85))
         hi = min(frames.frame_length - 2, int(lag * 1.15) + 1)
         if hi <= lo:
@@ -265,10 +259,7 @@ def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
     voiced, f0s = frame_voicing(frames, contour)
     vals = []
     for i in np.flatnonzero(voiced):
-        f0 = f0s[i]
-        if f0 <= 0:
-            continue
-        T = int(round(fs / f0))
+        T = int(round(fs / f0s[i]))
         start = i * frames.hop
         if start < T:
             continue

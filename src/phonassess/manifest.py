@@ -53,12 +53,9 @@ def _parse_score(name: str, cell: str, subject_id: str) -> float | None:
     if not math.isfinite(value):  # nan and inf are no scores; an empty cell is a missing one
         raise ManifestError(f"{subject_id}: {name}={cell!r} is not a finite number")
     scale = SCALES[name]
-    if value < scale.theoretical_min or (scale.bounded and value > scale.theoretical_max):
+    if value < 0 or (scale.bounded and value > scale.theoretical_max):
         hi = scale.theoretical_max if scale.bounded else "inf"
-        raise ManifestError(
-            f"{subject_id}: {name}={value} outside theoretical range "
-            f"[{scale.theoretical_min}, {hi}]"
-        )
+        raise ManifestError(f"{subject_id}: {name}={value} outside theoretical range [0.0, {hi}]")
     return value
 
 

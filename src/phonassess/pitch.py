@@ -27,15 +27,19 @@ ENERGY_THRESHOLD = 1e-6
 
 @dataclass
 class F0Contour:
-    """Per-frame fundamental frequency; f0 = 0 on unvoiced frames."""
+    """Per-frame fundamental frequency, 0 on unvoiced frames: a frame is
+    voiced exactly when its f0 is positive, so voicing is not stored."""
 
     times: np.ndarray
     f0: np.ndarray
-    voicing: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.f0) == len(self.voicing)):
-            raise ValueError("times/f0/voicing length mismatch")
+        if len(self.times) != len(self.f0):
+            raise ValueError("times/f0 length mismatch")
+
+    @property
+    def voicing(self) -> np.ndarray:
+        return self.f0 > 0
 
     @property
     def voiced_f0(self) -> np.ndarray:
@@ -44,12 +48,12 @@ class F0Contour:
 
 @dataclass
 class CycleMarks:
-    """Per-glottal-cycle periods, peak amplitudes, and open/closed fractions."""
+    """Per-glottal-cycle periods, peak amplitudes and open fractions; the
+    closed fraction of a cycle is the rest of it, 1 - open."""
 
     periods: np.ndarray          # seconds
     peak_amplitudes: np.ndarray
     open_fractions: np.ndarray
-    closed_fractions: np.ndarray
     positions: np.ndarray        # landmark sample index of each cycle start
 
     def __post_init__(self):
@@ -61,6 +65,10 @@ class CycleMarks:
     def __len__(self) -> int:
         return len(self.periods)
 
+    @property
+    def closed_fractions(self) -> np.ndarray:
+        return 1.0 - self.open_fractions
+
     def slice_range(self, start: int, stop: int) -> "CycleMarks | None":
         """Cycles whose landmark lies in [start, stop) samples; None if < 3."""
         keep = (self.positions >= start) & (self.positions < stop)
@@ -70,7 +78,6 @@ class CycleMarks:
             self.periods[keep],
             self.peak_amplitudes[keep],
             self.open_fractions[keep],
-            self.closed_fractions[keep],
             self.positions[keep],
         )
 
@@ -141,7 +148,6 @@ def estimate_f0(rec: Recording) -> F0Contour:
 
     n = len(frames)
     f0 = np.zeros(n)
-    voicing = np.zeros(n, dtype=bool)
     for i in range(n):
         if energy[i] < ENERGY_THRESHOLD:
             continue
@@ -150,8 +156,7 @@ def estimate_f0(rec: Recording) -> F0Contour:
             cand = rec.fs / lag
             if F0_MIN <= cand <= F0_MAX:
                 f0[i] = cand
-                voicing[i] = True
-    return F0Contour(times=frames.times, f0=f0, voicing=voicing)
+    return F0Contour(times=frames.times, f0=f0)
 
 
 def _voiced_segments(contour: F0Contour) -> list[tuple[int, int]]:
@@ -192,21 +197,16 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
             continue
 
         def period_at(sample: int) -> float:
-            t = sample / fs
-            idx = int(np.clip(np.searchsorted(contour.times, t), fstart, fend))
-            f = contour.f0[idx] if contour.voicing[idx] else contour.f0[fstart]
-            return fs / f if f > 0 else 0.0
+            # every frame of the voiced run has f0 > 0
+            idx = int(np.clip(np.searchsorted(contour.times, sample / fs), fstart, fend))
+            return fs / contour.f0[idx]
 
         period = period_at(s0)
-        if period <= 0:
-            continue
         first_hi = min(s1, s0 + int(np.ceil(period)) + 1)
         pos = s0 + int(np.argmax(np.abs(x[s0:first_hi])))
         seg_marks = [pos]
         while True:
             period = period_at(pos)
-            if period <= 0:
-                break
             lo = pos + int(round(0.55 * period))
             hi = pos + int(round(1.45 * period)) + 1
             if hi > s1:
@@ -224,12 +224,10 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
 
     if len(periods) < 3:
         raise InsufficientSignalError(f"insufficient voicing: {len(periods)} cycles detected")
-    opens = np.asarray(opens)
     return CycleMarks(
         periods=np.asarray(periods),
         peak_amplitudes=np.asarray(amps),
-        open_fractions=opens,
-        closed_fractions=1.0 - opens,
+        open_fractions=np.asarray(opens),
         positions=np.asarray(positions, dtype=int),
     )
 

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .audio import write_wav
+from .evaluation import clinical_scale
 from .manifest import SCORE_COLUMNS
 
 DEFAULT_FS = 16_000
@@ -121,9 +122,13 @@ def make_regression_cohort(
     """Cohort of 2 s DEFAULT_FS recordings whose target score is a monotone
     function of injected jitter.
 
-    Returns the manifest path. Scores span roughly half the target scale so
-    estimation-error arithmetic has a meaningful observed range.
+    Returns the manifest path. Scores run from 5 to 55, roughly half of
+    most scales, so estimation-error arithmetic has a meaningful observed
+    range; a scale whose maximum is below 55 gets that span times max / 60.
+    An unknown target raises ConfigError before anything is written.
     """
+    scale = clinical_scale(target)
+    shrink = scale.theoretical_max / 60 if scale.bounded and scale.theoretical_max < 55 else 1.0
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -131,7 +136,7 @@ def make_regression_cohort(
     for i in range(n_subjects):
         frac = i / max(1, n_subjects - 1)
         jitter = 0.2 + 2.8 * frac             # 0.2 .. 3.0 %
-        score = 5.0 + 50.0 * frac             # monotone in jitter
+        score = shrink * (5.0 + 50.0 * frac)  # monotone in jitter
         sid = f"S{i:03d}"
         row = {"subject_id": sid, "group": "PD", "sex": "F" if i % 2 else "M",
                "age": 60 + i % 20, target: f"{score:.2f}"}

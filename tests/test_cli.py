@@ -7,6 +7,8 @@ import pytest
 from phonassess import cli
 from phonassess.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, make_parser
 from phonassess.errors import AudioError
+from phonassess.evaluation import SCALES
+from phonassess.manifest import load_manifest
 from phonassess.synth import make_classification_cohort, make_regression_cohort
 from phonassess.table import FeatureMatrix
 
@@ -385,6 +387,23 @@ def test_synth_regress_manifest(tmp_path):
 def test_bad_synth_value_is_config_error(tmp_path, mode, flags):
     assert main(["synth", "--mode", mode, "--out", str(tmp_path / "c"), *flags]) == EXIT_CONFIG
     assert not (tmp_path / "c").exists()
+
+
+def test_synth_unknown_scale_is_config_error(tmp_path, caplog):
+    code = main(["synth", "--mode", "regress", "--target", "foo", "--subjects", "2",
+                 "--out", str(tmp_path / "c")])
+    assert code == EXIT_CONFIG
+    assert "unknown clinical scale 'foo'" in caplog.text
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("scale", list(SCALES))
+def test_synth_scores_lie_in_scale_range(tmp_path, scale):
+    out = tmp_path / "c"
+    assert main(["synth", "--mode", "regress", "--target", scale, "--subjects", "4",
+                 "--out", str(out)]) == EXIT_OK
+    manifest = load_manifest(out / "manifest.csv")
+    assert all(row.scores[scale] > 0 for row in manifest.rows)
 
 
 def test_manifest_column_named_twice_is_data_error(tmp_path, caplog):

@@ -79,6 +79,11 @@ class TestRegressionMetrics:
         mae, rho = regression_metrics(np.array([1.0, 2.0, 3.0]), np.full(3, 2.0))
         assert math.isnan(rho)
 
+    def test_inexact_constant_truth_rho_missing(self):
+        # np.std of this vector is about 1.4e-17, not 0; its range is 0
+        _, rho = regression_metrics(np.arange(6.0), np.full(6, 0.1))
+        assert math.isnan(rho)
+
 
 class TestEstimationErrors:
     # (mae, scale id, printed EE2 %)
@@ -155,6 +160,11 @@ class TestSpearman:
     def test_constant_error(self):
         with pytest.raises(PhonassessError):
             spearman(np.ones(10), np.arange(10, dtype=float))
+
+    def test_inexact_constant_error(self):
+        # np.std of this vector is about 1.4e-17, not 0; its range is 0
+        with pytest.raises(PhonassessError, match="constant input: rank correlation undefined"):
+            spearman(np.arange(6.0), np.full(6, 0.1))
 
 
 class TestCorrelationGraph:

@@ -228,7 +228,7 @@ def test_hzcrr_matches_reference(block, hop, fs, extra_rows):
     raw = np.vstack([block, np.round(rng.standard_normal((extra_rows, block.shape[1])))])
     frames = FrameSequence(frames=raw, raw=raw, frame_length=raw.shape[1], hop=hop, fs=fs)
     n = len(frames)
-    contour = F0Contour(times=frames.times, f0=np.zeros(n), voicing=np.zeros(n, dtype=bool))
+    contour = F0Contour(times=frames.times, f0=np.zeros(n))
     got = quality.temporal_quality(frames, contour)
     expected = ref_temporal_quality(frames, contour)
     assert _bits(got[0]) == _bits(expected[0])
@@ -282,5 +282,5 @@ def test_count_entropies_match_references(block):
 def test_ppe_matches_reference(f0):
     f0 = np.array(f0)
     n = len(f0)
-    contour = F0Contour(times=np.arange(n) * 0.01, f0=f0, voicing=np.ones(n, dtype=bool))
+    contour = F0Contour(times=np.arange(n) * 0.01, f0=f0)
     assert phonation.ppe(contour) == ref_ppe(contour)

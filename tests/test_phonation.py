@@ -17,7 +17,7 @@ def make_cycles(periods, amps=None, opens=None):
     amps = np.ones(n) if amps is None else np.asarray(amps, dtype=np.float64)
     opens = np.full(n, 0.4) if opens is None else np.asarray(opens, dtype=np.float64)
     return CycleMarks(periods=periods, peak_amplitudes=amps,
-                      open_fractions=opens, closed_fractions=1 - opens,
+                      open_fractions=opens,
                       positions=np.arange(n))
 
 
@@ -127,8 +127,7 @@ class TestShimmer:
 def make_contour(f0_values):
     f0_values = np.asarray(f0_values, dtype=np.float64)
     n = len(f0_values)
-    return F0Contour(times=np.arange(n) * 0.01, f0=f0_values,
-                     voicing=f0_values > 0)
+    return F0Contour(times=np.arange(n) * 0.01, f0=f0_values)
 
 
 class TestPPE:

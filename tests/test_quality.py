@@ -14,7 +14,7 @@ from conftest import FS, am_tone, harmonic_tone
 
 def all_voiced_contour(n_frames, f0=100.0):
     return F0Contour(times=0.0125 + 0.01 * np.arange(n_frames),
-                     f0=np.full(n_frames, f0), voicing=np.ones(n_frames, dtype=bool))
+                     f0=np.full(n_frames, f0))
 
 
 class TestTemporal:
@@ -37,7 +37,7 @@ class TestTemporal:
         n = len(frames)
         voicing = np.ones(n, dtype=bool)
         voicing[: int(0.3 * n)] = False
-        contour = F0Contour(times=frames.times, f0=np.where(voicing, 100.0, 0.0), voicing=voicing)
+        contour = F0Contour(times=frames.times, f0=np.where(voicing, 100.0, 0.0))
         _, _, fluf = temporal_quality(frames, contour)
         assert fluf == pytest.approx(np.mean(~voicing), abs=1e-12)
 
@@ -105,8 +105,7 @@ class TestCepstral:
         x = np.random.default_rng(3).standard_normal(FS)
         rec = Recording(x, FS)
         frames = frame_signal(rec, 25, 10)
-        contour = F0Contour(times=frames.times, f0=np.zeros(len(frames)),
-                            voicing=np.zeros(len(frames), dtype=bool))
+        contour = F0Contour(times=frames.times, f0=np.zeros(len(frames)))
         with pytest.raises(InsufficientSignalError):
             cepstral_quality(frames, contour)
 
