@@ -10,10 +10,10 @@ and ``audio.TASKS``, each at most once, and at least one subject.
 the CPUs this process may run on; 1 runs them in this process), with the
 same outputs for every worker count.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
-file or value, scope token or target, a missing --manifest, a bad or repeated
-synth vowel or task, a bad subject count; or an argparse
-usage error such as a flag the subcommand does not take), 2 data error (any
-other ``PhonassessError``).
+file or value, a bad or repeated scope token, a bad target, a missing
+--manifest, a bad or repeated synth vowel or task, a bad subject count; or
+an argparse usage error such as a flag the subcommand does not take), 2 data
+error (any other ``PhonassessError``).
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .allocator import keep_freed_memory
 from .audio import TASKS, VOWELS, load_recording
-from .errors import AudioError, ConfigError, PhonassessError
+from .errors import ConfigError, PhonassessError
 # perfbench/tracing.py wraps loo_validate at this module
 from .evaluation import (SCALES, classification_metrics, clinical_scale,  # noqa: F401
                          correlation_graph_data, estimation_errors, loo_validate,
@@ -62,7 +62,7 @@ class RunConfig:
     features: str = ""
     out: str = "out"
     scope: str = ""            # comma-separated; empty = derive from manifest
-    target: str = "group"
+    target: str = ""           # clinical scale id; synth simulates updrs3 when empty
     seed: int = 0
     mrmr_k: int = 500
     sffs_patience: int = SFFS_PATIENCE_DEFAULT
@@ -75,6 +75,8 @@ class RunConfig:
         wanted = [s.strip() for s in self.scope.split(",") if s.strip()]
         for scope in wanted:
             parse_scope(scope)  # fail fast on malformed scope tokens
+        if len(set(wanted)) < len(wanted):
+            raise ConfigError(f"scope names a token twice: {','.join(wanted)}")
         return wanted
 
 
@@ -135,36 +137,36 @@ def cmd_synth(cfg: RunConfig, args) -> int:
             raise ConfigError(f"{flag} names a token twice: {','.join(tokens)}")
     if args.subjects < 1:
         raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
+    target = cfg.target or "updrs3"
+    clinical_scale(target)  # checked in either mode, before anything is written
     if args.mode == "classify":
         manifest = make_classification_cohort(out, n_pd=args.subjects // 2,
                                               n_hc=args.subjects - args.subjects // 2,
                                               vowels=vowels, tasks=tasks, seed=cfg.seed)
     else:
         manifest = make_regression_cohort(out, n_subjects=args.subjects, vowels=vowels,
-                                          tasks=tasks,
-                                          target=cfg.target if cfg.target != "group" else "updrs3",
-                                          seed=cfg.seed)
+                                          tasks=tasks, target=target, seed=cfg.seed)
     log.info("wrote cohort manifest %s", manifest)
     print(manifest)
     return EXIT_OK
 
 
-def _extract_job(path: Path, peak_normalize: bool) -> ExtractionResult | AudioError:
-    """Load and extract one recording; unreadable audio is returned, not raised."""
+def _extract_job(path: Path, peak_normalize: bool) -> ExtractionResult | PhonassessError:
+    """Load and extract one recording; the error of a recording that cannot be
+    read or analysed is returned, not raised."""
     try:
-        rec = load_recording(path)
-    except AudioError as exc:
+        return extract_recording(load_recording(path), peak_normalize=peak_normalize)
+    except PhonassessError as exc:
         return exc
-    return extract_recording(rec, peak_normalize=peak_normalize)
 
 
 def cmd_extract(cfg: RunConfig) -> int:
     if not cfg.manifest:
         raise ConfigError("extract needs --manifest")
     manifest = load_manifest(cfg.manifest)
+    scopes = cfg.scopes() or default_scopes(manifest)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    scopes = cfg.scopes() or default_scopes(manifest)
     needed = {vt for scope in scopes for vt in scope_recordings(scope)}
 
     jobs = [(row.subject_id, v, t, row.recordings[(v, t)])
@@ -176,8 +178,8 @@ def cmd_extract(cfg: RunConfig) -> int:
     extracted: dict[tuple[str, str, str], dict] = {}
     failure_counts: dict[str, int] = {}
     for (subject, v, t, _), result in zip(jobs, results):
-        if isinstance(result, AudioError):
-            log.warning("unreadable audio for %s (%s,%s): %s", subject, v, t, result)
+        if isinstance(result, PhonassessError):
+            log.warning("skipped recording of %s (%s,%s): %s", subject, v, t, result)
             continue
         extracted[(subject, v, t)] = result.features
         for name in result.failures:
@@ -219,9 +221,9 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
     """mRMR + SFFS on the rows with a target; the report is the search's LOO.
 
     Writes how selection went to ``selection_<target>_<scope>.json`` and
-    returns (selection, the selected subset's LOO predictions from the
-    search, truth of the rows they are for). A search in which no subset
-    could be scored is an error, raised after that file is written.
+    returns (selection, truth of the rows its ``predictions`` are for): the
+    selected subset's LOO predictions from the search. A search in which no
+    subset could be scored is an error, raised after that file is written.
     """
     rows = drop_incomplete_rows(matrix.values, target, [])  # rows with a finite target
     X, y = matrix.values[rows], np.asarray(target)[rows]
@@ -238,7 +240,7 @@ def _select_and_loo(matrix: FeatureMatrix, target, target_name: str, spec: Learn
         raise PhonassessError(f"scope {matrix.scope}: no feature subset could be scored (each "
                               "left fewer than 3 complete rows or a LOO fold that could not "
                               "be trained)")
-    return sel, sel.predictions, y[sel.rows]
+    return sel, y[sel.rows]
 
 
 def _write_selection(path: Path, sel, no_target, dropped) -> None:
@@ -262,6 +264,16 @@ def _write_selection(path: Path, sel, no_target, dropped) -> None:
         json.dump(record, fh, indent=1)
 
 
+def _write_table(cfg: RunConfig, stem: str, record, header: list[str], lines) -> None:
+    """A report table: ``record`` as ``<stem>.json`` and ``header`` plus ``lines``
+    as ``<stem>.csv``, both in the output directory."""
+    out = Path(cfg.out)
+    with open(out / f"{stem}.json", "w") as fh:
+        json.dump(record, fh, indent=1)
+    with open(out / f"{stem}.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *lines])
+
+
 def cmd_classify(cfg: RunConfig) -> int:
     rows = []
     for matrix in _report_matrices(cfg):
@@ -270,8 +282,8 @@ def cmd_classify(cfg: RunConfig) -> int:
             raise PhonassessError(f"scope {scope}: classify needs the groups PD and HC, "
                                   f"found {', '.join(found) or 'none'}")
         spec = LearnerSpec(kind="forest", n_trees=cfg.trees, seed=cfg.seed)
-        sel, preds, truth = _select_and_loo(matrix, matrix.groups, "group", spec, cfg)
-        metrics = classification_metrics(preds, truth)
+        sel, truth = _select_and_loo(matrix, matrix.groups, "group", spec, cfg)
+        metrics = classification_metrics(sel.predictions, truth)
         rows.append({
             "scope": scope,
             "acc": round_half_away(metrics.acc), "sen": round_half_away(metrics.sen),
@@ -281,20 +293,14 @@ def cmd_classify(cfg: RunConfig) -> int:
         })
         log.info("classified %s: ACC %.2f SEN %.2f SPE %.2f TSS %.4f (%d features)",
                  scope, metrics.acc, metrics.sen, metrics.spe, metrics.tss, sel.size)
-    out = Path(cfg.out)
-    with open(out / "classification.json", "w") as fh:
-        json.dump(rows, fh, indent=1)
-    with open(out / "classification.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scope", "acc", "sen", "spe", "tss", "no"])
-        for r in rows:
-            w.writerow([r["scope"], f"{r['acc']:.2f}", f"{r['sen']:.2f}",
-                        f"{r['spe']:.2f}", f"{r['tss']:.4f}", r["n_selected"]])
+    _write_table(cfg, "classification", rows, ["scope", "acc", "sen", "spe", "tss", "no"],
+                 [[r["scope"], f"{r['acc']:.2f}", f"{r['sen']:.2f}", f"{r['spe']:.2f}",
+                   f"{r['tss']:.4f}", r["n_selected"]] for r in rows])
     return EXIT_OK
 
 
 def cmd_regress(cfg: RunConfig) -> int:
-    if cfg.target in ("", "group"):
+    if not cfg.target:
         raise ConfigError("regress needs --target <clinical scale id>")
     scale = clinical_scale(cfg.target)
     rows = []
@@ -304,8 +310,8 @@ def cmd_regress(cfg: RunConfig) -> int:
         if y is None or np.isfinite(y).sum() < 10:
             raise PhonassessError(f"scope {scope}: fewer than 10 subjects rated on {cfg.target}")
         spec = LearnerSpec(kind="cart", min_leaf=cfg.min_leaf, seed=cfg.seed)
-        sel, preds, truth = _select_and_loo(matrix, y, cfg.target, spec, cfg)
-        mae, rho = regression_metrics(preds, truth)
+        sel, truth = _select_and_loo(matrix, y, cfg.target, spec, cfg)
+        mae, rho = regression_metrics(sel.predictions, truth)
         rows.append({
             "scope": scope, "target": cfg.target,
             "mae": round_half_away(mae, 4),
@@ -323,15 +329,10 @@ def cmd_regress(cfg: RunConfig) -> int:
         "ee1_percent": round_half_away(ee1),
         "ee2_percent": round_half_away(ee2) if ee2 is not None else None,
     }
-    out = Path(cfg.out)
-    with open(out / f"regression_{cfg.target}.json", "w") as fh:
-        json.dump({"rows": rows, "best": summary}, fh, indent=1)
-    with open(out / f"regression_{cfg.target}.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scope", "mae", "rho", "no"])
-        for r in rows:
-            w.writerow([r["scope"], f"{r['mae']:.4f}",
-                        "" if r["rho"] is None else f"{r['rho']:.4f}", r["n_selected"]])
+    _write_table(cfg, f"regression_{cfg.target}", {"rows": rows, "best": summary},
+                 ["scope", "mae", "rho", "no"],
+                 [[r["scope"], f"{r['mae']:.4f}", "" if r["rho"] is None else f"{r['rho']:.4f}",
+                   r["n_selected"]] for r in rows])
     return EXIT_OK
 
 

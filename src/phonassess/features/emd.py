@@ -36,8 +36,6 @@ def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.diff(x)
     # collapse zero slopes so flat tops register as single extrema
     nz = np.flatnonzero(d != 0)
-    if len(nz) < 2:
-        return np.array([], dtype=int), np.array([], dtype=int)
     s = np.sign(d[nz])
     turn = np.flatnonzero(s[1:] != s[:-1])
     idx = nz[turn] + 1
@@ -67,8 +65,6 @@ def _count_balance(h: np.ndarray) -> int:
     zc = int(np.sum(sign[1:] != sign[:-1]))
     d = np.diff(h)
     nz = d[d != 0]
-    if len(nz) < 2:
-        return zc
     ext = int(np.sum(np.sign(nz[1:]) != np.sign(nz[:-1])))
     return abs(ext - zc)
 
@@ -173,12 +169,8 @@ def imf_features(imf_set: ImfSet, fs: int, failures: dict[str, str]) -> dict[str
 
 
 def imf1_cpp(imf1: np.ndarray, fs: int) -> float:
-    """Cepstral peak prominence of IMF1 via the quality module's routine.
-
-    Raises InsufficientSignalError when IMF1 has no voiced frame.
-    """
+    """Cepstral peak prominence of IMF1 via the quality module's routine,
+    which raises InsufficientSignalError when IMF1 has no voiced frame."""
     rec = Recording(imf1, fs)
     contour = pitch.estimate_f0(rec)
-    if not np.any(contour.voicing):
-        raise InsufficientSignalError("IMF1 has no voiced frame")
     return quality.cepstral_quality(frame_signal(rec, FRAME_MS, HOP_MS), contour)[0]

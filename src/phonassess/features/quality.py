@@ -55,8 +55,6 @@ def temporal_quality(frames: FrameSequence, contour: F0Contour):
     exceeds 1.5x the mean over a 1 s context; fluf the unvoiced-frame
     fraction.
     """
-    if len(frames) == 0:
-        raise InsufficientSignalError("no frames")
     raw = frames.raw
     pos = raw >= 0
     zcr = np.sum(pos[:, 1:] != pos[:, :-1], axis=1) / frames.frame_length
@@ -164,8 +162,6 @@ def _harmonic_db(mag: np.ndarray, freqs: np.ndarray, target: float) -> float | N
     width = max(1, int(0.25 * target / (freqs[1] - freqs[0])))
     center = int(round(target / (freqs[1] - freqs[0])))
     lo, hi = max(0, center - width), min(len(mag), center + width + 1)
-    if hi <= lo:
-        return None
     return float(20.0 * np.log10(max(mag[lo:hi].max(), TINY)))
 
 
@@ -215,9 +211,7 @@ def noise_measures(rec: Recording, contour: F0Contour) -> tuple[float, float, fl
     for very clean signals and partial edge cycles. hnr = 10 log10(r/(1-r));
     nhr = (1-r)/r; nne = 10 log10(1-r). dB values are clamped to [-20, 60].
     """
-    voiced_dur = float(np.sum(contour.voicing)) * (
-        contour.times[1] - contour.times[0] if len(contour.times) > 1 else 0.01
-    )
+    voiced_dur = float(np.sum(contour.voicing)) * contour.hop
     if voiced_dur < 0.5:
         raise InsufficientSignalError(f"need >= 0.5 s voiced, got {voiced_dur:.2f} s")
 

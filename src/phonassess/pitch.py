@@ -45,6 +45,11 @@ class F0Contour:
     def voiced_f0(self) -> np.ndarray:
         return self.f0[self.voicing]
 
+    @property
+    def hop(self) -> float:
+        """Seconds between frames: times[1] - times[0], else HOP_MS / 1000."""
+        return self.times[1] - self.times[0] if len(self.times) > 1 else HOP_MS / 1000
+
 
 @dataclass
 class CycleMarks:
@@ -162,8 +167,6 @@ def estimate_f0(rec: Recording) -> F0Contour:
 def _voiced_segments(contour: F0Contour) -> list[tuple[int, int]]:
     """Contiguous voiced frame runs as (start_frame, end_frame) inclusive."""
     v = contour.voicing.astype(int)
-    if v.sum() == 0:
-        return []
     edges = np.diff(np.concatenate(([0], v, [0])))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -185,8 +188,7 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
     if not segs:
         raise InsufficientSignalError("no voiced region for cycle detection")
 
-    hop_s = contour.times[1] - contour.times[0] if len(contour.times) > 1 else 0.01
-
+    hop_s = contour.hop
     periods, amps, opens, positions = [], [], [], []
     for fstart, fend in segs:
         t0 = contour.times[fstart] - hop_s / 2

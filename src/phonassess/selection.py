@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PhonassessError
-from .evaluation import (POSITIVE_CLASS, LooResult, classification_metrics, loo_validate,
-                         trade_off_sen_spe)
+from .evaluation import POSITIVE_CLASS, LooResult, loo_validate, trade_off_sen_spe
 # predict, train_cart and train_forest stay bound here: perfbench/tracing.py wraps them
 # at this module
 from .models import (LearnerSpec, is_regression_target, predict, train_cart,  # noqa: F401
@@ -233,9 +232,9 @@ def _reachable(y: np.ndarray, result: LooResult) -> float:
     - ``-inf`` when a fold cannot train, or when the rows of a class target
       hold one class only: the objective is then ``-inf`` itself.
     - TSS: every fold not predicted yet is assumed correct, and the counts go
-      through the ``trade_off_sen_spe`` call ``classification_metrics``
-      makes. TSS does not fall as SEN or SPE rises, and once every fold is
-      predicted this is the TSS.
+      through ``trade_off_sen_spe``, as in ``classification_metrics``. TSS
+      does not fall as SEN or SPE rises, and once every fold is predicted
+      this is the TSS.
     - Negative MAE: 0 before any fold, then ``-max|error| / n`` over the
       folds predicted. A floating-point sum of non-negative terms is never
       below its largest term, so no rounding margin is needed.
@@ -266,18 +265,17 @@ def loo_objective(X, y, spec: LearnerSpec, beat: float = -np.inf
     (``_reachable``) is at most ``beat``: before any fold is routed, then
     before each further batch its router grows. It then gives that bound,
     which the objective cannot exceed, and no predictions. A subset on which
-    any fold fails to train scores ``(-inf, None)`` and routes no lane.
+    any fold fails to train scores ``(-inf, None)`` and routes no lane. For
+    class labels the TSS of a finished LOO is ``_reachable`` too.
     """
     y = np.asarray(y)
     result = loo_validate(X, y, spec, stop=lambda partial: _reachable(y, partial) <= beat)
-    if result.failed_folds:
-        return -np.inf, None
-    if result.stopped:
+    if result.failed_folds or result.stopped:
         return _reachable(y, result), None
     preds = result.predictions
     if is_regression_target(y):
         return -float(np.mean(np.abs(preds - y.astype(np.float64)))), preds
-    return classification_metrics(preds, y).tss, preds
+    return _reachable(y, result), preds
 
 
 def sffs(
@@ -385,12 +383,10 @@ def sffs(
 def _masked_objective(X, y, cols: list[int], spec: LearnerSpec, beat: float = -np.inf
                       ) -> tuple[float, np.ndarray | None]:
     """``loo_objective`` on the rows complete in ``cols``; ``(-inf, None)``
-    with fewer than 3 such rows or when the LOO raises."""
-    ok = drop_incomplete_rows(X, np.asarray(y), cols)
-    if ok.sum() < 3:
-        return -np.inf, None
-    y_arr = np.asarray(y)
+    when the LOO raises, as it does on fewer than 3 such rows."""
+    y = np.asarray(y)
+    ok = drop_incomplete_rows(X, y, cols)
     try:
-        return loo_objective(X[np.ix_(ok, cols)], y_arr[ok], spec, beat)
+        return loo_objective(X[np.ix_(ok, cols)], y[ok], spec, beat)
     except PhonassessError:
         return -np.inf, None

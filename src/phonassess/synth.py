@@ -101,14 +101,33 @@ VOWEL_FORMANTS = {
 }
 
 
-def _write_manifest(path: Path, rows: list[dict], vowels, tasks) -> None:
+def _write_cohort(outdir, subjects, vowels, tasks, rng) -> Path:
+    """Write each subject's recordings, then ``manifest.csv``; returns its path.
+
+    ``subjects`` yields (manifest row, ``synth_vowel`` keywords, f0 base, f0
+    span) one subject at a time, so a subject's own ``rng`` draws come first;
+    each of its recordings then draws f0 = base + span ``rng.random()``.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for row, keywords, f0_base, f0_span in subjects:
+        for v in vowels:
+            for t in tasks:
+                wav = outdir / f"{row['subject_id']}_{v}_{t}.wav"
+                x = synth_vowel(f0=f0_base + f0_span * rng.random(), formants=VOWEL_FORMANTS[v],
+                                **keywords)
+                write_wav(wav, x, DEFAULT_FS)
+                row[f"path_{v}_{t}"] = wav.name
+        rows.append(row)
     header = ["subject_id", "group", "sex", "age", *SCORE_COLUMNS]
     header += [f"path_{v}_{t}" for v in vowels for t in tasks]
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=header)
+    manifest = outdir / "manifest.csv"
+    with open(manifest, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=header)  # a column a row lacks is left empty
         w.writeheader()
-        for row in rows:
-            w.writerow({k: row.get(k, "") for k in header})
+        w.writerows(rows)
+    return manifest
 
 
 def make_regression_cohort(
@@ -122,38 +141,28 @@ def make_regression_cohort(
     """Cohort of 2 s DEFAULT_FS recordings whose target score is a monotone
     function of injected jitter.
 
-    Returns the manifest path. Scores run from 5 to 55, roughly half of
-    most scales, so estimation-error arithmetic has a meaningful observed
-    range; a scale whose maximum is below 55 gets that span times max / 60.
-    An unknown target raises ConfigError before anything is written.
+    Returns the manifest path. Subject i of n has jitter 0.2 + 2.8 i / (n - 1)
+    percent, shimmer 1 + jitter percent, 25 dB SNR and ``synth_vowel`` seed
+    seed + 97 i; each recording draws f0 = 110 + 30 ``rng.random()`` Hz, rng
+    ``default_rng(seed)``. Scores run from 5 to 55, roughly half of most
+    scales, so estimation-error arithmetic has a meaningful observed range; a
+    scale whose maximum is below 55 gets that span times max / 60. An
+    unknown target raises ConfigError before anything is written.
     """
     scale = clinical_scale(target)
     shrink = scale.theoretical_max / 60 if scale.bounded and scale.theoretical_max < 55 else 1.0
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n_subjects):
-        frac = i / max(1, n_subjects - 1)
-        jitter = 0.2 + 2.8 * frac             # 0.2 .. 3.0 %
-        score = shrink * (5.0 + 50.0 * frac)  # monotone in jitter
-        sid = f"S{i:03d}"
-        row = {"subject_id": sid, "group": "PD", "sex": "F" if i % 2 else "M",
-               "age": 60 + i % 20, target: f"{score:.2f}"}
-        for v in vowels:
-            for t in tasks:
-                wav = outdir / f"{sid}_{v}_{t}.wav"
-                x = synth_vowel(
-                    f0=110.0 + 30.0 * rng.random(), formants=VOWEL_FORMANTS[v],
-                    jitter_pct=jitter, shimmer_pct=1.0 + jitter,
-                    snr_db=25.0, seed=seed + 97 * i,
-                )
-                write_wav(wav, x, DEFAULT_FS)
-                row[f"path_{v}_{t}"] = wav.name
-        rows.append(row)
-    manifest = outdir / "manifest.csv"
-    _write_manifest(manifest, rows, vowels, tasks)
-    return manifest
+
+    def subjects():
+        for i in range(n_subjects):
+            frac = i / max(1, n_subjects - 1)
+            jitter = 0.2 + 2.8 * frac             # 0.2 .. 3.0 %
+            score = shrink * (5.0 + 50.0 * frac)  # monotone in jitter
+            row = {"subject_id": f"S{i:03d}", "group": "PD", "sex": "F" if i % 2 else "M",
+                   "age": 60 + i % 20, target: f"{score:.2f}"}
+            yield row, {"jitter_pct": jitter, "shimmer_pct": 1.0 + jitter, "snr_db": 25.0,
+                        "seed": seed + 97 * i}, 110.0, 30.0
+
+    return _write_cohort(outdir, subjects(), vowels, tasks, np.random.default_rng(seed))
 
 
 def make_classification_cohort(
@@ -166,31 +175,25 @@ def make_classification_cohort(
     seed: int = 11,
 ) -> Path:
     """Two well-separated groups of DEFAULT_FS recordings: PD-like rows carry
-    heavy perturbation."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n_pd + n_hc):
-        is_pd = i < n_pd
-        sid = f"{'P' if is_pd else 'H'}{i:03d}"
-        jitter = rng.uniform(2.5, 4.0) if is_pd else rng.uniform(0.1, 0.5)
-        snr = rng.uniform(8, 12) if is_pd else rng.uniform(28, 35)
-        row = {"subject_id": sid, "group": "PD" if is_pd else "HC",
-               "sex": "F" if i % 2 else "M", "age": 60 + i % 15}
-        for v in vowels:
-            for t in tasks:
-                wav = outdir / f"{sid}_{v}_{t}.wav"
-                x = synth_vowel(
-                    duration=duration, f0=105.0 + 40.0 * rng.random(),
-                    formants=VOWEL_FORMANTS[v],
-                    jitter_pct=jitter, shimmer_pct=2 * jitter, snr_db=snr,
-                    seed=seed + 131 * i,
-                )
-                write_wav(wav, x, DEFAULT_FS)
-                row[f"path_{v}_{t}"] = wav.name
-        rows.append(row)
-    manifest = outdir / "manifest.csv"
-    _write_manifest(manifest, rows, vowels, tasks)
-    return manifest
+    heavy perturbation.
 
+    Returns the manifest path. PD subjects come first. From rng
+    ``default_rng(seed)`` subject i draws its jitter (percent, uniform in
+    [2.5, 4] for PD, [0.1, 0.5] for HC), then its SNR (dB, [8, 12] or
+    [28, 35]), then f0 = 105 + 40 ``rng.random()`` Hz per recording; shimmer
+    is twice the jitter and the ``synth_vowel`` seed is seed + 131 i.
+    """
+    rng = np.random.default_rng(seed)
+
+    def subjects():
+        for i in range(n_pd + n_hc):
+            is_pd = i < n_pd
+            jitter = rng.uniform(2.5, 4.0) if is_pd else rng.uniform(0.1, 0.5)
+            snr = rng.uniform(8, 12) if is_pd else rng.uniform(28, 35)
+            row = {"subject_id": f"{'P' if is_pd else 'H'}{i:03d}",
+                   "group": "PD" if is_pd else "HC", "sex": "F" if i % 2 else "M",
+                   "age": 60 + i % 15}
+            yield row, {"duration": duration, "jitter_pct": jitter, "shimmer_pct": 2 * jitter,
+                        "snr_db": snr, "seed": seed + 131 * i}, 105.0, 40.0
+
+    return _write_cohort(outdir, subjects(), vowels, tasks, rng)

@@ -6,6 +6,7 @@ import pytest
 
 from phonassess import cli
 from phonassess.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, make_parser
+from phonassess.audio import write_wav
 from phonassess.errors import AudioError
 from phonassess.evaluation import SCALES
 from phonassess.manifest import load_manifest
@@ -247,7 +248,7 @@ def test_extract_reads_scope_recordings(tmp_path, monkeypatch, caplog, scope, de
     """A scope decodes its own vowels plus the a/i/u corners, nothing else.
 
     The loader runs in forked workers, so the paths it saw are read back from
-    the warnings the parent logs for each unreadable recording.
+    the warnings the parent logs for each recording it skips.
     """
     manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=0,
                                           vowels=("a", "e", "i", "o", "u"),
@@ -261,7 +262,7 @@ def test_extract_reads_scope_recordings(tmp_path, monkeypatch, caplog, scope, de
         assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats"),
                      "--scope", scope, "--workers", "2"]) == EXIT_OK
     seen = [r.getMessage().rsplit(" ", 1)[-1] for r in caplog.records
-            if r.getMessage().startswith("unreadable audio")]
+            if r.getMessage().startswith("skipped recording")]
     assert seen == [f"P000_{v}_s.wav" for v in decoded]
 
 
@@ -395,6 +396,59 @@ def test_synth_unknown_scale_is_config_error(tmp_path, caplog):
     assert code == EXIT_CONFIG
     assert "unknown clinical scale 'foo'" in caplog.text
     assert not (tmp_path / "c").exists()
+
+
+def test_synth_classify_checks_target(tmp_path, caplog):
+    # a classify cohort writes no score, but a mistyped scale is still refused
+    code = main(["synth", "--mode", "classify", "--target", "foo", "--subjects", "2",
+                 "--out", str(tmp_path / "c")])
+    assert code == EXIT_CONFIG
+    assert "unknown clinical scale 'foo'" in caplog.text
+    assert not (tmp_path / "c").exists()
+
+
+def test_target_has_no_group_default(tmp_path):
+    assert cli.RunConfig().target == ""
+    (tmp_path / "run.cfg").write_text("target=\n")
+    config = ["--config", str(tmp_path / "run.cfg")]
+    assert main(["synth", *config, "--subjects", "2", "--out", str(tmp_path / "c")]) == EXIT_OK
+    rows = load_manifest(tmp_path / "c" / "manifest.csv").rows
+    assert all(row.scores["updrs3"] > 0 for row in rows)
+    assert main(["regress", *config, "--features", str(tmp_path / "c"),
+                 "--out", str(tmp_path / "rep")]) == EXIT_CONFIG
+    assert main(["synth", "--target", "group", "--subjects", "2",
+                 "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "classify", "regress", "correlate"])
+def test_repeated_scope_is_config_error(tmp_path, caplog, command):
+    (tmp_path / "manifest.csv").write_text("subject_id,group,path_a_s\nP1,PD,P1_a_s.wav\n")
+    source = (["--manifest", str(tmp_path / "manifest.csv")] if command == "extract"
+              else ["--features", str(tmp_path)])
+    target = ["--target", "updrs3"] if command == "regress" else []
+    code = main([command, *source, *target, "--scope", "a_s, a_s", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "scope names a token twice: a_s,a_s" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
+def test_extract_skips_recording_too_short_to_analyse(tmp_path, caplog):
+    manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1,
+                                          duration=1.0, seed=4)
+    # 500 samples: shorter than the pitch tracker's 640-sample frame
+    write_wav(tmp_path / "cohort" / "H001_a_s.wav", 0.5 * np.sin(np.arange(500) / 8), 16_000)
+    out = tmp_path / "feats"
+    with caplog.at_level(logging.WARNING, logger="phonassess"):
+        assert main(["extract", "--manifest", str(manifest), "--out", str(out),
+                     "--workers", "1"]) == EXIT_OK
+    assert ("skipped recording of H001 (a,s): signal shorter than one frame "
+            "(500 < 640 samples)") in caplog.text
+    matrix = FeatureMatrix.from_csv(out / "features_a_s.csv", scope="a_s")
+    assert matrix.subject_ids == ["P000", "H001"]
+    assert np.isnan(matrix.values[1]).all()
+    assert np.isfinite(matrix.values[0]).any()
+    assert json.loads((out / "extraction_log.json").read_text())["recordings_extracted"] == 1
 
 
 @pytest.mark.parametrize("scale", list(SCALES))

@@ -35,6 +35,14 @@ class TestEstimateF0:
         assert np.all((voiced >= F0_MIN) & (voiced <= F0_MAX))
         assert np.all(contour.f0[~contour.voicing] == 0)
 
+    def test_hop_is_the_first_time_step(self):
+        contour = estimate_f0(Recording(np.zeros(FS), FS))
+        step = contour.times[1] - contour.times[0]  # rounds: the times are (160 k + 320) / FS
+        assert np.float64(contour.hop).tobytes() == np.float64(step).tobytes()
+        one_frame = estimate_f0(Recording(np.zeros(640), FS))  # one 40 ms frame
+        assert len(one_frame.times) == 1
+        assert one_frame.hop == 0.01
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             estimate_f0(Recording(np.ones(1000), 700))
