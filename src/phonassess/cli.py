@@ -5,10 +5,12 @@ Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
 ``trees``, ``mrmr_k``, ``sffs_patience``, ``min_leaf`` and ``workers`` must be
 at least 1 and ``seed`` at least 0; a boolean config value is one of
 1/true/yes/0/false/no. ``synth`` takes vowels and tasks from ``audio.VOWELS``
-and ``audio.TASKS``, each at most once, and at least one subject.
+and ``audio.TASKS``, each at most once, and at least one subject (two in
+classify mode, whose cohort needs a PD and an HC subject).
 ``extract`` runs its recordings over ``workers`` forked processes (default:
-the CPUs this process may run on; 1 runs them in this process), with the
-same outputs for every worker count.
+the CPUs this process may run on; 1 runs them in this process), each
+returning its recording's summary columns, with the same outputs for every
+worker count.
 Exit codes: 0 success, 1 configuration error (``ConfigError``: a bad config
 file or value, a bad or repeated scope token, a bad target, a missing
 --manifest, a bad or repeated synth vowel or task, a bad subject count; or
@@ -36,7 +38,7 @@ from .errors import ConfigError, PhonassessError
 from .evaluation import (SCALES, classification_metrics, clinical_scale,  # noqa: F401
                          correlation_graph_data, estimation_errors, loo_validate,
                          regression_metrics, round_half_away, spearman)
-from .features.extract import ExtractionResult, extract_recording
+from .features.extract import extract_recording
 from .features.registry import per_vowel_width, to_json as registry_to_json
 from .manifest import GROUPS, load_manifest
 # perfbench/tracing.py wraps predict at this module
@@ -44,7 +46,8 @@ from .models import MIN_LEAF_DEFAULT, N_TREES_DEFAULT, predict  # noqa: F401
 from .parallel import ordered_map
 from .selection import (SFFS_PATIENCE_DEFAULT, LearnerSpec, drop_incomplete_rows, mrmr_rank, sffs,
                         usable_columns)
-from .table import FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings
+from .table import (FeatureMatrix, build_matrix, default_scopes, parse_scope, scope_recordings,
+                    summarize_features)
 
 log = logging.getLogger("phonassess")
 
@@ -135,8 +138,10 @@ def cmd_synth(cfg: RunConfig, args) -> int:
             raise ConfigError(f"{flag} takes tokens from {','.join(allowed)}, got {bad[0]!r}")
         if len(set(tokens)) < len(tokens):
             raise ConfigError(f"{flag} names a token twice: {','.join(tokens)}")
-    if args.subjects < 1:
-        raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
+    least = 2 if args.mode == "classify" else 1  # classify writes a PD and an HC subject
+    if args.subjects < least:
+        raise ConfigError(f"--subjects must be at least {least} in {args.mode} mode, "
+                          f"got {args.subjects}")
     target = cfg.target or "updrs3"
     clinical_scale(target)  # checked in either mode, before anything is written
     if args.mode == "classify":
@@ -151,13 +156,15 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _extract_job(path: Path, peak_normalize: bool) -> ExtractionResult | PhonassessError:
-    """Load and extract one recording; the error of a recording that cannot be
-    read or analysed is returned, not raised."""
+def _extract_job(path: Path, peak_normalize: bool) -> tuple[dict, dict] | PhonassessError:
+    """Load, extract and summarize one recording: its ``summarize_features``
+    columns and its failures. The error of a recording that cannot be read or
+    analysed is returned, not raised."""
     try:
-        return extract_recording(load_recording(path), peak_normalize=peak_normalize)
+        result = extract_recording(load_recording(path), peak_normalize=peak_normalize)
     except PhonassessError as exc:
         return exc
+    return summarize_features(result.features), result.failures
 
 
 def cmd_extract(cfg: RunConfig) -> int:
@@ -175,14 +182,14 @@ def cmd_extract(cfg: RunConfig) -> int:
     import scipy.fft, scipy.linalg, scipy.special  # noqa: E401, F401
     results = ordered_map(partial(_extract_job, peak_normalize=cfg.peak_normalize),
                           [path for *_, path in jobs], cfg.workers)
-    extracted: dict[tuple[str, str, str], dict] = {}
+    extracted: dict[tuple[str, str, str], dict[str, float]] = {}
     failure_counts: dict[str, int] = {}
     for (subject, v, t, _), result in zip(jobs, results):
         if isinstance(result, PhonassessError):
             log.warning("skipped recording of %s (%s,%s): %s", subject, v, t, result)
             continue
-        extracted[(subject, v, t)] = result.features
-        for name in result.failures:
+        extracted[(subject, v, t)], failures = result
+        for name in failures:
             failure_counts[name] = failure_counts.get(name, 0) + 1
 
     for scope in scopes:

@@ -272,10 +272,9 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
 
 def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float | None:
     """Divergence-rate fit (nearest-neighbor method), nats per sample; None
-    when the mean log-divergence curve has fewer than 5 points."""
+    when the mean log-divergence curve has fewer than 5 points. The caller
+    passes at least 100 delay vectors."""
     n = d_m.shape[0]
-    if n < 100:
-        raise InsufficientSignalError("trajectory too short for Lyapunov fit")
     d = d_m.copy()
     idx = np.arange(n)
     d[np.abs(idx[:, None] - idx[None, :]) <= theiler] = np.inf

@@ -184,13 +184,9 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
     """
     x = rec.samples
     fs = rec.fs
-    segs = _voiced_segments(contour)
-    if not segs:
-        raise InsufficientSignalError("no voiced region for cycle detection")
-
     hop_s = contour.hop
     periods, amps, opens, positions = [], [], [], []
-    for fstart, fend in segs:
+    for fstart, fend in _voiced_segments(contour):  # no voiced run gives 0 cycles below
         t0 = contour.times[fstart] - hop_s / 2
         t1 = contour.times[fend] + hop_s / 2
         s0 = max(0, int(t0 * fs))

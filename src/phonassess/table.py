@@ -1,5 +1,7 @@
 """Contour summarization and feature-matrix assembly.
 
+``summarize_features`` turns one recording's extraction output into its
+columns, once per recording; ``build_matrix`` only lays those columns out.
 Matrix layout: one row per subject (single-vowel scope) or per subject with
 vowel-prefixed columns (whole-task scope); column order follows the
 registry. Cross-vowel articulation indices are computed here from the
@@ -176,52 +178,41 @@ def default_scopes(manifest: CohortManifest) -> list[str]:
 
 def build_matrix(
     manifest: CohortManifest,
-    extracted: dict[tuple[str, str, str], dict[str, float | np.ndarray]],
+    extracted: dict[tuple[str, str, str], dict[str, float]],
     scope: str,
 ) -> FeatureMatrix:
-    """Assemble one scope's matrix from per-recording extraction outputs.
+    """Lay out one scope's matrix from per-recording summary columns.
 
-    ``extracted`` maps (subject_id, vowel, task) to extraction features.
-    Subjects missing a recording keep their row with missing cells (warned).
+    ``extracted`` maps (subject_id, vowel, task) to that recording's
+    ``summarize_features`` columns. Subjects missing a recording keep their
+    row with missing cells (warned).
     """
     vowel_sel, task = parse_scope(scope)
     whole_task = vowel_sel == WHOLE_TASK
     vowels = _scope_vowels(vowel_sel)
-
-    base_cols = column_names(include_cross_vowel=False)
-    cross_cols = list(CROSS_VOWEL_NAMES)
     if whole_task:
-        columns = [f"{v}_{c}" for v in vowels for c in base_cols] + cross_cols
+        base_cols = column_names(include_cross_vowel=False)
+        columns = [f"{v}_{c}" for v in vowels for c in base_cols] + list(CROSS_VOWEL_NAMES)
     else:
         # single vowel: registry order with cross-vowel features in place
         columns = column_names(include_cross_vowel=True)
 
     subject_ids = [row.subject_id for row in manifest.rows]
     values = np.full((len(subject_ids), len(columns)), np.nan)
-    col_index = {c: k for k, c in enumerate(columns)}
-
     for i, row in enumerate(manifest.rows):
-        per_vowel: dict[str, dict[str, float]] = {}
-        for v, t in scope_recordings(scope):
-            feats = extracted.get((row.subject_id, v, t))
-            if feats is not None:
-                per_vowel[v] = summarize_features(feats)
-        cross = cross_vowel_features(per_vowel)
-
+        per_vowel = {v: extracted[(row.subject_id, v, t)] for v, t in scope_recordings(scope)
+                     if (row.subject_id, v, t) in extracted}
+        cells: dict[str, float] = {}
         for v in vowels:
             if v not in per_vowel:
                 log.warning("subject %s missing recording (%s, %s); row kept with missing cells",
                             row.subject_id, v, task)
                 continue
-            cols = per_vowel[v]
             prefix = f"{v}_" if whole_task else ""
-            for name, val in cols.items():
-                key = f"{prefix}{name}"
-                if key in col_index:
-                    values[i, col_index[key]] = val
-        for name, val in cross.items():
-            if name in col_index:
-                values[i, col_index[name]] = val
+            cells.update((f"{prefix}{name}", val) for name, val in per_vowel[v].items())
+        # on top of the NaN summarize_features gives these names in single-vowel scope
+        cells.update(cross_vowel_features(per_vowel))
+        values[i] = [cells.get(c, np.nan) for c in columns]
 
     scores = {s: np.array([float("nan") if row.scores.get(s) is None else row.scores[s]
                            for row in manifest.rows])

@@ -4,9 +4,9 @@ import logging
 import numpy as np
 import pytest
 
-from phonassess import cli
+from phonassess import cli, table
 from phonassess.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main, make_parser
-from phonassess.audio import write_wav
+from phonassess.audio import VOWELS, write_wav
 from phonassess.errors import AudioError
 from phonassess.evaluation import SCALES
 from phonassess.manifest import load_manifest
@@ -281,6 +281,24 @@ def test_extract_output_independent_of_workers(tmp_path):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
+def test_extract_summarizes_each_recording_once(tmp_path, monkeypatch):
+    """a_s and all_s both read the a, i and u recordings; the 10 recordings of
+    2 subjects x 5 vowels are summarized 10 times, not once per scope."""
+    manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1, vowels=VOWELS,
+                                          duration=1.0, seed=6)
+    summarize_features, calls = table.summarize_features, []
+
+    def counted(features):
+        calls.append(1)
+        return summarize_features(features)
+
+    for module in (cli, table):
+        monkeypatch.setattr(module, "summarize_features", counted)
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "feats"),
+                 "--workers", "1", "--scope", "a_s,all_s"]) == EXIT_OK
+    assert len(calls) == 10
+
+
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_zero_workers_is_config_error(tmp_path, source):
     manifest = make_classification_cohort(tmp_path / "cohort", n_pd=1, n_hc=1,
@@ -388,6 +406,16 @@ def test_synth_regress_manifest(tmp_path):
 def test_bad_synth_value_is_config_error(tmp_path, mode, flags):
     assert main(["synth", "--mode", mode, "--out", str(tmp_path / "c"), *flags]) == EXIT_CONFIG
     assert not (tmp_path / "c").exists()
+
+
+def test_synth_classify_needs_two_subjects(tmp_path, caplog):
+    # one subject would be an HC-only cohort, which classify refuses
+    code = main(["synth", "--mode", "classify", "--subjects", "1", "--out", str(tmp_path / "c")])
+    assert code == EXIT_CONFIG
+    assert "--subjects must be at least 2 in classify mode, got 1" in caplog.text
+    assert not (tmp_path / "c").exists()
+    assert main(["synth", "--mode", "regress", "--subjects", "1",
+                 "--out", str(tmp_path / "r")]) == EXIT_OK
 
 
 def test_synth_unknown_scale_is_config_error(tmp_path, caplog):

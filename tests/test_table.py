@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from phonassess.audio import VOWELS
 from phonassess.errors import PhonassessError
 from phonassess.features import articulation
 from phonassess.features.registry import REGISTRY, column_names, per_vowel_width
 from phonassess.manifest import CohortManifest, SubjectRow
-from phonassess.table import (CROSS_VOWEL_NAMES, FeatureMatrix, build_matrix, parse_scope,
+from phonassess.table import (CROSS_VOWEL_NAMES, WHOLE_TASK, FeatureMatrix, _scope_vowels,
+                              build_matrix, cross_vowel_features, parse_scope, scope_recordings,
                               summarize, summarize_features)
 
 
@@ -96,12 +98,16 @@ def small_manifest(n=3):
     return CohortManifest(rows=rows)
 
 
-def extraction_for(manifest, vowels=("a", "e", "i", "o", "u"), task="s"):
-    out = {}
-    for k, row in enumerate(manifest.rows):
-        for v in vowels:
-            out[(row.subject_id, v, task)] = corner_features(v, seed=hash((k, v)) % 2**32)
-    return out
+def raw_extraction_for(manifest, vowels=VOWELS, task="s"):
+    """Extraction outputs per (subject, vowel, task), seeded per recording."""
+    return {(row.subject_id, v, task): corner_features(v, seed=10 * k + VOWELS.index(v))
+            for k, row in enumerate(manifest.rows) for v in vowels}
+
+
+def extraction_for(manifest, vowels=VOWELS, task="s"):
+    """What ``build_matrix`` reads: each recording's summary columns."""
+    return {key: summarize_features(feats)
+            for key, feats in raw_extraction_for(manifest, vowels, task).items()}
 
 
 class TestBuildMatrix:
@@ -159,6 +165,72 @@ class TestBuildMatrix:
         assert np.allclose(back.values, matrix.values, equal_nan=True)
         assert back.groups == matrix.groups
         assert np.allclose(back.scores["updrs3"], matrix.scores["updrs3"], equal_nan=True)
+
+
+def per_scope_build_matrix(manifest, extracted, scope):
+    """The builder before each recording was summarized once: it summarized
+    every recording a scope reads, per scope, and placed each value through a
+    column index. The oracle for ``build_matrix``: verbatim but for its
+    missing-recording warning."""
+    vowel_sel, task = parse_scope(scope)
+    whole_task = vowel_sel == WHOLE_TASK
+    vowels = _scope_vowels(vowel_sel)
+
+    base_cols = column_names(include_cross_vowel=False)
+    cross_cols = list(CROSS_VOWEL_NAMES)
+    if whole_task:
+        columns = [f"{v}_{c}" for v in vowels for c in base_cols] + cross_cols
+    else:
+        # single vowel: registry order with cross-vowel features in place
+        columns = column_names(include_cross_vowel=True)
+
+    subject_ids = [row.subject_id for row in manifest.rows]
+    values = np.full((len(subject_ids), len(columns)), np.nan)
+    col_index = {c: k for k, c in enumerate(columns)}
+
+    for i, row in enumerate(manifest.rows):
+        per_vowel: dict[str, dict[str, float]] = {}
+        for v, t in scope_recordings(scope):
+            feats = extracted.get((row.subject_id, v, t))
+            if feats is not None:
+                per_vowel[v] = summarize_features(feats)
+        cross = cross_vowel_features(per_vowel)
+
+        for v in vowels:
+            if v not in per_vowel:
+                continue
+            cols = per_vowel[v]
+            prefix = f"{v}_" if whole_task else ""
+            for name, val in cols.items():
+                key = f"{prefix}{name}"
+                if key in col_index:
+                    values[i, col_index[key]] = val
+        for name, val in cross.items():
+            if name in col_index:
+                values[i, col_index[name]] = val
+    return columns, values
+
+
+@pytest.mark.parametrize("scope", ["a_s", "e_s", "u_s", WHOLE_TASK + "_s"])
+@pytest.mark.parametrize("case", ["complete", "missing_recording", "nan_corner_f1"])
+def test_build_matrix_equals_per_scope_summaries(scope, case):
+    """Summarizing each recording once, then laying the columns out, gives the
+    columns and the bits of summarizing per scope."""
+    manifest = small_manifest(4)
+    raw = raw_extraction_for(manifest)
+    if case == "missing_recording":
+        del raw[("S1", "e", "s")]  # a scope vowel of e_s and all_s
+        del raw[("S2", "a", "s")]  # a corner: every scope's cross-vowel cells go missing
+    elif case == "nan_corner_f1":
+        raw[("S0", "i", "s")]["f1"] = np.full(7, np.nan)  # vowel_space_features refuses it
+        raw[("S3", "u", "s")]["f1"][2] = np.nan           # one NaN frame: summaries skip it
+    columns, values = per_scope_build_matrix(manifest, raw, scope)
+    matrix = build_matrix(manifest, {k: summarize_features(f) for k, f in raw.items()}, scope)
+    assert matrix.columns == columns
+    assert np.array_equal(matrix.values, values, equal_nan=True)
+    if case == "nan_corner_f1":
+        assert np.isnan(matrix.values[0, matrix.columns.index("vsa")])
+        assert np.isfinite(matrix.values[1:, matrix.columns.index("vsa")]).all()
 
 
 @pytest.mark.parametrize("text, where", [
