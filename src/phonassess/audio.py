@@ -1,11 +1,12 @@
 """Audio decoding, resampling, short-time framing and the frame-level kernels.
 
-All downstream analysis runs at ANALYSIS_RATE (16 kHz). Decoding is
-bit-deterministic: the same file always yields the same float buffer.
-Feature frames are FRAME_MS (25 ms) long every HOP_MS (10 ms); every frame
-sequence carries both the plain slices and their Hann-tapered copies. The
-FFT autocorrelation and the 1 s context sums shared by the feature families
-live here. VOWELS and TASKS are the cohort's vowel and task tokens.
+All downstream analysis runs on sample arrays at ANALYSIS_RATE (16 kHz); no
+measure takes a rate. Decoding is bit-deterministic: the same file always
+yields the same float buffer. Feature frames are FRAME (400) samples long
+every HOP (160), 25 ms every 10 ms; every frame sequence carries both the
+plain slices and their Hann-tapered copies. The FFT autocorrelation and the
+1 s context sums shared by the feature families live here. VOWELS and TASKS
+are the cohort's vowel and task tokens.
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ TASKS = ("s", "l", "ll", "ls")
 ANALYSIS_RATE = 16_000
 FRAME_MS = 25.0
 HOP_MS = 10.0
+FRAME = int(round(FRAME_MS * ANALYSIS_RATE / 1000.0))
+HOP = int(round(HOP_MS * ANALYSIS_RATE / 1000.0))
 
 # WAVE format tags; WAVE_FORMAT_EXTENSIBLE names one of the first two in the
 # first four bytes of its sub-format GUID, whose other twelve bytes are these
@@ -50,27 +53,22 @@ class Recording:
         if self.samples.size == 0:
             raise AudioError("empty sample buffer")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.fs
-
 
 @dataclass
 class FrameSequence:
-    """Short-time frames of a signal.
+    """Short-time frames of a signal at ANALYSIS_RATE.
 
     ``frames`` holds the Hann-tapered frames, ``raw`` the same slices before
     the taper (some measures, e.g. energy, TKEO and the pitch tracker, are
     defined on the plain waveform). Frame count is
     floor((N - frame_length) / hop) + 1; ``times`` are the frame centres in
-    seconds, derived from hop, frame_length and fs.
+    seconds, derived from hop and frame_length.
     """
 
     frames: np.ndarray
     raw: np.ndarray
     frame_length: int
     hop: int
-    fs: int
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -78,7 +76,7 @@ class FrameSequence:
     @property
     def times(self) -> np.ndarray:
         starts = np.arange(self.frames.shape[0]) * self.hop
-        return (starts + self.frame_length / 2) / self.fs
+        return (starts + self.frame_length / 2) / ANALYSIS_RATE
 
 
 def load_recording(path) -> Recording:
@@ -220,32 +218,15 @@ def write_wav(path, samples: np.ndarray, fs: int) -> None:
     wavfile.write(str(path), fs, pcm)
 
 
-def resample(rec: Recording, target_fs: int) -> Recording:
-    """Rate-convert with a windowed-sinc polyphase filter (kaiser, ~90 dB).
-
-    Idempotent at the target rate: a recording already at ``target_fs`` is
-    returned sample-identical.
-    """
-    if target_fs <= 0:
-        raise ValueError(f"target_fs must be positive, got {target_fs}")
-    if rec.fs == target_fs:
-        return Recording(rec.samples.copy(), rec.fs)
-    ratio = Fraction(int(target_fs), int(rec.fs))
-    y = dsp.resample_poly(rec.samples, ratio.numerator, ratio.denominator, beta=9.0)
-    return Recording(y, target_fs)
+def resample(rec: Recording) -> np.ndarray:
+    """The samples at ANALYSIS_RATE, by a windowed-sinc polyphase filter
+    (kaiser, ~90 dB); a recording already at that rate is copied unchanged."""
+    ratio = Fraction(ANALYSIS_RATE, int(rec.fs))
+    return dsp.resample_poly(rec.samples, ratio.numerator, ratio.denominator, beta=9.0)
 
 
-def frame_signal(rec: Recording, frame_ms: float, hop_ms: float) -> FrameSequence:
-    """Slice a recording into frames of frame_ms every hop_ms."""
-    if hop_ms <= 0 or frame_ms < hop_ms:
-        raise ValueError("require frame_ms >= hop_ms > 0")
-    frame_length = int(round(frame_ms * rec.fs / 1000.0))
-    hop = int(round(hop_ms * rec.fs / 1000.0))
-    return frame_array(rec.samples, rec.fs, frame_length, hop)
-
-
-def frame_array(x: np.ndarray, fs: int, frame_length: int, hop: int) -> FrameSequence:
-    """frame_signal on a bare sample array (internal plumbing)."""
+def frame_array(x: np.ndarray, frame_length: int, hop: int) -> FrameSequence:
+    """Slice a sample array into frames of frame_length samples every hop."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n < frame_length:
@@ -258,7 +239,6 @@ def frame_array(x: np.ndarray, fs: int, frame_length: int, hop: int) -> FrameSeq
         raw=raw,
         frame_length=frame_length,
         hop=hop,
-        fs=fs,
     )
 
 
@@ -273,13 +253,14 @@ def autocorrelation(x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[..., :n]
 
 
-def context_sums(values: np.ndarray, hop: int, fs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum, frame count) of each frame value's centred 1 s context, cut at the edges.
+def context_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum, frame count) of each HOP-spaced frame value's centred 1 s context,
+    cut at the edges.
 
     Callers form the context mean as sum / count themselves, so each keeps
     its own rounding order (1.5 * sum / count is not 1.5 * (sum / count)).
     """
-    half = max(1, int(round(fs / hop))) // 2
+    half = ANALYSIS_RATE // HOP // 2  # 50 frames each side
     n = len(values)
     cums = np.concatenate(([0.0], np.cumsum(values)))
     i = np.arange(n)

@@ -184,9 +184,11 @@ def cmd_extract(cfg: RunConfig) -> int:
                           [path for *_, path in jobs], cfg.workers)
     extracted: dict[tuple[str, str, str], dict[str, float]] = {}
     failure_counts: dict[str, int] = {}
+    skipped = []
     for (subject, v, t, _), result in zip(jobs, results):
         if isinstance(result, PhonassessError):
             log.warning("skipped recording of %s (%s,%s): %s", subject, v, t, result)
+            skipped.append({"subject_id": subject, "vowel": v, "task": t, "reason": str(result)})
             continue
         extracted[(subject, v, t)], failures = result
         for name in failures:
@@ -199,6 +201,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     with open(out / "extraction_log.json", "w") as fh:
         json.dump({"per_feature_failures": dict(sorted(failure_counts.items())),
                    "recordings_extracted": len(extracted),
+                   "skipped_recordings": skipped,
                    "per_vowel_width": per_vowel_width()}, fh, indent=1)
     log.info("wrote %d matrices to %s", len(scopes), out)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Formant tracks and cross-vowel articulation indices."""
+"""Formant tracks (16 kHz frames, LPC order 18) and cross-vowel articulation indices."""
 from __future__ import annotations
 
 import math
@@ -6,12 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..audio import FrameSequence, autocorrelation
+from ..audio import ANALYSIS_RATE, FrameSequence, autocorrelation
 from ..errors import InsufficientSignalError
 
 PREEMPHASIS = 0.97
 FORMANT_RANGE = (90.0, 5500.0)
 MAX_BANDWIDTH = 600.0
+LPC_ORDER = 18  # 2 + 16 kHz / 1 kHz, rounded up to even
 
 
 @dataclass
@@ -45,22 +46,22 @@ def lpc_coefficients(x: np.ndarray, order: int) -> np.ndarray:
     return np.concatenate(([1.0], -a))
 
 
-def _frame_formants(frame: np.ndarray, fs: int, order: int, taper: np.ndarray):
+def _frame_formants(frame: np.ndarray, taper: np.ndarray):
     """Up to three sorted resonances of one raw frame, or None."""
     x = np.append(frame[0], frame[1:] - PREEMPHASIS * frame[:-1]) * taper
     if np.max(np.abs(x)) <= 0:
         return None
     try:
-        a = lpc_coefficients(x, order)
+        a = lpc_coefficients(x, LPC_ORDER)
     except np.linalg.LinAlgError:
         return None
     roots = np.roots(a)
     roots = roots[np.imag(roots) > 0]
     if len(roots) == 0:
         return None
-    freqs = np.angle(roots) * fs / (2 * np.pi)
+    freqs = np.angle(roots) * ANALYSIS_RATE / (2 * np.pi)
     with np.errstate(divide="ignore"):
-        bws = -fs / np.pi * np.log(np.abs(roots))
+        bws = -ANALYSIS_RATE / np.pi * np.log(np.abs(roots))
     keep = (freqs > FORMANT_RANGE[0]) & (freqs < FORMANT_RANGE[1]) & (bws > 0) & (bws < MAX_BANDWIDTH)
     freqs, bws = freqs[keep], bws[keep]
     if len(freqs) == 0:
@@ -69,22 +70,20 @@ def _frame_formants(frame: np.ndarray, fs: int, order: int, taper: np.ndarray):
     return freqs[order_idx][:3], bws[order_idx][:3]
 
 
-def estimate_formants(frames: FrameSequence, fs: int) -> FormantTrack:
+def estimate_formants(frames: FrameSequence) -> FormantTrack:
     """All-pole resonance tracking over a frame sequence.
 
     Each raw frame is pre-emphasized, tapered, and fit with an LPC model of
-    order 2 + fs/1000, rounded up to even; pole angles give frequencies and
+    order LPC_ORDER; pole angles give frequencies and
     pole radii bandwidths. A frame contributes its (up to three) lowest
     resonances in [90, 5500] Hz with bandwidth < 600 Hz; absent ones are NaN.
     Raises when no frame yields any valid resonance (e.g. constant input).
     """
-    order = 2 + fs // 1000
-    order += order % 2
     n = len(frames)
     out = np.full((6, n), np.nan)
     taper = np.hanning(frames.frame_length)
     for i in range(n):
-        res = _frame_formants(frames.raw[i], fs, order, taper)
+        res = _frame_formants(frames.raw[i], taper)
         if res is None:
             continue
         f, b = res

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import dsp, pitch
-from ..audio import FRAME_MS, HOP_MS, Recording, frame_signal
+from ..audio import FRAME, HOP, frame_array
 from ..errors import InsufficientSignalError, PhonassessError
 from . import nonlinear, phonation, quality
 
@@ -117,7 +117,7 @@ def _mean_abs_tkeo(x: np.ndarray) -> float:
     return float(np.mean(np.abs(phonation.teager_kaiser(x))))
 
 
-def imf_features(imf_set: ImfSet, fs: int, failures: dict[str, str]) -> dict[str, float]:
+def imf_features(imf_set: ImfSet, failures: dict[str, str]) -> dict[str, float]:
     """SNR/NSR functional ratios between the IMF groups plus IMF1 measures.
 
     IMF1 (highest-frequency mode) is the noise proxy; the sum of the
@@ -161,16 +161,15 @@ def imf_features(imf_set: ImfSet, fs: int, failures: dict[str, str]) -> dict[str
     }
     for name, measure in (("imf_cpp", imf1_cpp), ("imf_gne", quality.glottal_noise_excitation)):
         try:
-            out[name] = measure(noise, fs)
+            out[name] = measure(noise)
         except PhonassessError as exc:
             out[name] = float("nan")
             failures[name] = str(exc)
     return out
 
 
-def imf1_cpp(imf1: np.ndarray, fs: int) -> float:
+def imf1_cpp(imf1: np.ndarray) -> float:
     """Cepstral peak prominence of IMF1 via the quality module's routine,
     which raises InsufficientSignalError when IMF1 has no voiced frame."""
-    rec = Recording(imf1, fs)
-    contour = pitch.estimate_f0(rec)
-    return quality.cepstral_quality(frame_signal(rec, FRAME_MS, HOP_MS), contour)[0]
+    contour = pitch.estimate_f0(imf1)
+    return quality.cepstral_quality(frame_array(imf1, FRAME, HOP), contour)[0]

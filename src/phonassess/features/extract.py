@@ -1,9 +1,10 @@
 """Per-recording extraction: one value or contour per registry entry.
 
-Every recording is resampled to ANALYSIS_RATE (16 kHz) first. Frame-based
-contours (energies, spectral flux, formants) run over FRAME_MS (25 ms)
-frames with a HOP_MS (10 ms) hop; the f0 contour uses the pitch tracker's
-F0_FRAME_MS (40 ms) frames in [F0_MIN, F0_MAX] = [60, 400] Hz. Block-based
+Every recording is resampled to ANALYSIS_RATE (16 kHz) first; the measures
+take that sample array, or frames cut from it, and no rate. Frame-based
+contours (energies, spectral flux, formants) run over FRAME (25 ms) frames
+with a HOP (10 ms) hop; the f0 contour uses the pitch tracker's F0_FRAME
+(40 ms) frames in [F0_MIN, F0_MAX] = [60, 400] Hz. Block-based
 contours run the heavier measures over BLOCK_LEN_S (500 ms) analysis blocks
 hopped by BLOCK_HOP_S (250 ms), giving per-block values whose spread the
 summary statistics capture. EMD keeps at most MAX_IMFS (10) modes. The one
@@ -28,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..audio import (ANALYSIS_RATE, FRAME_MS, HOP_MS, FrameSequence, Recording, frame_array,
-                     frame_signal, resample)
+from ..audio import ANALYSIS_RATE, FRAME, HOP, FrameSequence, Recording, frame_array, resample
 from ..errors import PhonassessError
 from ..pitch import CycleMarks, F0Contour, detect_cycles, estimate_f0
 from . import articulation, emd, highorder, nonlinear, phonation, quality
@@ -54,19 +54,19 @@ def _slice_contour(contour: F0Contour, t0: float, t1: float) -> F0Contour:
 @dataclass
 class _Inputs:
     """What rows read: one recording's inputs, the current block, the last bicepstrum."""
-    rec: Recording
+    x: np.ndarray
     frames: FrameSequence
     contour: F0Contour
     tau: int
     failures: dict[str, str]
-    block: Recording | None = None
+    block: np.ndarray | None = None
     block_contour: F0Contour | None = None
     cycles: CycleMarks | None = None
     prev_cep: np.ndarray | None = None
 
 
 def _formants(s: _Inputs):
-    track = articulation.estimate_formants(s.frames, s.rec.fs)
+    track = articulation.estimate_formants(s.frames)
     voiced_mask, _ = quality.frame_voicing(s.frames, s.contour)
     sel = voiced_mask & track.valid()
     if not np.any(sel):
@@ -79,8 +79,7 @@ def _higher_order(s: _Inputs) -> dict[str, float]:
     # bcmd/bcpd compare with the previous block's bicepstrum: NaN in the
     # first block and after a failed one, and then not pushed
     prev, s.prev_cep = s.prev_cep, None
-    est = highorder.estimate_bispectrum(
-        frame_array(s.block.samples, s.block.fs, highorder.NFFT, highorder.NFFT // 2))
+    est = highorder.estimate_bispectrum(frame_array(s.block, highorder.NFFT, highorder.NFFT // 2))
     cep = highorder.bicepstrum(est)
     values = {f"bis_{k}": v for k, v in highorder.bispectral_features(est).items()}
     values.update((f"bic_{k}", v)
@@ -91,9 +90,9 @@ def _higher_order(s: _Inputs) -> dict[str, float]:
 
 
 def _nonlinear_block(s: _Inputs) -> dict[str, float]:
-    seg = s.block.samples
-    values = nonlinear.entropy_features(seg, s.tau)
-    return {**values, "fd": nonlinear.katz_fd(seg), "zl": nonlinear.normalized_lempel_ziv(seg)}
+    values = nonlinear.entropy_features(s.block, s.tau)
+    return {**values, "fd": nonlinear.katz_fd(s.block),
+            "zl": nonlinear.normalized_lempel_ziv(s.block)}
 
 
 # A measure takes _Inputs and returns a tuple for its names or a dict keyed by
@@ -104,26 +103,26 @@ MEASURES = [
      lambda s: [s.contour.voiced_f0 if np.any(s.contour.voicing) else np.array([np.nan])]),
     (("fmmi",), RECORDING, lambda s: [float(s.tau)]),
     (("energy", "tkeo", "me_4hz", "mpsd", "lster"), RECORDING,
-     lambda s: phonation.energy_features(s.frames, s.rec)),
+     lambda s: phonation.energy_features(s.frames, s.x)),
     (("zcr", "hzcrr", "fluf"), RECORDING, lambda s: quality.temporal_quality(s.frames, s.contour)),
     (("sf", "sdbm", "sdbp"), RECORDING, lambda s: quality.spectral_quality(s.frames)),
     (("f1", "f2", "f3", "bw1", "bw2", "bw3"), RECORDING, _formants),
     (("ppe",), RECORDING, lambda s: [phonation.ppe(s.contour)]),
     (("mser", "mfp", "rphm", "icer", "rphic"), RECORDING,
-     lambda s: quality.modulation_measures(s.rec)),
+     lambda s: quality.modulation_measures(s.x)),
     (("imf_snr_tkeo", "imf_snr_seo", "imf_snr_se", "imf_snr_re", "imf_snr_zcr", "imf_nsr_tkeo",
       "imf_nsr_seo", "imf_nsr_se", "imf_nsr_re", "imf_fd", "imf_cpp", "imf_gne"), RECORDING,
-     lambda s: emd.imf_features(emd.emd(s.rec.samples), s.rec.fs, s.failures)),
+     lambda s: emd.imf_features(emd.emd(s.x), s.failures)),
     (("cd", "he", "lle"), RECORDING,
-     lambda s: nonlinear.complexity_features(s.rec.samples, s.tau)),
+     lambda s: nonlinear.complexity_features(s.x, s.tau)),
     (("jitter_local", "jitter_abs", "jitter_rap", "jitter_ppq5", "jitter_ddp"), CYCLES,
      lambda s: phonation.jitter_features(s.cycles)),
     (("shimmer_local", "shimmer_db", "shimmer_apq3", "shimmer_apq5", "shimmer_apq11",
       "shimmer_dda"), CYCLES, lambda s: phonation.shimmer_features(s.cycles)),
     (("gq_open_std", "gq_closed_std"), CYCLES,
      lambda s: phonation.glottal_quotient_stds(s.cycles)),
-    (("cpp", "pecm", "vr"), BLOCK, lambda s: quality.cepstral_quality(
-        frame_signal(s.block, FRAME_MS, HOP_MS), s.block_contour)),
+    (("cpp", "pecm", "vr"), BLOCK,
+     lambda s: quality.cepstral_quality(frame_array(s.block, FRAME, HOP), s.block_contour)),
     (("hnr", "nhr", "nne", "gne", "spi", "vti", "ssd"), BLOCK,
      lambda s: quality.noise_measures(s.block, s.block_contour)),
     (("bis_bii", "bis_hfeb", "bis_lfeb", "bis_bmii", "bis_bpii", "bis_lsber", "bis_hsber",
@@ -155,13 +154,11 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
     scalars and contours plus a failure log mapping feature names to the
     reason they are missing.
     """
-    if rec.fs != ANALYSIS_RATE:
-        rec = resample(rec, ANALYSIS_RATE)
+    x = rec.samples if rec.fs == ANALYSIS_RATE else resample(rec)
     if peak_normalize:
-        peak = np.max(np.abs(rec.samples))
+        peak = np.max(np.abs(x))
         if peak > 0:
-            rec = Recording(rec.samples / peak, rec.fs)
-    x, fs = rec.samples, rec.fs
+            x = x / peak
     feats: dict[str, float | np.ndarray] = {}
     failures: dict[str, str] = {}
 
@@ -170,8 +167,8 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
             failures[name] = str(exc)
             feats.setdefault(name, float("nan"))
 
-    contour = estimate_f0(rec)
-    s = _Inputs(rec, frame_signal(rec, FRAME_MS, HOP_MS), contour, nonlinear.fmmi(x), failures)
+    contour = estimate_f0(x)
+    s = _Inputs(x, frame_array(x, FRAME, HOP), contour, nonlinear.fmmi(x), failures)
 
     # ---- recording rows: a failure, or a name the measure leaves out, gives
     # NaN and a failure entry.
@@ -187,17 +184,17 @@ def extract_recording(rec: Recording, *, peak_normalize: bool = False) -> Extrac
     # ---- block and cycle-block rows: a failure skips that block's values --
     block_rows = [row for row in MEASURES if row[1] != RECORDING]
     try:
-        cycles = detect_cycles(rec, contour)
+        cycles = detect_cycles(x, contour)
     except PhonassessError as exc:
         cycles = None
         fail([n for names, level, _ in block_rows if level == CYCLES for n in names], exc)
 
     block_vals = {n: [] for names, _, _ in block_rows for n in names if n not in feats}
-    blen, bhop = int(BLOCK_LEN_S * fs), int(BLOCK_HOP_S * fs)
+    blen, bhop = int(BLOCK_LEN_S * ANALYSIS_RATE), int(BLOCK_HOP_S * ANALYSIS_RATE)
     # a recording shorter than one block is analysed as one block
     for s0, s1 in [(b, b + blen) for b in range(0, len(x) - blen + 1, bhop)] or [(0, len(x))]:
-        s.block = Recording(x[s0:s1], fs)
-        s.block_contour = _slice_contour(contour, s0 / fs, s1 / fs)
+        s.block = x[s0:s1]
+        s.block_contour = _slice_contour(contour, s0 / ANALYSIS_RATE, s1 / ANALYSIS_RATE)
         # slice_range gives None under 3 cycles: no cycle rows in this block
         s.cycles = cycles.slice_range(s0, s1) if cycles is not None else None
         for names, level, measure in block_rows:

@@ -1,7 +1,7 @@
 """Bispectrum, bicoherence, and bicepstrum features.
 
 The estimator is the direct FFT method averaged over frames on a 128 x 128
-grid covering the principal triangular region f1, f2 >= 0, f1 + f2 <= fs/2.
+grid covering the principal triangular region f1, f2 >= 0, f1 + f2 <= 8 kHz.
 Band splits sit at one quarter of the Nyquist frequency. The interference
 indices and energy ratios implement the definitions written out in
 docs/features.md (several exist only in the specialist literature; the
@@ -34,7 +34,6 @@ class BispectrumEstimate:
 
     grid: np.ndarray         # complex (GRID, GRID); zero outside the triangle
     bicoherence: np.ndarray  # real (GRID, GRID) in [0, 1]
-    resolution: float        # Hz per bin
     mean_spectrum: np.ndarray  # mean magnitude spectrum (GRID + 1 bins)
 
 
@@ -88,7 +87,6 @@ def estimate_bispectrum(frames: FrameSequence) -> BispectrumEstimate:
     return BispectrumEstimate(
         grid=b,
         bicoherence=bico,
-        resolution=frames.fs / NFFT,
         mean_spectrum=np.abs(x).mean(axis=0),
     )
 

@@ -2,14 +2,15 @@
 
 Jitter and shimmer follow the canonical perturbation definitions of the
 standard phonetic-analysis toolkits; the exact formulas are reproduced in
-docs/features.md so no external tool is needed to audit values.
+docs/features.md so no external tool is needed to audit values. The energy
+measures take frames and samples at the 16 kHz ANALYSIS_RATE.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .. import dsp
-from ..audio import FrameSequence, Recording, context_sums
+from ..audio import ANALYSIS_RATE, FrameSequence, context_sums
 from ..errors import InsufficientSignalError
 from ..pitch import CycleMarks, F0Contour
 from .nonlinear import count_entropies
@@ -103,32 +104,32 @@ def teager_kaiser(x: np.ndarray) -> np.ndarray:
     return x[..., 1:-1] ** 2 - x[..., :-2] * x[..., 2:]
 
 
-def energy_features(frames: FrameSequence, rec: Recording):
+def energy_features(frames: FrameSequence, x: np.ndarray):
     """Frame-energy contours plus modulation/PSD/low-energy scalars.
 
     Returns (E contour, TKEO contour, me_4hz, mpsd, lster). E and TKEO come
     from the raw (untapered) frame slices.
     """
-    if rec.duration < 1.0:
+    if len(x) < ANALYSIS_RATE:
         raise InsufficientSignalError("need >= 1 s of signal for modulation energy")
     raw = frames.raw
     energy = np.mean(raw**2, axis=1)
     tkeo = np.mean(teager_kaiser(raw), axis=1)
 
-    me = modulation_energy_4hz(rec.samples, rec.fs)
-    freqs, pxx = dsp.welch(rec.samples, rec.fs, nperseg=1024)
+    me = modulation_energy_4hz(x)
+    freqs, pxx = dsp.welch(x, ANALYSIS_RATE, nperseg=1024)
     mpsd = float(np.median(pxx))
-    lster = low_energy_ratio(energy, frames.hop, rec.fs)
+    lster = low_energy_ratio(energy)
     return energy, tkeo, me, mpsd, lster
 
 
-def modulation_energy_4hz(x: np.ndarray, fs: int) -> float:
+def modulation_energy_4hz(x: np.ndarray) -> float:
     """Energy fraction of the intensity envelope in the ME_BAND around 4 Hz.
 
     Envelope = frame RMS at a 100 Hz rate, mean removed; the ratio is band
     energy over total envelope AC energy.
     """
-    hop = int(fs / 100)
+    hop = int(ANALYSIS_RATE / 100)
     n = (len(x) // hop) * hop
     if n < 2 * hop:
         raise InsufficientSignalError("signal too short for envelope spectrum")
@@ -146,10 +147,10 @@ def modulation_energy_4hz(x: np.ndarray, fs: int) -> float:
     return float(in_band / total)
 
 
-def low_energy_ratio(frame_energy: np.ndarray, hop: int, fs: int) -> float:
-    """Fraction of frames below half the mean energy of their 1 s context."""
+def low_energy_ratio(frame_energy: np.ndarray) -> float:
+    """Fraction of HOP-spaced frames below half the mean energy of their 1 s context."""
     n = len(frame_energy)
     if n == 0:
         return 0.0
-    sums, counts = context_sums(frame_energy, hop, fs)
+    sums, counts = context_sums(frame_energy)
     return np.count_nonzero(frame_energy < 0.5 * (sums / counts)) / n

@@ -5,10 +5,11 @@ actually implemented are written out in docs/features.md, and the registry
 carries a definition_version so later corrections do not silently change
 outputs.
 
-Constants: spectra use SPECTRUM_NFFT (512) points and a SMOOTH_BINS (15)
-bin envelope smoother; cepstra use CEPSTRUM_NFFT (1024) points. The
-harmonicity r is read on the pitch tracker's F0_FRAME_MS (40 ms) frames,
-the dysperiodicity on FRAME_MS (25 ms) frames, both every HOP_MS (10 ms).
+Every measure takes a 16 kHz sample array or frames cut from one. Constants:
+spectra use SPECTRUM_NFFT (512) points and a SMOOTH_BINS (15) bin envelope
+smoother; cepstra use CEPSTRUM_NFFT (1024) points. The
+harmonicity r is read on the pitch tracker's F0_FRAME (40 ms) frames, the
+dysperiodicity on FRAME (25 ms) frames, both every HOP (10 ms).
 GNE inverse-filters with GNE_LPC_ORDER (12) and correlates GNE_BAND_HZ
 (1 kHz) bands stepped by GNE_STEP_HZ (300 Hz). dB values are clamped to
 DB_CLAMP.
@@ -18,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import dsp
-from ..audio import (FRAME_MS, HOP_MS, FrameSequence, Recording, autocorrelation,
-                     context_sums, frame_signal)
+from ..audio import (ANALYSIS_RATE, FRAME, HOP, FrameSequence, autocorrelation, context_sums,
+                     frame_array)
 from ..errors import InsufficientSignalError
-from ..pitch import F0_FRAME_MS, F0Contour, _parabolic
+from ..pitch import F0_FRAME, F0Contour, _parabolic
 from .articulation import lpc_coefficients
 
 DB_CLAMP = (-20.0, 60.0)
@@ -58,7 +59,7 @@ def temporal_quality(frames: FrameSequence, contour: F0Contour):
     raw = frames.raw
     pos = raw >= 0
     zcr = np.sum(pos[:, 1:] != pos[:, :-1], axis=1) / frames.frame_length
-    sums, counts = context_sums(zcr, frames.hop, frames.fs)
+    sums, counts = context_sums(zcr)
     hzcrr = np.count_nonzero(zcr > 1.5 * sums / counts) / len(zcr)
 
     voiced, _ = frame_voicing(frames, contour)
@@ -116,12 +117,11 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour):
     voiced, f0_per_frame = frame_voicing(frames, contour)
     if not np.any(voiced):
         raise InsufficientSignalError("no voiced frames for cepstral measures")
-    fs = frames.fs
-    q_lo = int(1e-3 * fs)  # 1 ms
-    half_ms = max(1, int(0.5e-3 * fs))
+    q_lo = int(1e-3 * ANALYSIS_RATE)  # 1 ms
+    half_ms = int(0.5e-3 * ANALYSIS_RATE)
 
     spec_all = np.abs(np.fft.rfft(frames.frames, CEPSTRUM_NFFT))
-    freq_axis = np.fft.rfftfreq(CEPSTRUM_NFFT, 1.0 / fs)
+    freq_axis = np.fft.rfftfreq(CEPSTRUM_NFFT, 1.0 / ANALYSIS_RATE)
     powers = []
     f0_used = []
     h2h1 = []
@@ -138,11 +138,10 @@ def cepstral_quality(frames: FrameSequence, contour: F0Contour):
     power = np.mean(powers, axis=0)
     power_db = 10.0 * np.log10(power + TINY)
     n_half = len(power)
-    lag = fs / float(np.median(f0_used))
+    lag = ANALYSIS_RATE / float(np.median(f0_used))
+    # f0 in [60, 400] Hz puts the lag in [40, 267] samples: lo < hi always
     lo = max(q_lo, int(lag * 0.8))
     hi = min(n_half - 2, int(lag * 1.2) + 1)
-    if hi <= lo:
-        raise InsufficientSignalError("pitch quefrency outside cepstrum range")
     rel = int(np.argmax(power_db[lo:hi]))
     qpk, peak_val = _parabolic(power_db, lo + rel)
     q = np.arange(q_lo, n_half)
@@ -183,27 +182,25 @@ def _nccf_rows(raw: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def harmonicity_r(rec: Recording, contour: F0Contour) -> np.ndarray:
+def harmonicity_r(x: np.ndarray, contour: F0Contour) -> np.ndarray:
     """Normalized cross-correlation at the pitch lag, per voiced frame."""
-    fs = rec.fs
-    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS)
+    frames = frame_array(x, F0_FRAME, HOP)
     raw = frames.raw - frames.raw.mean(axis=1, keepdims=True)
     nccf = _nccf_rows(raw)
     voiced, f0s = frame_voicing(frames, contour)
     out = []
     for i in np.flatnonzero(voiced):
-        lag = fs / f0s[i]
+        lag = ANALYSIS_RATE / f0s[i]
+        # f0 in [60, 400] Hz puts the lag in [40, 267] samples: lo < hi always
         lo = max(1, int(lag * 0.85))
         hi = min(frames.frame_length - 2, int(lag * 1.15) + 1)
-        if hi <= lo:
-            continue
         rel = int(np.argmax(nccf[i, lo:hi]))
         _, val = _parabolic(nccf[i], lo + rel)
         out.append(min(max(val, 0.0), 1.0 - 1e-12))
     return np.asarray(out)
 
 
-def noise_measures(rec: Recording, contour: F0Contour) -> tuple[float, float, float, float, float, float, float]:
+def noise_measures(x: np.ndarray, contour: F0Contour) -> tuple[float, float, float, float, float, float, float]:
     """(hnr, nhr, nne, gne, spi, vti, ssd) on the voiced part of a recording.
 
     The harmonic fraction r is reduced over voiced frames in the correlation
@@ -215,7 +212,7 @@ def noise_measures(rec: Recording, contour: F0Contour) -> tuple[float, float, fl
     if voiced_dur < 0.5:
         raise InsufficientSignalError(f"need >= 0.5 s voiced, got {voiced_dur:.2f} s")
 
-    r_vals = harmonicity_r(rec, contour)
+    r_vals = harmonicity_r(x, contour)
     if len(r_vals) == 0:
         raise InsufficientSignalError("no usable voiced frames")
     # median over frames: robust to partial cycles at the signal edges
@@ -225,9 +222,9 @@ def noise_measures(rec: Recording, contour: F0Contour) -> tuple[float, float, fl
     nhr = float((1.0 - r) / r)
     nne = _clamp_db(10.0 * np.log10(1.0 - r))
 
-    gne = glottal_noise_excitation(rec.samples, rec.fs)
-    spi, vti = _band_ratios(rec.samples, rec.fs)
-    ssd = _dysperiodicity(rec, contour)
+    gne = glottal_noise_excitation(x)
+    spi, vti = _band_ratios(x)
+    ssd = _dysperiodicity(x, contour)
     return hnr, nhr, nne, gne, spi, vti, ssd
 
 
@@ -236,24 +233,22 @@ def _band_energy(freqs: np.ndarray, pxx: np.ndarray, lo: float, hi: float) -> fl
     return float(pxx[m].sum()) if np.any(m) else 0.0
 
 
-def _band_ratios(x: np.ndarray, fs: int) -> tuple[float, float]:
-    freqs, pxx = dsp.welch(x, fs, nperseg=2048)
-    spi_hi = _band_energy(freqs, pxx, 1600, min(4500, fs / 2))
+def _band_ratios(x: np.ndarray) -> tuple[float, float]:
+    freqs, pxx = dsp.welch(x, ANALYSIS_RATE, nperseg=2048)
+    spi_hi = _band_energy(freqs, pxx, 1600, 4500)
     spi = _band_energy(freqs, pxx, 70, 1600) / max(spi_hi, TINY)
     vti_lo = _band_energy(freqs, pxx, 70, 2800)
-    vti = _band_energy(freqs, pxx, 2800, min(5800, fs / 2)) / max(vti_lo, TINY)
+    vti = _band_energy(freqs, pxx, 2800, 5800) / max(vti_lo, TINY)
     return float(spi), float(vti)
 
 
-def _dysperiodicity(rec: Recording, contour: F0Contour) -> float:
+def _dysperiodicity(x: np.ndarray, contour: F0Contour) -> float:
     """Mean segmental signal-to-dysperiodicity ratio in dB (clamped)."""
-    fs = rec.fs
-    x = rec.samples
-    frames = frame_signal(rec, FRAME_MS, HOP_MS)
+    frames = frame_array(x, FRAME, HOP)
     voiced, f0s = frame_voicing(frames, contour)
     vals = []
     for i in np.flatnonzero(voiced):
-        T = int(round(fs / f0s[i]))
+        T = int(round(ANALYSIS_RATE / f0s[i]))
         start = i * frames.hop
         if start < T:
             continue
@@ -282,7 +277,7 @@ def _analytic_band(spec: np.ndarray, freqs: np.ndarray, lo: float, hi: float, n:
     return np.abs(np.fft.ifft(full))
 
 
-def glottal_noise_excitation(x: np.ndarray, fs: int) -> float:
+def glottal_noise_excitation(x: np.ndarray) -> float:
     """Glottal-to-noise excitation ratio in [0, 1].
 
     LPC inverse filtering yields the excitation; Hilbert envelopes of 1 kHz
@@ -301,10 +296,9 @@ def glottal_noise_excitation(x: np.ndarray, fs: int) -> float:
     excitation = np.convolve(x, a, mode="same")
     n = len(excitation)
     spec = np.fft.fft(excitation)
-    freqs = np.fft.fftfreq(n, 1.0 / fs)
+    freqs = np.fft.fftfreq(n, 1.0 / ANALYSIS_RATE)
     half = GNE_BAND_HZ / 2
-    top = min(4500.0, fs / 2 - half)
-    centers = np.arange(half, top + 1, GNE_STEP_HZ)
+    centers = np.arange(half, 4500.0 + 1, GNE_STEP_HZ)
     envs = []
     for c in centers:
         env = _analytic_band(spec, freqs, c - half, c + half, n)
@@ -325,32 +319,28 @@ ENVELOPE_RATE = 1000
 IC_BAND = (64.0, 128.0)
 
 
-def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray, float]:
+def modulation_spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Band-averaged envelope power spectrum: (mod_freqs, power, dc_energy).
 
     Each band's envelope is its analytic signal's magnitude, taken from the
     band's rfft bins (``_analytic_band``), then resampled to
-    ``ENVELOPE_RATE`` with 50 ms trimmed off each edge. A band clipped at
-    fs / 2 stops below the Nyquist bin n / 2 by its index: ``rfftfreq``
-    rounds that bin's frequency just below fs / 2 for some even n. dc_energy
+    ``ENVELOPE_RATE`` with 50 ms trimmed off each edge. The top band ends at
+    7.9 kHz, below the 8 kHz Nyquist frequency. dc_energy
     is the summed energy of the raw (pre-mean-removal) envelopes; callers
     floor their band ratios with it so an unmodulated carrier reads ~0
     instead of a ratio of numerical leakage.
     """
-    if len(x) < fs:
+    if len(x) < ANALYSIS_RATE:
         raise InsufficientSignalError("need >= 1 s for modulation analysis")
     n = len(x)
-    below = (n + 1) // 2  # the rfft bins under fs / 2
-    spec = np.fft.rfft(x)[:below]
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)[:below]
+    spec = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(n, 1.0 / ANALYSIS_RATE)
     trim = ENVELOPE_RATE // 20  # 50 ms of resampling transients per edge
     powers = []
     dc_energy = 0.0
     for lo, hi in MOD_BANDS:
-        if lo >= fs / 2:
-            continue
-        env = _analytic_band(spec, freqs, lo, min(hi, fs / 2), n)
-        env = dsp.resample_poly(env, ENVELOPE_RATE, fs, beta=5.0)
+        env = _analytic_band(spec, freqs, lo, hi, n)
+        env = dsp.resample_poly(env, ENVELOPE_RATE, ANALYSIS_RATE, beta=5.0)
         env = env[trim:-trim] if len(env) > 3 * trim else env
         dc_energy += float(np.sum(env**2))
         env = env - env.mean()
@@ -361,7 +351,7 @@ def modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndarray,
     return mod_freqs, power, dc_energy
 
 
-def modulation_measures(rec: Recording) -> tuple[float, float, float, float, float]:
+def modulation_measures(x: np.ndarray) -> tuple[float, float, float, float, float]:
     """(mser, mfp, rphm, icer, rphic) from the band-envelope modulation spectrum.
 
     mfp: modulation frequency of the dominant peak in [0.5, 30] Hz. rphm: that
@@ -369,7 +359,7 @@ def modulation_measures(rec: Recording) -> tuple[float, float, float, float, flo
     icer / rphic: energy share and in-band peak share of the 64-128 Hz region
     (interpretation of the companion-article bands; flagged provisional).
     """
-    mod_freqs, power, dc_energy = modulation_spectrum(rec.samples, rec.fs)
+    mod_freqs, power, dc_energy = modulation_spectrum(x)
     floor = 1e-10 * dc_energy
     total = max(float(power[mod_freqs >= 0.5].sum()), floor, TINY)
     low_mask = (mod_freqs >= 0.5) & (mod_freqs <= 30.0)

@@ -1,8 +1,9 @@
 """Fundamental-frequency tracking and glottal-cycle marking.
 
-The tracker is a frame-wise normalized autocorrelation method over the
-plain (untapered) F0_FRAME_MS (40 ms) frames every HOP_MS (10 ms), searching
-[F0_MIN, F0_MAX] = [60, 400] Hz. Frames below ENERGY_THRESHOLD mean power
+Both take a 16 kHz sample array. The tracker is a frame-wise normalized
+autocorrelation method over the plain (untapered) F0_FRAME (640-sample)
+frames every HOP (160), searching [F0_MIN, F0_MAX] = [60, 400] Hz, lags of
+40 to 267 samples. Frames below ENERGY_THRESHOLD mean power
 are unvoiced; a frame is voiced when its peak reaches VOICING_THRESHOLD.
 The raw autocorrelation of a Hann-tapered frame is divided by the taper's
 own autocorrelation to remove the window bias, so the voicing threshold
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import HOP_MS, Recording, autocorrelation, frame_signal
+from .audio import ANALYSIS_RATE, HOP, HOP_MS, autocorrelation, frame_array
 from .errors import InsufficientSignalError
 
 F0_MIN = 60.0
 F0_MAX = 400.0
 F0_FRAME_MS = 40.0
+F0_FRAME = int(round(F0_FRAME_MS * ANALYSIS_RATE / 1000.0))
 VOICING_THRESHOLD = 0.45
 ENERGY_THRESHOLD = 1e-6
 
@@ -138,17 +140,14 @@ def pitch_lag_in_range(acf_row: np.ndarray, lag_min: int, lag_max: int) -> tuple
     return lag, min(value, 1.0 - 1e-9)
 
 
-def estimate_f0(rec: Recording) -> F0Contour:
+def estimate_f0(x: np.ndarray) -> F0Contour:
     """Track f0 in [F0_MIN, F0_MAX] Hz; silence and noise come out unvoiced."""
-    if rec.fs <= 2 * F0_MAX:
-        raise ValueError(f"sampling rate must exceed {2 * F0_MAX:g} Hz for f0 tracking")
-
-    frames = frame_signal(rec, F0_FRAME_MS, HOP_MS)
+    frames = frame_array(x, F0_FRAME, HOP)
     raw = frames.raw - frames.raw.mean(axis=1, keepdims=True)
     acf = _corrected_acf(raw, np.hanning(frames.frame_length))
 
-    lag_min = int(np.floor(rec.fs / F0_MAX))
-    lag_max = int(np.ceil(rec.fs / F0_MIN))
+    lag_min = int(np.floor(ANALYSIS_RATE / F0_MAX))
+    lag_max = int(np.ceil(ANALYSIS_RATE / F0_MIN))
     energy = np.mean(frames.raw**2, axis=1)
 
     n = len(frames)
@@ -158,7 +157,7 @@ def estimate_f0(rec: Recording) -> F0Contour:
             continue
         lag, value = pitch_lag_in_range(acf[i], lag_min, lag_max)
         if lag > 0 and value >= VOICING_THRESHOLD:
-            cand = rec.fs / lag
+            cand = ANALYSIS_RATE / lag
             if F0_MIN <= cand <= F0_MAX:
                 f0[i] = cand
     return F0Contour(times=frames.times, f0=f0)
@@ -173,7 +172,7 @@ def _voiced_segments(contour: F0Contour) -> list[tuple[int, int]]:
     return list(zip(starts, ends))
 
 
-def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
+def detect_cycles(x: np.ndarray, contour: F0Contour) -> CycleMarks:
     """Mark glottal cycles inside voiced regions.
 
     The landmark is the |x| peak inside each successive pitch-period window,
@@ -182,22 +181,20 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
     samples against its amplitude mid-range; this is an acoustic proxy (no
     electroglottography), flagged approximated in the feature registry.
     """
-    x = rec.samples
-    fs = rec.fs
     hop_s = contour.hop
     periods, amps, opens, positions = [], [], [], []
     for fstart, fend in _voiced_segments(contour):  # no voiced run gives 0 cycles below
         t0 = contour.times[fstart] - hop_s / 2
         t1 = contour.times[fend] + hop_s / 2
-        s0 = max(0, int(t0 * fs))
-        s1 = min(len(x), int(t1 * fs))
+        s0 = max(0, int(t0 * ANALYSIS_RATE))
+        s1 = min(len(x), int(t1 * ANALYSIS_RATE))
         if s1 - s0 < 4:
             continue
 
         def period_at(sample: int) -> float:
             # every frame of the voiced run has f0 > 0
-            idx = int(np.clip(np.searchsorted(contour.times, sample / fs), fstart, fend))
-            return fs / contour.f0[idx]
+            idx = int(np.clip(np.searchsorted(contour.times, sample / ANALYSIS_RATE), fstart, fend))
+            return ANALYSIS_RATE / contour.f0[idx]
 
         period = period_at(s0)
         first_hi = min(s1, s0 + int(np.ceil(period)) + 1)
@@ -215,7 +212,7 @@ def detect_cycles(rec: Recording, contour: F0Contour) -> CycleMarks:
             cyc = x[prev:mark]
             if len(cyc) >= 2:
                 lohi = (cyc.min() + cyc.max()) / 2.0
-                periods.append((mark - prev) / fs)
+                periods.append((mark - prev) / ANALYSIS_RATE)
                 amps.append(float(np.max(np.abs(cyc))))
                 opens.append(float(np.mean(cyc > lohi)))
                 positions.append(prev)

@@ -115,8 +115,10 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path, scope: str = "") -> "FeatureMatrix":
-        """The matrix ``to_csv`` wrote to ``path``. A file that is not one
-        raises ``PhonassessError`` naming the file, the line and the column."""
+        """The matrix ``to_csv`` wrote to ``path``. A ``SCORE_COLUMNS`` name is
+        a score wherever it stands in the header; the other columns are the
+        features, in header order. A file that is not a matrix raises
+        ``PhonassessError`` naming the file, the line and the column."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or len(rows[0]) < 2:
@@ -137,13 +139,14 @@ class FeatureMatrix:
                         raise PhonassessError(f"{path}, line {line}, column {name}: "
                                               f"{text!r} is not a number") from None
         cells = np.asarray(cells, dtype=np.float64).reshape(len(rows), len(header) - 2)
-        score_names = [h for h in header[2:] if h in SCORE_COLUMNS]
-        n_scores = len(score_names)
+        names = header[2:]
+        features = [k for k, name in enumerate(names) if name not in SCORE_COLUMNS]
         return cls(scope=scope, subject_ids=[row[0] for row in rows],
-                   columns=header[2 + n_scores:],
-                   values=np.ascontiguousarray(cells[:, n_scores:]),
+                   columns=[names[k] for k in features],
+                   values=np.ascontiguousarray(cells[:, features]),
                    groups=[row[1] for row in rows],
-                   scores={s: cells[:, k].copy() for k, s in enumerate(score_names)})
+                   scores={name: cells[:, k].copy() for k, name in enumerate(names)
+                           if name in SCORE_COLUMNS})
 
 
 def parse_scope(scope: str) -> tuple[str, str]:

@@ -9,7 +9,6 @@ import phonassess  # noqa: F401
 import numpy as np
 import pytest
 
-from phonassess.audio import Recording
 from phonassess.pitch import estimate_f0
 from phonassess.synth import pulse_train, synth_vowel
 
@@ -22,24 +21,25 @@ def fs():
 
 
 @pytest.fixture(scope="session")
-def pulse_rec():
+def pulse_x():
     """Clean 100 Hz pulse train, 2 s at 16 kHz."""
-    return Recording(pulse_train(FS, 2.0, 100.0), FS)
+    return pulse_train(FS, 2.0, 100.0)
 
 
 @pytest.fixture(scope="session")
-def pulse_contour(pulse_rec):
-    return estimate_f0(pulse_rec)
+def pulse_contour(pulse_x):
+    return estimate_f0(pulse_x)
 
 
 @pytest.fixture(scope="session")
-def vowel_rec():
-    return Recording(synth_vowel(fs=FS, seed=11), FS)
+def vowel_x():
+    """Synthetic vowel, 2 s at 16 kHz."""
+    return synth_vowel(fs=FS, seed=11)
 
 
 @pytest.fixture(scope="session")
-def vowel_contour(vowel_rec):
-    return estimate_f0(vowel_rec)
+def vowel_contour(vowel_x):
+    return estimate_f0(vowel_x)
 
 
 def alternating_pulse_train(fs, duration, p1, p2, a1=1.0, a2=1.0, width=0.001):

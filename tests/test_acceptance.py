@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from phonassess.audio import Recording, frame_signal
+from phonassess.audio import FRAME, HOP, frame_array
 from phonassess.cli import EXIT_OK, main
 from phonassess.errors import PhonassessError
 from phonassess.evaluation import (SCALES, classification_metrics, estimation_errors,
@@ -86,14 +86,11 @@ def test_criterion_2_ee2_fixture():
 
 def test_criterion_3_perturbation():
     start = time.perf_counter()
-    fs = 20_000  # 9.9 / 10.1 ms are whole samples at this rate
-    x = alternating_pulse_train(fs, 2.0, 0.0099, 0.0101)
-    rec = Recording(x, fs)
-    jit = jitter_features(detect_cycles(rec, estimate_f0(rec)))
+    x = alternating_pulse_train(FS, 2.0, 99 / FS, 101 / FS)  # whole-sample periods
+    jit = jitter_features(detect_cycles(x, estimate_f0(x)))
 
     x2 = alternating_pulse_train(FS, 2.0, 0.010, 0.010, a1=0.9, a2=1.1)
-    rec2 = Recording(x2, FS)
-    shm = shimmer_features(detect_cycles(rec2, estimate_f0(rec2)))
+    shm = shimmer_features(detect_cycles(x2, estimate_f0(x2)))
 
     ddp_exact = jit["jitter_ddp"] == 3.0 * jit["jitter_rap"]
     dda_exact = shm["shimmer_dda"] == 3.0 * shm["shimmer_apq3"]
@@ -113,8 +110,7 @@ def test_criterion_4_hnr_ladder():
     values = []
     for snr in (0, 10, 20, 30):
         x = add_noise_snr(sig, snr, np.random.default_rng(42))
-        rec = Recording(x, FS)
-        hnr = noise_measures(rec, estimate_f0(rec))[0]
+        hnr = noise_measures(x, estimate_f0(x))[0]
         values.append(hnr)
     within = all(abs(h - s) <= 2.0 for h, s in zip(values, (0, 10, 20, 30)))
     increasing = all(b > a for a, b in zip(values, values[1:]))
@@ -128,7 +124,7 @@ def test_criterion_5_formants_and_vsa():
     targets = (500.0, 1500.0, 2500.0)
     src = pulse_train(FS, 2.0, 100.0)
     y = resonator_bank(src, FS, targets, (60.0, 90.0, 120.0))
-    track = estimate_formants(frame_signal(Recording(y, FS), 25, 10), FS)
+    track = estimate_formants(frame_array(y, FRAME, HOP))
     medians = (np.nanmedian(track.f1), np.nanmedian(track.f2), np.nanmedian(track.f3))
     rel = [abs(g - t) / t for g, t in zip(medians, targets)]
     vsa = vowel_space_features(800, 1200, 300, 2300, 350, 800)["vsa"]

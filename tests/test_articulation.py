@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from phonassess.audio import Recording, frame_signal
+from phonassess.audio import FRAME, HOP, frame_array
 from phonassess.errors import InsufficientSignalError
 from phonassess.features.articulation import estimate_formants, vowel_space_features
 from phonassess.synth import pulse_train, resonator_bank
@@ -15,8 +15,8 @@ def test_single_resonance_recovery():
     rng = np.random.default_rng(0)
     noise = rng.standard_normal(2 * FS)
     y = resonator_bank(noise, FS, [700.0], [80.0])
-    frames = frame_signal(Recording(y, FS), 25, 10)
-    track = estimate_formants(frames, FS)
+    frames = frame_array(y, FRAME, HOP)
+    track = estimate_formants(frames)
     assert abs(np.nanmedian(track.f1) - 700.0) <= 25.0
 
 
@@ -24,23 +24,23 @@ def test_three_resonance_recovery():
     targets = (500.0, 1500.0, 2500.0)
     src = pulse_train(FS, 2.0, 100.0)
     y = resonator_bank(src, FS, targets, (60.0, 90.0, 120.0))
-    frames = frame_signal(Recording(y, FS), 25, 10)
-    track = estimate_formants(frames, FS)
+    frames = frame_array(y, FRAME, HOP)
+    track = estimate_formants(frames)
     for got, want in zip((np.nanmedian(track.f1), np.nanmedian(track.f2), np.nanmedian(track.f3)), targets):
         assert abs(got - want) / want < 0.05
 
 
 def test_dc_input_error():
-    frames = frame_signal(Recording(np.full(FS, 0.5), FS), 25, 10)
+    frames = frame_array(np.full(FS, 0.5), FRAME, HOP)
     with pytest.raises(InsufficientSignalError):
-        estimate_formants(frames, FS)
+        estimate_formants(frames)
 
 
 def test_ordering_invariant():
     rng = np.random.default_rng(1)
     y = resonator_bank(rng.standard_normal(FS), FS, (600.0, 1400.0, 2800.0), (70.0, 90.0, 140.0))
-    frames = frame_signal(Recording(y, FS), 25, 10)
-    track = estimate_formants(frames, FS)
+    frames = frame_array(y, FRAME, HOP)
+    track = estimate_formants(frames)
     ok = track.valid()
     assert np.all(track.f1[ok] < track.f2[ok])
     assert np.all(track.f2[ok] < track.f3[ok])

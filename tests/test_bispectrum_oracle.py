@@ -55,7 +55,6 @@ def ref_estimate_bispectrum(frames: FrameSequence) -> BispectrumEstimate:
     return BispectrumEstimate(
         grid=b,
         bicoherence=bico,
-        resolution=frames.fs / NFFT,
         mean_spectrum=np.abs(x).mean(axis=0),
     )
 
@@ -69,12 +68,11 @@ def assert_same_estimate(frames: FrameSequence) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert got.resolution == want.resolution
 
 
 def block(raw: np.ndarray) -> FrameSequence:
     """Frames as the extractor passes them: tapered 256-sample frames."""
-    return frame_array(raw, FS, NFFT, NFFT // 2)
+    return frame_array(raw, NFFT, NFFT // 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,5 +106,4 @@ def test_matches_reference_on_zero_and_near_zero_blocks(n_frames, tiny_exp, live
 def test_matches_reference_on_unwindowed_frames():
     rng = np.random.default_rng(7)
     raw = rng.standard_normal((61, NFFT))
-    assert_same_estimate(FrameSequence(frames=raw, raw=raw, frame_length=NFFT,
-                                       hop=NFFT, fs=FS))
+    assert_same_estimate(FrameSequence(frames=raw, raw=raw, frame_length=NFFT, hop=NFFT))

@@ -476,7 +476,11 @@ def test_extract_skips_recording_too_short_to_analyse(tmp_path, caplog):
     assert matrix.subject_ids == ["P000", "H001"]
     assert np.isnan(matrix.values[1]).all()
     assert np.isfinite(matrix.values[0]).any()
-    assert json.loads((out / "extraction_log.json").read_text())["recordings_extracted"] == 1
+    log = json.loads((out / "extraction_log.json").read_text())
+    assert log["recordings_extracted"] == 1
+    assert log["skipped_recordings"] == [
+        {"subject_id": "H001", "vowel": "a", "task": "s",
+         "reason": "signal shorter than one frame (500 < 640 samples)"}]
 
 
 @pytest.mark.parametrize("scale", list(SCALES))

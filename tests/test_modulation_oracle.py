@@ -8,7 +8,8 @@ and through a second FFT for its analytic signal. The current one takes the
 analytic signal from the band's rfft bins (``quality._analytic_band``), which
 moves values in their last bits only. So the spectra must agree to 1e-12 of
 the size of their rounding error (``power_scale``), and the DC energies to
-1e-12 of their own size.
+1e-12 of their own size. Both run at the 16 kHz analysis rate, where the top
+band ends at 7.9 kHz and no band is clipped.
 
 A band's envelope is its analytic signal's (``scipy.signal.hilbert``), which
 counts the DC bin once. Only ``gne``'s first band holds that bin; the
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import signal
 
 from phonassess import dsp
-from phonassess.audio import Recording
+from phonassess.audio import ANALYSIS_RATE
 from phonassess.errors import InsufficientSignalError
 from phonassess.features import quality
 from phonassess.features.quality import ENVELOPE_RATE, MOD_BANDS, modulation_spectrum
@@ -64,8 +65,8 @@ def ref_modulation_spectrum(x: np.ndarray, fs: int) -> tuple[np.ndarray, np.ndar
 
 @st.composite
 def recordings(draw):
-    """An amplitude-modulated tone (depth 0 to 1) or noise, 1 to 3 s long."""
-    fs = draw(st.sampled_from([8000, 16000, 22050]))
+    """An amplitude-modulated tone (depth 0 to 1) or noise, 1 to 3 s long at 16 kHz."""
+    fs = ANALYSIS_RATE
     n = draw(st.integers(fs, 3 * fs))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-3, 1.0, 3e4]))
@@ -78,21 +79,19 @@ def recordings(draw):
         x += draw(st.sampled_from([0.0, 1e-3, 0.1])) * rng.standard_normal(n)
     else:
         x = rng.standard_normal(n)
-    return x * scale, fs
+    return x * scale
 
 
-# 2.2 s of noise at 8 kHz whose rfft puts its Nyquist bin just below 4 kHz,
-# under the top band's clipped edge: the bin stays out by its index
-NYQUIST_IN_BAND = (np.random.default_rng(0).standard_normal(17650), 8000)
+# 1.1 s of noise whose rfft puts its Nyquist bin just below 8 kHz
+NYQUIST_IN_BAND = np.random.default_rng(0).standard_normal(17650)
 
 
 @settings(max_examples=60, deadline=None)
 @given(recordings())
 @example(NYQUIST_IN_BAND)
-def test_modulation_spectrum_matches_hilbert_reference(recording):
-    x, fs = recording
-    mod_freqs, power, dc_energy = modulation_spectrum(x, fs)
-    ref_freqs, ref_power, ref_dc = ref_modulation_spectrum(x, fs)
+def test_modulation_spectrum_matches_hilbert_reference(x):
+    mod_freqs, power, dc_energy = modulation_spectrum(x)
+    ref_freqs, ref_power, ref_dc = ref_modulation_spectrum(x, ANALYSIS_RATE)
     assert mod_freqs.tobytes() == ref_freqs.tobytes()
     assert power.shape == ref_power.shape
     assert np.abs(power - ref_power).max() <= 1e-12 * power_scale(ref_power, ref_dc)
@@ -115,11 +114,11 @@ def power_scale(power: np.ndarray, dc_energy: float) -> float:
 
 @pytest.mark.parametrize("n", [16000, 17650])
 def test_nyquist_tone_is_in_no_band(n):
-    """(-1)**k is all Nyquist bin: rfftfreq reads it as 4000.0 Hz at n 16000
-    but 3999.9999999999995 Hz at n 17650, and neither length lets it into the
-    top band, clipped at fs / 2."""
+    """(-1)**k is all Nyquist bin: rfftfreq reads it as 8000.0 Hz at n 16000
+    but 7999.999999999999 Hz at n 17650, and neither length lets it into the
+    top band, which ends at 7.9 kHz."""
     x = (-1.0) ** np.arange(n)
-    _, _, dc_energy = modulation_spectrum(x, 8000)
+    _, _, dc_energy = modulation_spectrum(x)
     assert dc_energy < 1e-20
 
 
@@ -155,10 +154,8 @@ def test_modulation_measures_do_not_move(recording, offset):
     """The modulation bands start at 100 Hz and hold no DC bin, so counting DC
     once changes none of mser, mfp, rphm, icer and rphic: bit for bit, even
     with a DC offset."""
-    x, fs = recording
-    x = x + offset * np.abs(x).max()
-    rec = Recording(x, fs)
-    now = quality.modulation_measures(rec)
+    x = recording + offset * np.abs(recording).max()
+    now = quality.modulation_measures(x)
     with mock.patch.object(quality, "_analytic_band", analytic_band_v1):
-        before = quality.modulation_measures(rec)
+        before = quality.modulation_measures(x)
     assert np.asarray(now).tobytes() == np.asarray(before).tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonassess.audio import Recording, frame_signal
+from phonassess.audio import FRAME, HOP, frame_array
 from phonassess.errors import InsufficientSignalError
 from phonassess.features.phonation import (energy_features, glottal_quotient_stds,
                                            jitter_features, ppe, shimmer_features,
@@ -187,33 +187,29 @@ class TestEnergyFeatures:
 
     def test_me4hz_unmodulated_low(self):
         x = 0.5 * np.sin(2 * np.pi * 150 * np.arange(2 * FS) / FS)
-        rec = Recording(x, FS)
-        frames = frame_signal(rec, 25, 10)
-        _, _, me, _, _ = energy_features(frames, rec)
+        _, _, me, _, _ = energy_features(frame_array(x, FRAME, HOP), x)
         assert me < 0.05
 
     def test_me4hz_modulated_dominates(self):
         t = np.arange(2 * FS) / FS
         carrier = np.sin(2 * np.pi * 150 * t)
         modulated = (1 + 0.5 * np.sin(2 * np.pi * 4.0 * t)) * 0.4 * carrier
-        rec_mod = Recording(modulated, FS)
-        rec_flat = Recording(0.4 * carrier, FS)
-        me_mod = energy_features(frame_signal(rec_mod, 25, 10), rec_mod)[2]
-        me_flat = energy_features(frame_signal(rec_flat, 25, 10), rec_flat)[2]
+        flat = 0.4 * carrier
+        me_mod = energy_features(frame_array(modulated, FRAME, HOP), modulated)[2]
+        me_flat = energy_features(frame_array(flat, FRAME, HOP), flat)[2]
         assert me_mod >= 10 * max(me_flat, 1e-12)
 
     def test_lster_bounds_and_energy(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(2 * FS) * (1 + np.sin(2 * np.pi * np.arange(2 * FS) / FS))
-        rec = Recording(x, FS)
-        frames = frame_signal(rec, 25, 10)
-        energy, tkeo, me, mpsd, lster = energy_features(frames, rec)
+        frames = frame_array(x, FRAME, HOP)
+        energy, tkeo, me, mpsd, lster = energy_features(frames, x)
         assert 0.0 <= lster <= 1.0
         assert len(energy) == len(frames)
         assert np.all(energy >= 0)
         assert mpsd > 0
 
     def test_too_short(self):
-        rec = Recording(np.ones(FS // 2), FS)
+        x = np.ones(FS // 2)
         with pytest.raises(InsufficientSignalError):
-            energy_features(frame_signal(rec, 25, 10), rec)
+            energy_features(frame_array(x, FRAME, HOP), x)

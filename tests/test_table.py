@@ -255,6 +255,17 @@ def test_header_only_csv_is_an_empty_matrix(tmp_path):
     assert matrix.values.shape == (0, 2) and matrix.columns == ["c0", "c1"]
 
 
+def test_score_columns_are_read_by_name(tmp_path):
+    """A score column between feature columns is still a score, not a feature."""
+    path = tmp_path / "features_a_s.csv"
+    path.write_text("subject_id,group,c0,updrs3,c1\nS0,PD,1.0,30,0.5\nS1,PD,2.0,40,0.7\n")
+    matrix = FeatureMatrix.from_csv(path, scope="a_s")
+    assert matrix.columns == ["c0", "c1"]
+    assert matrix.values.tolist() == [[1.0, 0.5], [2.0, 0.7]]
+    assert list(matrix.scores) == ["updrs3"]
+    assert matrix.scores["updrs3"].tolist() == [30.0, 40.0]
+
+
 def test_parse_scope():
     assert parse_scope("a_s") == ("a", "s")
     assert parse_scope("all_ls") == ("all", "ls")
