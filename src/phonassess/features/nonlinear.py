@@ -7,9 +7,23 @@ matrix, from which the Chebyshev distance of m-dimensional delay vectors is
 a running maximum over shifted submatrices. Each block builds each
 Chebyshev matrix once: the (m+1)-dimensional one is the m-dimensional one
 raised by one more shifted base block, and ApEn and SampEn share theirs.
-The correlation sums count distances below a radius in a pair vector sorted
-once, and the LZ76 parse runs on ``bytes.find``. Caps are deterministic, so
-every estimator is bit-reproducible for fixed parameters.
+The LZ76 parse runs on ``bytes.find``. Caps are deterministic, so every
+estimator is bit-reproducible for fixed parameters.
+
+Working set: each n x n matrix is freed once its last reader is done, and
+the only n x n temporaries besides the distance matrices are boolean (the
+pair mask and ApEn's match mask), never integer index matrices.
+- ``complexity_features`` holds base and d_m while it builds d_m, then
+  d_m alone; ``correlation_dimension`` adds its sorted pair vector and
+  ``_largest_lyapunov`` one banded copy of d_m, dropped after ``argmin``.
+- ``_template_entropies`` holds the caller's base and one matrix: d_{m+1}
+  overwrites d_m's leading block once d_m's row counts and pairs are read.
+  The pair vectors of d_m and d_{m+1} are held one at a time, each with
+  the one scratch buffer of ``_kernel_sums``.
+- ``entropy_features`` drops base once the correlation-entropy d_m and
+  d_{m+1} are built. ``_correlation_entropy`` sorts d_m's pair vector in
+  place to read its percentiles; d_{m+1}'s pairs below each radius are
+  counted, not sorted.
 """
 from __future__ import annotations
 
@@ -47,7 +61,8 @@ def _cap_window(x: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _abs_diff(x: np.ndarray) -> np.ndarray:
-    return np.abs(x[:, None] - x[None, :])
+    d = x[:, None] - x[None, :]
+    return np.abs(d, out=d)
 
 
 def _embed_cheb(base: np.ndarray, n_points: int, m: int, tau: int) -> np.ndarray:
@@ -231,7 +246,8 @@ def correlation_dimension(d_m: np.ndarray, theiler: int) -> float | None:
     radii with a positive correlation sum.
     """
     d = d_m[_pair_mask(d_m.shape[0], theiler)]
-    d = np.sort(d[d > 0])
+    d = d[d > 0]
+    d.sort()
     if len(d) < 10:
         return None
     lo, hi = np.percentile(d, [5, 50])
@@ -254,8 +270,9 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
     """
     n1 = d_m1.shape[0]
     pairs = _pair_mask(n1, theiler)
-    dm = np.sort(d_m[:n1, :n1][pairs])
-    pos = dm[dm > 0]
+    dm = d_m[:n1, :n1][pairs]
+    dm.sort()
+    pos = dm[np.searchsorted(dm, 0.0, "right"):]  # the positive distances, a view
     if len(pos) < 10:
         return None
     lo, hi = np.percentile(pos, [10, 60])
@@ -264,8 +281,8 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
     rs = np.exp(np.linspace(np.log(lo), np.log(hi), 6))
     cm = np.searchsorted(dm, rs, "left") / len(dm)
     del dm, pos
-    dm1 = np.sort(d_m1[pairs])
-    cm1 = np.searchsorted(dm1, rs, "left") / len(dm1)
+    dm1 = d_m1[pairs]
+    cm1 = np.array([np.count_nonzero(dm1 < r) for r in rs]) / len(dm1)
     vals = [np.log(a / b) for a, b in zip(cm, cm1) if a > 0 and b > 0]
     return float(np.mean(vals)) if vals else None
 
@@ -273,13 +290,25 @@ def _correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> flo
 def _largest_lyapunov(d_m: np.ndarray, theiler: int) -> float | None:
     """Divergence-rate fit (nearest-neighbor method), nats per sample; None
     when the mean log-divergence curve has fewer than 5 points. The caller
-    passes at least 100 delay vectors."""
+    passes at least 100 delay vectors.
+
+    Each point's nearest neighbour lies outside the Theiler band
+    |i - j| <= theiler. The band is set to inf in a copy of d_m, one
+    diagonal at a time: diagonal k is the flat copy's stride-(n + 1) slice
+    from k (or from -k * n below the main diagonal). A band of n - 1 or more
+    diagonals covers every cell, and a row with no neighbour outside it is
+    not followed. The copy is dropped once ``argmin`` has read it.
+    """
     n = d_m.shape[0]
     d = d_m.copy()
+    flat = d.reshape(-1)
+    for k in range(min(theiler, n - 1) + 1):
+        flat[k : (n - k) * n : n + 1] = np.inf  # (i, i + k)
+        flat[k * n :: n + 1] = np.inf           # (i + k, i)
     idx = np.arange(n)
-    d[np.abs(idx[:, None] - idx[None, :]) <= theiler] = np.inf
     nn = np.argmin(d, axis=1)
     finite = np.isfinite(d[idx, nn])
+    del d, flat
     horizon = min(LLE_FIT_LEN, n // 4)
     curve = []
     for k in range(horizon):
@@ -310,6 +339,7 @@ def complexity_features(x: np.ndarray, tau: int) -> dict[str, float]:
     sd = np.std(w)
     base = _abs_diff(w / sd if sd > 0 else w)  # scale-free distances
     d_m = _embed_cheb(base, n_pts, m, tau)
+    del base
 
     # mean period (samples) sets the temporal exclusion for the Lyapunov fit
     pos = x >= 0
@@ -374,35 +404,45 @@ def renyi_block_entropies(x: np.ndarray) -> tuple[float, float]:
     return count_entropies(counts)
 
 
-def _apen(d_m: np.ndarray, d_m1: np.ndarray, r: float) -> float:
-    """Pincus ApEn(m, r) with self-matches, from the Chebyshev matrices of
-    all m- and (m+1)-dimensional templates."""
-    def phi(d: np.ndarray) -> float:
-        return float(np.mean(np.log(np.mean(d <= r, axis=1))))
-
-    return phi(d_m) - phi(d_m1)
+def _phi(d: np.ndarray, r: float) -> float:
+    """Pincus' Phi: mean log share of each template's matches within r, self
+    included, from the Chebyshev matrix of all templates of one length."""
+    return float(np.mean(np.log(np.mean(d <= r, axis=1))))
 
 
 def _kernel_sums(u: np.ndarray) -> list[float]:
-    """sum K(u) for each of SE_KERNELS, in order.
+    """sum K(u) for each of SE_KERNELS, in order, in one scratch buffer.
 
     Each sum runs over the same full-length array of kernel values as
     ``K(u).sum()``, so the sums are bitwise those of the definitions; the
-    k1 count of 0/1 values is exact.
+    k1 count of 0/1 values is exact. k2, k3 and k7 are computed in place.
+    k4, k5, k6 and k8 are +0.0 wherever u >= 1 (u holds no NaN), so only
+    the near pairs' values are computed and scattered into the zeroed buffer.
     """
-    sq = u**2
-    k5 = np.maximum(0.0, 1.0 - sq)
     near = u < 1.0
-    k8 = np.zeros_like(u)
-    k8[near] = np.cos(0.5 * np.pi * u[near])
-    return [float(np.count_nonzero(near)),
-            float(np.exp(-0.5 * sq).sum()),
-            float(np.exp(-u).sum()),
-            float(np.maximum(0.0, 1.0 - u).sum()),
-            float(k5.sum()),
-            float((k5**2).sum()),
-            float((1.0 / (1.0 + sq)).sum()),
-            float(k8.sum())]
+    buf = np.square(u)
+    np.add(1.0, buf, out=buf)
+    k7 = float(np.divide(1.0, buf, out=buf).sum())
+    np.square(u, out=buf)
+    np.multiply(-0.5, buf, out=buf)
+    k2 = float(np.exp(buf, out=buf).sum())
+    np.negative(u, out=buf)
+    k3 = float(np.exp(buf, out=buf).sum())
+
+    buf.fill(0.0)
+    un = u[near]
+
+    def near_sum(values: np.ndarray) -> float:
+        buf[near] = values
+        return float(buf.sum())
+
+    k5 = np.maximum(0.0, 1.0 - un**2)
+    return [float(np.count_nonzero(near)), k2, k3,
+            near_sum(np.maximum(0.0, 1.0 - un)),
+            near_sum(k5),
+            near_sum(k5**2),
+            k7,
+            near_sum(np.cos(0.5 * np.pi * un))]
 
 
 def _template_entropies(base: np.ndarray, m: int, r: float) -> dict[str, float]:
@@ -413,18 +453,21 @@ def _template_entropies(base: np.ndarray, m: int, r: float) -> dict[str, float]:
     recovers classic SampEn. An empty match count falls back to the ln of
     the pair count (the conventional ceiling). ApEn's (m+1)-dim matrix is
     SampEn's d_{m+1}, and SampEn's d_m is the leading block of ApEn's m-dim
-    matrix, so each is built once.
+    matrix, so each is built once. Once d_m's row counts and pairs are read,
+    d_{m+1} overwrites its leading block, so one matrix is held besides base.
     """
-    d_m = _embed_cheb(base, len(base) - m + 1, m, 1)
-    d_m1 = np.maximum(d_m[:-1, :-1], base[m:, m:])
-    out = {"ae": _apen(d_m, d_m1, r)}
-    pairs = _pair_mask(len(d_m1), 0)
-    um = d_m[:-1, :-1][pairs] / r
-    del d_m
-    n_pairs = len(um)
-    b = _kernel_sums(um)
-    del um
-    a = _kernel_sums(d_m1[pairs] / r)
+    d = _embed_cheb(base, len(base) - m + 1, m, 1)  # d_m
+    phi_m = _phi(d, r)
+    pairs = _pair_mask(len(d) - 1, 0)
+    u = d[:-1, :-1][pairs]
+    n_pairs = len(u)
+    b = _kernel_sums(np.divide(u, r, out=u))
+    del u
+    d = np.maximum(d[:-1, :-1], base[m:, m:], out=d[:-1, :-1])  # d_{m+1}
+    out = {"ae": phi_m - _phi(d, r)}
+    u = d[pairs]
+    del d
+    a = _kernel_sums(np.divide(u, r, out=u))
     for name, ak, bk in zip(SE_KERNELS, a, b):
         if ak <= 0 or bk <= 0:
             out[f"se_{name}"] = float(np.log(max(n_pairs, 2)))
@@ -462,6 +505,7 @@ def entropy_features(x: np.ndarray, tau: int) -> dict[str, float]:
     if n_m1 >= 100:
         d_m = _embed_cheb(base, len(w) - (m - 1) * tau, m, tau)
         d_m1 = np.maximum(d_m[:n_m1, :n_m1], base[m * tau :, m * tau :])
+        del base
         ce = _correlation_entropy(d_m, d_m1, theiler=tau)
         if ce is not None:
             out["ce"] = ce

@@ -117,13 +117,19 @@ class FeatureMatrix:
     def from_csv(cls, path, scope: str = "") -> "FeatureMatrix":
         """The matrix ``to_csv`` wrote to ``path``. A ``SCORE_COLUMNS`` name is
         a score wherever it stands in the header; the other columns are the
-        features, in header order. A file that is not a matrix raises
-        ``PhonassessError`` naming the file, the line and the column."""
+        features, in header order. A file that is not a matrix, or whose header
+        names a column twice, raises ``PhonassessError`` naming the file, the
+        line and the column."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or len(rows[0]) < 2:
             raise PhonassessError(f"{path}, line 1: no header of subject_id, group and columns")
         header, rows = rows[0], rows[1:]
+        named = set()
+        for name in header:
+            if name in named:
+                raise PhonassessError(f"{path}, line 1, column {name}: named twice in the header")
+            named.add(name)
         cells = []  # every row's scores, then its values
         for line, row in enumerate(rows, start=2):
             if len(row) != len(header):

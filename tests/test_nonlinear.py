@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from phonassess.features.nonlinear import (MI_BINS, MI_FLAT, MI_VALLEY_SPAN, MI_
                                            entropy_features, first_acf_zero, fmmi, katz_fd,
                                            lz76_count, normalized_lempel_ziv,
                                            permutation_entropy)
+from phonassess.synth import synth_vowel
 
 
 def brute_force_fmmi(x, max_lag):
@@ -180,3 +183,35 @@ class TestEntropies:
     def test_constant_block_leaves_ce_out(self):
         x = np.zeros(8000)
         assert "ce" not in entropy_features(x, 1)
+
+
+WORKING_SET_MIB = 32
+
+
+def traced_peak_mib(fn, *args) -> float:
+    """Peak memory (MiB) traced while ``fn(*args)`` runs, above what was
+    traced before it; numpy reports its array buffers to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_pairwise_estimators_hold_a_bounded_working_set():
+    """Each pairwise estimator holds only the n x n matrices it still reads.
+    On a 2 s vowel (PAIR_CAP delay vectors) and on one 0.5 s block of it
+    (an ENTROPY_CAP window) each peak stays within 32 MiB; holding every
+    matrix to the end of its function took 55 and 39 MiB."""
+    x = synth_vowel(fs=16000, seed=1)
+    tau = fmmi(x)
+    complexity = traced_peak_mib(complexity_features, x, tau)
+    entropy = traced_peak_mib(entropy_features, x[:8000], tau)
+    assert complexity <= WORKING_SET_MIB, complexity
+    assert entropy <= WORKING_SET_MIB, entropy

@@ -2,14 +2,18 @@
 
 ``lz76_count`` parses with ``bytes.find``, ApEn and SampEn share their
 Chebyshev matrices (``_template_entropies``), the SampEn kernel sums skip
-work they do not need, and the correlation sums count in sorted pair
-vectors. The former kernels are kept verbatim below as references; every
-value must be bitwise the same.
+work they do not need, the correlation sums count in sorted pair vectors,
+and the Lyapunov fit masks its Theiler band without index matrices. The
+former kernels are kept verbatim below as references; every value must be
+bitwise the same.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonassess.errors import InsufficientSignalError
 from phonassess.features import nonlinear
+from phonassess.synth import synth_vowel
 
 
 # ---- references: the former kernels, kept verbatim -------------------------
@@ -98,6 +102,52 @@ def ref_correlation_entropy(d_m: np.ndarray, d_m1: np.ndarray, theiler: int) -> 
         if cm > 0 and cm1 > 0:
             vals.append(np.log(cm / cm1))
     return float(np.mean(vals)) if vals else None
+
+
+def ref_largest_lyapunov(d_m: np.ndarray, theiler: int) -> float | None:
+    """Divergence-rate fit (nearest-neighbor method), nats per sample; None
+    when the mean log-divergence curve has fewer than 5 points. The caller
+    passes at least 100 delay vectors."""
+    n = d_m.shape[0]
+    d = d_m.copy()
+    idx = np.arange(n)
+    d[np.abs(idx[:, None] - idx[None, :]) <= theiler] = np.inf
+    nn = np.argmin(d, axis=1)
+    finite = np.isfinite(d[idx, nn])
+    horizon = min(nonlinear.LLE_FIT_LEN, n // 4)
+    curve = []
+    for k in range(horizon):
+        valid = finite & (idx + k < n) & (nn + k < n)
+        if valid.sum() < 10:
+            break
+        sep = d_m[idx[valid] + k, nn[valid] + k]
+        sep = sep[sep > 0]
+        if len(sep) < 10:
+            break
+        curve.append(np.mean(np.log(sep)))
+    if len(curve) < 5:
+        return None
+    slope, _ = np.polyfit(np.arange(len(curve)), curve, 1)
+    return float(slope)
+
+
+def ref_complexity_features(x: np.ndarray, tau: int) -> dict[str, float]:
+    """cd, he and lle as the former ``complexity_features`` assembled them."""
+    x = np.asarray(x, dtype=np.float64)
+    m = nonlinear.EMBED_DIM
+    w = nonlinear._cap_window(x, nonlinear.PAIR_CAP + (m - 1) * tau)
+    n_pts = len(w) - (m - 1) * tau
+    sd = np.std(w)
+    ws = w / sd if sd > 0 else w
+    base = np.abs(ws[:, None] - ws[None, :])
+    d_m = _embed_cheb(base, n_pts, m, tau)
+    pos = x >= 0
+    crossings = np.count_nonzero(pos[1:] != pos[:-1])
+    theiler = max(tau, int(2 * len(x) / max(crossings, 2)))
+    out = {"cd": ref_correlation_dimension(d_m, theiler=tau),
+           "he": nonlinear.hurst_exponent(x),
+           "lle": ref_largest_lyapunov(d_m, theiler)}
+    return {name: v for name, v in out.items() if v is not None}
 
 
 SE_KERNELS = {
@@ -270,4 +320,63 @@ def test_entropy_features_match_references(signal, tau):
         return
     feats = nonlinear.entropy_features(x, tau)
     expected = ref_pairwise_entropies(x, tau)
+    assert same({k: feats[k] for k in feats if k in expected or k == "ce"}, expected)
+
+
+def lyapunov_input(x: np.ndarray, m: int, tau: int) -> np.ndarray:
+    """The Chebyshev matrix ``complexity_features`` hands the Lyapunov fit."""
+    base = np.abs(x[:, None] - x[None, :])
+    return _embed_cheb(base, len(x) - (m - 1) * tau, m, tau)
+
+
+def same_value(a, b) -> bool:
+    """Both None, or bitwise-equal floats."""
+    return (a is None) == (b is None) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(signals(130, 450), st.integers(2, 4), st.integers(1, 10), st.integers(1, 500))
+def test_largest_lyapunov_matches_reference(signal, m, tau, theiler):
+    """Theiler bands from one diagonal past the self-match up to beyond n,
+    where every cell lies in the band and no row has a neighbour."""
+    x, _ = signal
+    d_m = lyapunov_input(x, m, tau)
+    kept = d_m.copy()
+    assert same_value(nonlinear._largest_lyapunov(d_m, theiler),
+                      ref_largest_lyapunov(d_m, theiler))
+    assert np.array_equal(d_m, kept)  # the caller's matrix is read, never written
+
+
+@pytest.mark.parametrize("past", [-2, -1, 0, 1, 40])
+def test_largest_lyapunov_band_at_matrix_edge(past):
+    """theiler = n - 2 leaves the two corner cells outside the band; n - 1 or more covers all."""
+    x = np.sin(2 * np.pi * np.arange(300) / 37) + 0.1 * np.random.default_rng(5).standard_normal(300)
+    d_m = lyapunov_input(x, 3, 4)
+    theiler = d_m.shape[0] + past
+    assert same_value(nonlinear._largest_lyapunov(d_m, theiler),
+                      ref_largest_lyapunov(d_m, theiler))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(signals(100, 600), signals(1180, 1300)), st.integers(1, 20))
+def test_complexity_features_match_references(signal, tau):
+    """Short signals and ones past the PAIR_CAP window."""
+    x, _ = signal
+    if len(x) - (nonlinear.EMBED_DIM - 1) * tau < 100:
+        with pytest.raises(InsufficientSignalError):
+            nonlinear.complexity_features(x, tau)
+        return
+    assert same(nonlinear.complexity_features(x, tau), ref_complexity_features(x, tau))
+
+
+@pytest.mark.parametrize("seed", [1, 11, 33])
+def test_vowel_features_match_references(seed):
+    """A 2 s vowel at its own delay: complexity_features over the whole of it
+    and entropy_features over its first 0.5 s block, as extraction calls them."""
+    x = synth_vowel(fs=16000, seed=seed)
+    tau = nonlinear.fmmi(x)
+    assert same(nonlinear.complexity_features(x, tau), ref_complexity_features(x, tau))
+    block = x[:8000]
+    feats = nonlinear.entropy_features(block, tau)
+    expected = ref_pairwise_entropies(nonlinear._cap_window(block, nonlinear.ENTROPY_CAP), tau)
     assert same({k: feats[k] for k in feats if k in expected or k == "ce"}, expected)

@@ -240,7 +240,11 @@ def test_build_matrix_equals_per_scope_summaries(scope, case):
     ("subject_id,group,updrs3,c0,c1\nS1,PD,12,abc,1\n", "line 2, column c0"),
     ("subject_id,group,updrs3,c0,c1\nS1,PD,12,0.5\n", "line 2: 4 cells"),
     ("subject_id,group,updrs3,c0,c1\nS1,PD,12,0.5,1,7\n", "line 2: 6 cells"),
-], ids=["empty", "short_header", "bad_score", "bad_value", "short_row", "long_row"])
+    ("subject_id,group,updrs3,updrs3,c0,c0\nS0,PD,10,30,1.0,2.0\nS1,PD,20,40,3.0,4.0\n",
+     "line 1, column updrs3"),
+    ("subject_id,group,c0,c1,c0\nS0,PD,1.0,2.0,3.0\n", "line 1, column c0"),
+], ids=["empty", "short_header", "bad_score", "bad_value", "short_row", "long_row",
+        "repeated_score", "repeated_feature"])
 def test_malformed_csv_is_a_data_error_naming_its_place(tmp_path, text, where):
     path = tmp_path / "features_a_s.csv"
     path.write_text(text)
