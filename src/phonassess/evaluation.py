@@ -9,7 +9,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigError, PhonassessError
-from .models import LearnerSpec, check_complete, is_regression_target
+from .models import LearnerSpec, check_complete
 
 POSITIVE_CLASS = "PD"
 
@@ -210,18 +210,16 @@ class LooResult:
         return len(self.predicted) + len(self.failed_folds) < len(self.predictions)
 
 
-def fold_order(y) -> np.ndarray:
-    """The rows in the order their folds are routed: row order for a numeric
-    target; for class labels the classes interleaved, the k-th of a class's
-    c rows placed at (k + 1/2) / c (ties in row order), so any prefix of the
-    folds holds each class in about its share."""
-    y = np.asarray(y)
-    if is_regression_target(y):
-        return np.arange(len(y))
-    _, codes = np.unique(y.astype(str), return_inverse=True)
-    share = np.empty(len(y))
-    for c in np.unique(codes):
-        rows = np.flatnonzero(codes == c)
+def fold_order(classes: list[str], target: np.ndarray) -> np.ndarray:
+    """The rows in the order their folds are routed (``check_complete``'s
+    codes): row order for a numeric target; else the classes interleaved,
+    the k-th of a class's c rows placed at (k + 1/2) / c (ties in row
+    order), so any prefix of the folds holds each class in about its share."""
+    if not classes:
+        return np.arange(len(target))
+    share = np.empty(len(target))
+    for code in range(len(classes)):
+        rows = np.flatnonzero(target == code)
         share[rows] = (np.arange(rows.size) + 0.5) / rows.size
     return np.argsort(share, kind="stable")
 
@@ -229,23 +227,23 @@ def fold_order(y) -> np.ndarray:
 def loo_validate(X, y, learner: LearnerSpec, stop=None) -> LooResult:
     """Leave-one-out: for each row i, train ``learner`` on the others and predict i.
 
-    The rows must be complete: a missing cell in ``X``, or a missing or
-    infinite value in a numeric ``y``, raises ``PhonassessError`` before any
-    fold is built (``models.check_complete``; every fold but that row's own
-    would fail to train). The lanes of all folds go through one call of the
-    learner's router (``LearnerSpec.route``), in ``fold_order``. It grows
-    them lazily, in batches under its byte budget
-    (``models.LANE_BUDGET_BYTES``), and carries each fold's held-out row down
-    the splits as they are made; the folds' leaves are read one fold at a
-    time. A fold predicts its CART's leaf, or the label most of its forest's
+    ``y`` is coded once and the rows must be complete
+    (``models.check_complete``): a missing cell in ``X``, a missing or infinite
+    value in a numeric ``y`` or a third label raises ``PhonassessError`` before
+    any fold is built. The lanes of all folds go through one call of the
+    learner's router (``LearnerSpec.route``, where a forest refuses a numeric
+    ``y``), in ``fold_order``. It grows them lazily, in batches under its byte
+    budget (``models.LANE_BUDGET_BYTES``), and carries each fold's held-out row
+    down the splits as they are made; the folds' leaves are read one fold at a
+    time. A fold predicts its CART's leaf, or the class most of its forest's
     trees reach (a tie goes to the lexicographically smallest):
-    ``LearnerSpec.vote``. Fold i trains with ``learner.seed + i``, so the
-    result is deterministic given the learner, whatever the fold order, and
-    a forest's tree streams are set up once per process
-    (``models.STREAM_MEMO_BYTES``) however many subsets a search scores.
-    Folds whose training fails (a forest fold left with one class) are
-    recorded and predict NaN. A numeric ``y`` gives float predictions, class
-    labels object ones.
+    ``LearnerSpec.vote``, whose code is written as its label. Fold i trains
+    with ``learner.seed + i``, so the result is deterministic given the
+    learner, whatever the fold order, and a forest's tree streams are set up
+    once per process (``models.STREAM_MEMO_BYTES``) however many subsets a
+    search scores. Folds whose training fails (a forest fold left with one
+    class) are recorded and predict NaN. A numeric ``y`` gives float
+    predictions, class labels object ones.
 
     ``stop``, when given, is asked with the result so far (its ``predicted``
     folds hold their predictions, the others NaN) before any lane is routed
@@ -256,26 +254,26 @@ def loo_validate(X, y, learner: LearnerSpec, stop=None) -> LooResult:
     n = len(X)
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
-    X, y = check_complete(X, y)
+    X, classes, target = check_complete(X, y)
     folds = {}
-    for i in fold_order(y).tolist():
+    for i in fold_order(classes, target).tolist():
         try:
-            folds[i] = learner.lanes(y, np.delete(np.arange(n), i), learner.seed + i)
+            folds[i] = learner.lanes(target, np.delete(np.arange(n), i), learner.seed + i)
         except PhonassessError:
             pass
-    result = LooResult(np.full(n, float("nan"), dtype=object),
+    result = LooResult(np.full(n, np.nan, dtype=object if classes else np.float64),
                        [i for i in range(n) if i not in folds])
     proceed = None if stop is None else (lambda: not stop(result))
     if folds and (proceed is None or proceed()):
         held_out = np.repeat(np.fromiter(folds, dtype=np.intp, count=len(folds)),
                              [len(lanes) for lanes in folds.values()])
-        leaves = learner.route(X, y, chain.from_iterable(folds.values()), held_out, proceed)
+        leaves = learner.route(X, classes, target, chain.from_iterable(folds.values()),
+                               held_out, proceed)
         for i, lanes in folds.items():
             reached = list(islice(leaves, len(lanes)))
             if len(reached) < len(lanes):  # ``stop`` ended the routing
                 break
-            result.predictions[i] = learner.vote(reached)
+            leaf = learner.vote(reached)
+            result.predictions[i] = classes[leaf] if classes else leaf
             result.predicted.append(i)
-    if is_regression_target(y):
-        result.predictions = result.predictions.astype(np.float64)
     return result

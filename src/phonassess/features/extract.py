@@ -15,13 +15,14 @@ measure) rows holding each per-vowel registry name once (checked at import).
 Recording rows run once, block rows in every analysis block, cycle-block rows
 in every block with cycle marks. A name mismatch raises ValueError.
 
-Failures never abort a recording. A failed recording-level measure yields
-NaN for each of its features plus a failure entry; so does a feature its
-measure leaves out (``cd`` without a scaling region) and an IMF1 measure
-(``imf_cpp``, ``imf_gne``) that fails while the other IMF features succeed,
-and so does every cycle-block name when cycle detection fails. A failed
-block measure is skipped for that block without a trace; only a contour that
-no block gave a value gets NaN and the failure "no block produced a value".
+Failures never abort a recording. A failed recording-level measure yields NaN
+for each of its features plus a failure entry; so does a feature its measure
+leaves out (``cd`` without a scaling region) and an IMF1 measure (``imf_cpp``,
+``imf_gne``) that fails while the other IMF features succeed, and so does every
+cycle-block name when cycle detection fails. A failed block measure, or a name
+it leaves out (``bic_bcmd`` and ``bic_bcpd`` in the first block), is skipped
+for that block without a trace; only a contour that no block gave a value gets
+NaN and the failure "no block produced a value".
 """
 from __future__ import annotations
 
@@ -76,15 +77,12 @@ def _formants(s: _Inputs):
 
 
 def _higher_order(s: _Inputs) -> dict[str, float]:
-    # bcmd/bcpd compare with the previous block's bicepstrum: NaN in the
-    # first block and after a failed one, and then not pushed
+    # bcmd/bcpd need the previous block's bicepstrum: none after a failed block
     prev, s.prev_cep = s.prev_cep, None
     est = highorder.estimate_bispectrum(frame_array(s.block, highorder.NFFT, highorder.NFFT // 2))
     cep = highorder.bicepstrum(est)
     values = {f"bis_{k}": v for k, v in highorder.bispectral_features(est).items()}
-    values.update((f"bic_{k}", v)
-                  for k, v in highorder.bicepstral_features(est, cep, prev).items()
-                  if not np.isnan(v))
+    values.update((f"bic_{k}", v) for k, v in highorder.bicepstral_features(est, cep, prev).items())
     s.prev_cep = cep
     return values
 

@@ -169,8 +169,8 @@ def bicepstral_features(est: BispectrumEstimate, c: np.ndarray,
     bcmd/bcpd compare ``c`` with ``prev``, the previous analysis block's
     bicepstrum. The zero-quefrency cell carries the overall gain and is
     excluded everywhere, making the indices invariant to amplitude scaling.
-    With no previous block the two distances are NaN (the caller builds the
-    contour from consecutive blocks).
+    With no previous block the two distances are left out (the caller builds
+    the contour from consecutive blocks).
     """
     mag = np.abs(c)
     mag0 = mag.copy()
@@ -199,20 +199,17 @@ def bicepstral_features(est: BispectrumEstimate, c: np.ndarray,
     lcbcer = float(cep_sq[: split].sum() / max(bic_low, _EPS))
     hcbcer = float(cep_sq[split:].sum() / max(bic_high, _EPS))
 
-    if prev is not None:
-        dmag = np.abs(prev)
-        dmag[0, 0] = 0.0
-        bcmd = float(np.mean(np.abs(mag0 - dmag)))
-        dphi = np.angle(c) - np.angle(prev)
-        dphi = np.abs((dphi + np.pi) % (2 * np.pi) - np.pi)
-        dphi[0, 0] = 0.0
-        bcpd = float(np.mean(dphi))
-    else:
-        bcmd = float("nan")
-        bcpd = float("nan")
-    return {
+    values = {
         "bcii": bcii, "hfebc": hfebc, "lfebc": lfebc,
         "cmii": cmii, "bcpii": bcpii,
         "lcbcer": lcbcer, "hcbcer": hcbcer,
-        "bcmd": bcmd, "bcpd": bcpd,
     }
+    if prev is not None:
+        dmag = np.abs(prev)
+        dmag[0, 0] = 0.0
+        values["bcmd"] = float(np.mean(np.abs(mag0 - dmag)))
+        dphi = np.angle(c) - np.angle(prev)
+        dphi = np.abs((dphi + np.pi) % (2 * np.pi) - np.pi)
+        dphi[0, 0] = 0.0
+        values["bcpd"] = float(np.mean(dphi))
+    return values

@@ -284,15 +284,16 @@ def glottal_noise_excitation(x: np.ndarray) -> float:
     bands stepped by 300 Hz (centers up to 4.5 kHz) are cross-correlated,
     and the maximum correlation between bands at least half a bandwidth apart
     is returned. Glottal excitation drives all bands coherently (ratio near
-    1); turbulent noise decorrelates them.
+    1); turbulent noise decorrelates them. A too-short input or a singular
+    LPC model (say, a zero-energy one) raises ``InsufficientSignalError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if len(x) < GNE_LPC_ORDER * 4:
         raise InsufficientSignalError("too short for excitation analysis")
     try:
         a = lpc_coefficients(x * np.hanning(len(x)), GNE_LPC_ORDER)
-    except np.linalg.LinAlgError:
-        return 0.0
+    except np.linalg.LinAlgError as exc:
+        raise InsufficientSignalError("singular excitation model") from exc
     excitation = np.convolve(x, a, mode="same")
     n = len(excitation)
     spec = np.fft.fft(excitation)

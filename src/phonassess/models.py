@@ -7,8 +7,10 @@ ties between equally good splits resolve to the lowest feature index then
 the lowest threshold, and every tree draws its randomness from a stream
 spawned off the master seed, whatever the order its lanes grow in. The
 target's dtype picks the task (``is_regression_target``): numbers are
-regressed, anything else is classified: two labels at most (the paper's
-PD and HC), coded once as 0 and 1 in sorted order.
+regressed, anything else is classified. ``code_target`` is the one coder
+(sorted labels, each row's code among them) and ``check_complete`` the one
+check (two labels at most: the paper's PD and HC); the grower and
+leave-one-out work on the codes. A forest refuses a numeric target.
 
 One grower does it all, and it builds no tree. A *lane* is one tree on its
 own row sample (a CART, or one of a forest's bootstrapped trees) with one
@@ -26,7 +28,8 @@ whose working arrays stay under ``LANE_BUDGET_BYTES``.
 
 ``_grow`` (called by ``LearnerSpec.route``) carries each lane's held-out row
 down its splits as they are made (with the same ``<=``) and gives the value
-of the leaf it reaches. Held-out rows are complete (``check_complete``). A
+of the leaf it reaches, a class code for class labels. Held-out rows are
+complete (``check_complete``). A
 CART lane grows only its row's path. A forest lane grows its tree in
 preorder up to its row's leaf, because its node draws follow the preorder;
 the nodes after that leaf could change only the lane's own later draws, so
@@ -265,35 +268,32 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return a[0] + a[1]
 
 
-def _codes(y) -> tuple[list[str], np.ndarray]:
+def code_target(y) -> tuple[list[str], np.ndarray]:
     """A class target's sorted labels and each row's code among them, or no
-    labels and the numeric target as floats. More than two labels raise
-    ``PhonassessError``: trees classify two labels."""
+    labels and a numeric target as floats."""
     if is_regression_target(y):
         return [], np.asarray(y, dtype=np.float64)
     names, codes = np.unique(np.asarray([str(v) for v in y]), return_inverse=True)
-    if len(names) > 2:
-        raise PhonassessError(f"trees classify two labels, got {len(names)}")
     return names.tolist(), codes
 
 
-def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out, proceed=None):
+def _grow(X, target, n_classes, min_leaf, n_candidates, lanes, held_out, proceed=None):
     """Yield, in lane order, the value of the leaf lane i's tree sends its
-    held-out row ``X[held_out[i]]`` to (its label for class targets).
+    held-out row ``X[held_out[i]]`` to (its class code for class targets).
 
-    ``lanes`` yields ``(rows, stream)`` pairs: the training rows as indices
-    into ``X`` (in order, repeats allowed) and, for a forest tree, its
-    (seed, tree) stream, which bootstraps ``rows`` and draws each node's
-    ``n_candidates`` candidate columns; a CART lane's stream is None. With
-    ``n_candidates`` None (or at least the column count) every column is a
-    candidate. Each held-out row must miss no value. The target is coded
-    once (``_codes``: at most two labels) and the lanes grow in batches
-    under ``LANE_BUDGET_BYTES``. ``proceed``, when given, is asked before
-    each batch after the first; the leaves end where it answers False.
+    ``X`` and ``target`` come from ``check_complete``, the one check, whose
+    ``code_target`` is the one coder: class codes below ``n_classes``, or
+    floats when it is 0 (a forest refused those in ``LearnerSpec.route``);
+    nothing is coded or converted here. ``lanes`` yields ``(rows, stream)``
+    pairs: the training rows as indices into ``X`` (in order, repeats allowed)
+    and, for a forest tree, its (seed, tree) stream, which bootstraps ``rows``
+    and draws each node's ``n_candidates`` candidate columns; a CART lane's
+    stream is None. With ``n_candidates`` None (or at least the column count)
+    every column is a candidate. The lanes grow in batches under
+    ``LANE_BUDGET_BYTES``. ``proceed``, when given, is asked before each batch
+    after the first; the leaves end where it answers False.
     """
-    X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
-    classes, target = _codes(y)
     if n_candidates is not None and n_candidates >= p:
         n_candidates = None
     per_batch = max(1, LANE_BUDGET_BYTES // (CELL_BYTES * max(n, 1) * max(p, 1)))
@@ -304,10 +304,10 @@ def _grow(X, y, min_leaf: int, n_candidates: int | None, lanes, held_out, procee
             return
         held = held_out[done:done + len(batch)]
         done += len(batch)
-        yield from _grow_batch(X, target, classes, batch, min_leaf, n_candidates, held)
+        yield from _grow_batch(X, target, n_classes, batch, min_leaf, n_candidates, held)
 
 
-def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
+def _grow_batch(X, target, n_classes, lanes, min_leaf, n_candidates, held):
     """Grow a batch of lanes in lockstep preorder; the values of the leaves
     their held-out rows ``held`` (one per lane) reach."""
     m, p = len(lanes), X.shape[1]
@@ -337,7 +337,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
     # positions with every node's rows together, in row order
     runs = np.broadcast_to(np.arange(width), (m, width)).copy()
     held_slot = np.zeros(m, dtype=np.intp)  # the held-out row's stack slot; -1 once in its leaf
-    reached = np.zeros(m, dtype=np.intp if classes else np.float64)
+    reached = np.zeros(m, dtype=np.intp if n_classes else np.float64)
     # a lane grows only its row's path, unless node draws (which follow the
     # preorder) need every node before its row's leaf
     whole = n_candidates is not None
@@ -364,13 +364,13 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 cand = words.candidates(lane, p, n_candidates)
             feature[scanned], threshold[scanned] = _best_splits(
                 by_rank, rank, runs, lane, lo[scanned], count[scanned], cand,
-                len(classes), min_leaf)
+                n_classes, min_leaf)
 
         split = feature >= 0
         here = held_slot[live] == top  # the held-out row is at this node
         if (ends := np.flatnonzero(here & ~split)).size:  # and this node is its leaf
             reached[live[ends]] = _leaf_values(runs, ys, live[ends], lo[ends], count[ends],
-                                               pure[ends], small[ends], len(classes))
+                                               pure[ends], small[ends], n_classes)
             held_slot[live[ends]] = -1
 
         if (cut := np.flatnonzero(split)).size:  # ties go left; the left child goes on top
@@ -390,7 +390,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
                 if (at := np.flatnonzero(here[cut] & go & leafy)).size:
                     reached[lane[at]] = _leaf_values(runs, ys, lane[at], first[at], n[at],
                                                      pure_side[at], n[at] < 2 * min_leaf,
-                                                     len(classes))
+                                                     n_classes)
                     held_slot[lane[at]] = -1
             moves = here[cut] & ((goes[0] & kept[0]) | (goes[1] & kept[1]))
             held_slot[lane[moves]] = t[moves] + (goes[0] & kept[1])[moves]
@@ -404,7 +404,7 @@ def _grow_batch(X, target, classes, lanes, min_leaf, n_candidates, held):
             depth[live[cut]] = slot
         depth[live[~split]] = top[~split]
         depth[held_slot < 0] = 0  # a lane whose row is in its leaf is done
-    return [classes[r] for r in reached] if classes else reached.tolist()
+    return reached.tolist()
 
 
 def _best_splits(by_rank, rank, runs, lane, lo, count, cand, n_classes, min_leaf):
@@ -521,32 +521,34 @@ def _groups(count: np.ndarray, cells: int) -> list[tuple[int, int]]:
     return groups
 
 
-def check_complete(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` as a float matrix and ``y`` as an array, once they are known to
-    train a model: ``X`` is 2-D and misses no cell, a numeric ``y`` holds no
-    missing or infinite value, and class labels number at most two. Else
-    raises ``PhonassessError``."""
+def check_complete(X, y) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """``(X, classes, target)``: ``X`` as a float matrix and ``y`` coded
+    (``code_target``), once they are known to train a model: ``X`` is 2-D
+    and misses no cell, a numeric ``y`` holds no missing or infinite value,
+    and class labels number at most two. Else raises ``PhonassessError``."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
     if X.ndim != 2:
         raise PhonassessError("X must be 2-D")
     if np.isnan(X).any():
         raise PhonassessError("matrix contains missing values; drop rows first")
-    if is_regression_target(y) and not np.isfinite(y).all():
+    classes, target = code_target(y)
+    if not classes and not np.isfinite(target).all():
         raise PhonassessError("target contains missing or infinite values; drop rows first")
-    _codes(y)
-    return X, y
+    if len(classes) > 2:
+        raise PhonassessError(f"trees classify two labels, got {len(classes)}")
+    return X, classes, target
 
 
 @dataclass
 class LearnerSpec:
     """What to train inside the wrapper and the final evaluation.
 
-    The target's dtype picks what a CART does; a forest always classifies.
-    Either classifies two labels at most. A forest's trees grow to purity
-    (``min_leaf`` 1) on bootstrap samples with sqrt(p) candidate columns per
-    node. ``min_leaf`` applies to a single CART only; ``seed`` is the
-    leave-one-out seed.
+    Its methods take the target as ``check_complete`` codes it
+    (``code_target``, the one coder). A CART regresses a numeric target and
+    classifies class codes; a forest classifies only and refuses a numeric
+    target (``route``). A forest's trees grow to purity (``min_leaf`` 1) on
+    bootstrap samples with sqrt(p) candidate columns per node. ``min_leaf``
+    applies to a single CART only; ``seed`` is the leave-one-out seed.
     """
 
     kind: str = "cart"             # "cart" | "forest"
@@ -560,9 +562,9 @@ class LearnerSpec:
         if self.n_trees < 1:
             raise PhonassessError(f"n_trees must be at least 1, got {self.n_trees}")
 
-    def lanes(self, y: np.ndarray, rows: np.ndarray, seed: int) -> list:
+    def lanes(self, target: np.ndarray, rows: np.ndarray, seed: int) -> list:
         """The lanes of one model trained on the rows ``rows`` of a complete
-        matrix and its target ``y`` (``check_complete``).
+        matrix and its coded target ``target`` (``check_complete``).
 
         Raises ``PhonassessError`` when those rows cannot train the model:
         there are none, or a forest's rows hold one class only.
@@ -571,48 +573,54 @@ class LearnerSpec:
             raise PhonassessError("empty training set")
         if self.kind == "cart":
             return [(rows, None)]
-        if len(set(map(str, y[rows].tolist()))) < 2:
+        if (target[rows] == target[rows[0]]).all():
             raise PhonassessError("need at least two classes to train a forest")
         return [(rows, (seed, tree)) for tree in range(self.n_trees)]
 
-    def route(self, X: np.ndarray, y: np.ndarray, lanes, held_out, proceed=None):
+    def route(self, X, classes: list[str], target, lanes, held_out, proceed=None):
         """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to, in
-        order: its value. The held-out rows must miss no value. The lanes
-        grow lazily, a batch at a time; ``proceed`` (see ``_grow``) may end
-        them between two batches."""
-        if self.kind == "forest":  # string labels: a forest classifies any y
-            grower = [str(v) for v in y], 1, max(1, int(np.sqrt(X.shape[1])))
+        order: its value, a class code for class labels. ``X``, ``classes``
+        and ``target`` are what ``check_complete`` returns; the held-out rows
+        must miss no value. A forest given a numeric target raises
+        ``PhonassessError`` here. The lanes grow lazily, a batch at a time;
+        ``proceed`` (see ``_grow``) may end them between two batches."""
+        if self.kind == "cart":
+            grower = self.min_leaf, None
+        elif classes:
+            grower = 1, max(1, int(np.sqrt(X.shape[1])))
         else:
-            grower = y, self.min_leaf, None
-        return _grow(X, *grower, lanes, np.asarray(held_out, dtype=np.intp), proceed)
+            raise PhonassessError("a forest classifies class labels, got a numeric target")
+        return _grow(X, target, len(classes), *grower, lanes,
+                     np.asarray(held_out, dtype=np.intp), proceed)
 
     def vote(self, leaves):
         """One row's prediction from the next leaves ``route`` yields for it:
-        a CART's leaf, or the label most of a forest's trees reach
+        a CART's leaf, or the class code most of a forest's trees reach
         (``_majority``)."""
         reached = list(islice(leaves, self.n_trees if self.kind == "forest" else 1))
         return _majority(reached) if self.kind == "forest" else reached[0]
 
 
-def _majority(labels: list[str]) -> str:
-    """The label most of ``labels`` are; a tie goes to the lexicographically smallest."""
-    return max(sorted(set(labels)), key=labels.count)  # max keeps the first best
+def _majority(codes: list[int]) -> int:
+    """The code most of ``codes`` are; a tie goes to the smallest (its label sorts first)."""
+    return max(sorted(set(codes)), key=codes.count)  # max keeps the first best
 
 
 @dataclass(eq=False)
 class Model:
-    """A learner and the complete rows it trains on; ``predict`` grows its
-    trees again for every row it routes."""
+    """A learner and the complete, coded rows it trains on; ``predict`` grows
+    its trees again for every row it routes."""
 
     spec: LearnerSpec
     X: np.ndarray
-    y: np.ndarray
+    classes: list[str]
+    target: np.ndarray
     trees: list  # the learner's lanes on every row, one per tree
 
 
 def _train(spec: LearnerSpec, X, y, seed: int) -> Model:
-    X, y = check_complete(X, y)
-    return Model(spec, X, y, spec.lanes(y, np.arange(len(X)), seed))
+    X, classes, target = check_complete(X, y)
+    return Model(spec, X, classes, target, spec.lanes(target, np.arange(len(X)), seed))
 
 
 def train_cart(X, y, min_leaf: int = MIN_LEAF_DEFAULT) -> Model:
@@ -624,8 +632,8 @@ def train_cart(X, y, min_leaf: int = MIN_LEAF_DEFAULT) -> Model:
 def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> Model:
     """Bagged classification CARTs, sqrt(p) candidate features per node.
 
-    The trees get ``y`` as string labels, so they classify whatever its
-    dtype; it holds two labels at most. Tree t draws from the stream
+    ``y`` holds class labels, two at most; a numeric ``y`` raises when the
+    model routes a row. Tree t draws from the stream
     ``SeedSequence(seed).spawn(n_trees)[t]``. Trees grow to purity
     (``min_leaf=1``) on a bootstrap sample.
     """
@@ -643,6 +651,7 @@ def predict(model: Model, row):
     if np.isnan(row).any():
         raise PhonassessError("row has a missing value; a model routes complete rows only")
     X = np.vstack([model.X, row])
-    y = np.append(model.y, model.y[:1])
+    target = np.append(model.target, model.target[:1])
     held = np.full(len(model.trees), len(model.X))
-    return model.spec.vote(model.spec.route(X, y, model.trees, held))
+    leaf = model.spec.vote(model.spec.route(X, model.classes, target, model.trees, held))
+    return model.classes[leaf] if model.classes else leaf

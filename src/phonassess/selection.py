@@ -16,7 +16,9 @@ best objective it can still reach (``_reachable``) cannot beat the value the
 search needs from it: exact branch and bound, so the search selects, traces
 and predicts what it would with every LOO run to its end.
 The target's dtype picks the task (``models.is_regression_target``): a
-numeric target is regressed, class labels are classified.
+numeric target is regressed, class labels are classified (a forest refuses
+a numeric target). ``models.code_target`` alone codes the target: in mRMR,
+and once per LOO in ``models.check_complete``, the one check.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from .errors import PhonassessError
 from .evaluation import POSITIVE_CLASS, LooResult, loo_validate, trade_off_sen_spe
 # predict, train_cart and train_forest stay bound here: perfbench/tracing.py wraps them
 # at this module
-from .models import (LearnerSpec, is_regression_target, predict, train_cart,  # noqa: F401
-                     train_forest)
+from .models import (LearnerSpec, code_target, is_regression_target, predict,  # noqa: F401
+                     train_cart, train_forest)
 
 log = logging.getLogger(__name__)
 
@@ -146,18 +148,13 @@ def _block_mi(codes: np.ndarray, finite: np.ndarray, b: np.ndarray,
 
 
 def _target_codes(y) -> np.ndarray:
-    if is_regression_target(y):
-        y = np.asarray(y, dtype=np.float64)
-        if not np.isfinite(y).all():
-            raise PhonassessError("target contains missing or infinite values")
-        if np.all(y == y[0]):
-            raise PhonassessError("constant target: nothing to rank against")
-        return quantile_discretize(y)
-    labels = sorted(set(map(str, y)))
-    if len(labels) < 2:
+    """``code_target``'s class codes, or a numeric target quantile-discretized."""
+    classes, target = code_target(y)
+    if not classes and not np.isfinite(target).all():
+        raise PhonassessError("target contains missing or infinite values")
+    if not np.any(target != target[:1]):
         raise PhonassessError("constant target: nothing to rank against")
-    lut = {c: i for i, c in enumerate(labels)}
-    return np.array([lut[str(v)] for v in y])
+    return target if classes else quantile_discretize(target)
 
 
 def mrmr_rank(X, y, k: int) -> list[int]:

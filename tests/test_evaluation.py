@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import phonassess.models as models
 from phonassess.errors import PhonassessError
 from phonassess.evaluation import (SCALES, classification_metrics, correlation_graph_data,
-                                   estimation_errors, loo_validate, regression_metrics,
-                                   round_half_away, spearman, trade_off_sen_spe)
-from phonassess.models import LearnerSpec
+                                   estimation_errors, fold_order, loo_validate,
+                                   regression_metrics, round_half_away, spearman,
+                                   trade_off_sen_spe)
+from phonassess.models import LearnerSpec, check_complete
 
 
 class TestTradeOff:
@@ -239,6 +241,39 @@ class TestLoo:
     def test_too_few_rows(self):
         with pytest.raises(PhonassessError):
             loo_validate(np.ones((2, 1)), np.ones(2), LearnerSpec())
+
+    @pytest.mark.parametrize("kind, y", [
+        ("cart", np.linspace(0.0, 3.0, 9)),
+        ("cart", np.array(["PD", "HC", "PD"] * 3)),
+        ("forest", np.array(["PD", "HC", "PD"] * 3)),
+    ], ids=["cart_numeric", "cart_labels", "forest_labels"])
+    def test_target_is_coded_once(self, monkeypatch, kind, y):
+        calls = []
+        code_target = models.code_target
+        monkeypatch.setattr(models, "code_target",
+                            lambda target: calls.append(1) or code_target(target))
+        X = np.random.default_rng(68).uniform(0, 1, (9, 2))
+        loo_validate(X, y, LearnerSpec(kind=kind, n_trees=3))
+        assert len(calls) == 1
+
+
+class TestFoldOrder:
+    def test_numeric_target_keeps_row_order(self):
+        _, classes, target = check_complete(np.zeros((5, 1)), [3.0, 1.0, 2.0, 0.5, 9.0])
+        assert fold_order(classes, target).tolist() == [0, 1, 2, 3, 4]
+
+    def test_classes_interleave_by_share(self):
+        # HC (code 0) rows 0, 1, 2 sit at 1/6, 3/6, 5/6 and PD (code 1) rows
+        # 3..8 at 1/12, 3/12, ..., 11/12
+        y = ["HC"] * 3 + ["PD"] * 6
+        _, classes, target = check_complete(np.zeros((9, 1)), y)
+        assert classes == ["HC", "PD"] and target.tolist() == [0] * 3 + [1] * 6
+        assert fold_order(classes, target).tolist() == [3, 0, 4, 5, 1, 6, 7, 2, 8]
+
+    def test_equal_shares_keep_row_order(self):
+        _, classes, target = check_complete(np.zeros((4, 1)), ["PD", "HC", "HC", "PD"])
+        # each class's rows at 1/4 and 3/4: the tie goes to the lower row
+        assert fold_order(classes, target).tolist() == [0, 1, 2, 3]
 
 
 def test_round_half_away():

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import phonassess.models as models
 from phonassess.errors import PhonassessError
 from phonassess.evaluation import loo_validate
-from phonassess.models import GAIN_TOL, LearnerSpec, predict, train_cart, train_forest
+from phonassess.models import (GAIN_TOL, LearnerSpec, code_target, predict, train_cart,
+                               train_forest)
 
 
 # ---- reference: the recursive grower, verbatim --------------------------
@@ -236,8 +237,14 @@ def assert_routes_like_reference(spec: LearnerSpec, X, y, sets) -> None:
                 held.append(i)
                 want.append(bits(ref_predict(tree, row)))
     probes = np.vstack([X, np.array(extra, dtype=np.float64).reshape(len(extra), p)])
-    targets = np.concatenate([y, np.repeat(y[:1], len(extra))])  # probes' targets go unread
-    assert [bits(v) for v in spec.route(probes, targets, lanes, held)] == want
+    classes, target = code_target(y)
+    targets = np.concatenate([target, np.repeat(target[:1], len(extra))])  # probes' go unread
+    assert [bits(v) for v in route(spec, probes, classes, targets, lanes, held)] == want
+
+
+def route(spec: LearnerSpec, X, classes, target, lanes, held) -> list:
+    """``spec.route``'s leaves, each class code written as its label."""
+    return [classes[v] if classes else v for v in spec.route(X, classes, target, lanes, held)]
 
 
 # ---- inputs: tie-heavy columns, awkward targets -------------------------
@@ -331,7 +338,8 @@ def test_forest_lanes_of_mixed_row_counts_grow_as_one_call_each(case, n_trees, d
                                         st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
     sets = [(np.array([0, 1] + extra, dtype=np.intp), seed) for extra, seed in sets]
     assert_routes_like_reference(spec, X, y, [
-        (spec.lanes(y, rows, seed), ref_train_forest(X[rows], y[rows], n_trees, seed), rows)
+        (spec.lanes(code_target(y)[1], rows, seed),
+         ref_train_forest(X[rows], y[rows], n_trees, seed), rows)
         for rows, seed in sets])
 
 
@@ -353,7 +361,8 @@ def test_loo_lanes_match_recursive_grower(case, min_leaf, kind, seed, data):
     if kind == "forest":  # a fold left with one class cannot train a forest
         folds = [(i, rows) for i, rows in folds if len(set(y[rows])) == 2]
     assert_routes_like_reference(spec, X, y, [
-        (spec.lanes(y, rows, seed + i), ref_trees(spec, X[rows], y[rows], seed + i), rows)
+        (spec.lanes(code_target(y)[1], rows, seed + i),
+         ref_trees(spec, X[rows], y[rows], seed + i), rows)
         for i, rows in folds])
 
 
@@ -384,10 +393,11 @@ def test_batches_split_lanes_without_changing_trees(monkeypatch):
     X = np.round(rng.normal(0, 1, (24, 4)), 1)
     y = np.where(X[:, 0] + rng.normal(0, 0.5, 24) > 0, "PD", "HC")
     spec = LearnerSpec(kind="forest", n_trees=6)
-    lanes = spec.lanes(y, np.arange(24), 9) * 24
+    classes, target = code_target(y)
+    lanes = spec.lanes(target, np.arange(24), 9) * 24
     held = np.repeat(np.arange(24), 6)
-    whole = list(spec.route(X, y, lanes, held))
+    whole = route(spec, X, classes, target, lanes, held)
     assert whole == [ref_predict(tree, X[i]) for i in range(24)
                      for tree in ref_train_forest(X, y, 6, 9)]
     monkeypatch.setattr(models, "LANE_BUDGET_BYTES", 1)
-    assert list(spec.route(X, y, lanes, held)) == whole
+    assert route(spec, X, classes, target, lanes, held) == whole

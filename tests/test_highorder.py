@@ -115,6 +115,14 @@ def test_bicepstral_identical_blocks_zero_distance():
     assert feats["bcpd"] == 0.0
 
 
+def test_bicepstral_first_block_leaves_out_distances():
+    frames, _ = coupled_triple_frames(seed=5)
+    est = estimate_bispectrum(frames)
+    feats = bicepstral_features(est, bicepstrum(est))
+    assert "bcmd" not in feats and "bcpd" not in feats
+    assert all(np.isfinite(v) for v in feats.values())
+
+
 def test_bicepstral_distance_brute_force():
     frames_a, _ = coupled_triple_frames(seed=6)
     frames_b, _ = coupled_triple_frames(seed=7)

@@ -130,8 +130,14 @@ def test_three_labels_raise(train):
         train(X, np.array(["PD", "HC", "X"] * 3))
 
 
-def test_three_numeric_labels_raise_in_a_forest():
-    """A forest classifies a numeric target's values as labels, two at most."""
+@pytest.mark.parametrize("y", [[0.0, 1.0, 2.0] * 3, [0.0, 1.0] * 4 + [1.0]],
+                         ids=["three_values", "two_values"])
+def test_forest_refuses_a_numeric_target(y):
+    """A forest classifies class labels only: routing a numeric target
+    raises, in a LOO and in a trained model."""
     X = np.random.default_rng(7).uniform(0, 1, (9, 2))
-    with pytest.raises(PhonassessError, match="trees classify two labels, got 3"):
-        loo_validate(X, np.array([0.0, 1.0, 2.0] * 3), LearnerSpec(kind="forest", n_trees=3))
+    y = np.array(y)
+    with pytest.raises(PhonassessError, match="a forest classifies class labels"):
+        loo_validate(X, y, LearnerSpec(kind="forest", n_trees=3))
+    with pytest.raises(PhonassessError, match="a forest classifies class labels"):
+        predict(train_forest(X, y, n_trees=3), X[0])

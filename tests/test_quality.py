@@ -162,6 +162,11 @@ class TestNoise:
         assert gne_pulse > gne_noise
         assert 0.0 <= gne_noise <= 1.0 and 0.0 <= gne_pulse <= 1.0
 
+    def test_gne_of_silence_raises(self):
+        # a zero-energy excitation model is singular: no value, not a made-up 0
+        with pytest.raises(InsufficientSignalError):
+            glottal_noise_excitation(np.zeros(2000))
+
     def test_insufficient_voicing(self):
         x = np.random.default_rng(6).standard_normal(FS)
         contour = estimate_f0(x)  # noise: unvoiced
