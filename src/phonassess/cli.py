@@ -1,12 +1,13 @@
 """Command-line pipeline: synth, extract, classify, regress, correlate.
 
 Config values come from an optional key=value file overridden by flags.
-Each subcommand accepts only the flags it reads (``SUBCOMMAND_FLAGS``).
-``trees``, ``mrmr_k``, ``sffs_patience``, ``min_leaf`` and ``workers`` must be
-at least 1 and ``seed`` at least 0; a boolean config value is one of
-1/true/yes/0/false/no. ``synth`` takes vowels and tasks from ``audio.VOWELS``
-and ``audio.TASKS``, each at most once, and at least one subject (two in
-classify mode, whose cohort needs a PD and an HC subject).
+Each setting is declared once, as a ``RunConfig`` field (``setting``): its
+type and default, the subcommands taking it as a flag (a subcommand takes
+only the flags it reads), its lower bound and its help text. A boolean
+config value is one of 1/true/yes/0/false/no. ``synth``'s own flags (not
+config keys) take vowels and tasks from ``audio.VOWELS`` and ``audio.TASKS``,
+each at most once, and at least one subject (two in classify mode, whose
+cohort needs a PD and an HC subject).
 ``extract`` runs its recordings over ``workers`` forked processes (default:
 the CPUs this process may run on; 1 runs them in this process), each
 returning its recording's summary columns, with the same outputs for every
@@ -25,7 +26,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -55,24 +56,37 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 
-LOWER_BOUNDS = {"mrmr_k": 1, "sffs_patience": 1, "trees": 1, "min_leaf": 1, "workers": 1, "seed": 0}
+SUBCOMMANDS = ("synth", "extract", "classify", "regress", "correlate")
+REPORTS = ("classify", "regress", "correlate")
 BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+FLAG_KINDS = {str: {}, int: {"type": int}, bool: {"action": "store_const", "const": True}}
+
+
+def setting(default=MISSING, *, on=SUBCOMMANDS, low=None, help=None, factory=MISSING):
+    """A ``RunConfig`` field: its default (or default ``factory``), the
+    subcommands taking it as ``--<name>`` (parsed by the default's type,
+    ``FLAG_KINDS``), the lower bound its flag and config values must meet,
+    and the flag's help text."""
+    return field(default=default, default_factory=factory,
+                 metadata={"on": on, "low": low, "help": help})
 
 
 @dataclass
 class RunConfig:
-    manifest: str = ""
-    features: str = ""
-    out: str = "out"
-    scope: str = ""            # comma-separated; empty = derive from manifest
-    target: str = ""           # clinical scale id; synth simulates updrs3 when empty
-    seed: int = 0
-    mrmr_k: int = 500
-    sffs_patience: int = SFFS_PATIENCE_DEFAULT
-    trees: int = N_TREES_DEFAULT
-    min_leaf: int = MIN_LEAF_DEFAULT
-    peak_normalize: bool = False
-    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
+    out: str = setting("out")
+    seed: int = setting(0, low=0)
+    manifest: str = setting("", on=("extract",))
+    features: str = setting("", on=REPORTS, help="directory holding features_<scope>.csv")
+    # empty = every scope the manifest or the features directory holds
+    scope: str = setting("", on=SUBCOMMANDS[1:], help="comma-separated scopes like a_s,all_ls")
+    target: str = setting("", on=("synth", "regress"))  # scale id; synth: updrs3 when empty
+    mrmr_k: int = setting(500, on=("classify", "regress"), low=1)
+    sffs_patience: int = setting(SFFS_PATIENCE_DEFAULT, on=("classify", "regress"), low=1)
+    trees: int = setting(N_TREES_DEFAULT, on=("classify",), low=1)
+    min_leaf: int = setting(MIN_LEAF_DEFAULT, on=("regress",), low=1)
+    peak_normalize: bool = setting(False, on=("extract",))
+    workers: int = setting(factory=lambda: len(os.sched_getaffinity(0)), on=("extract",), low=1,
+                           help="extraction processes (default: usable CPUs; 1 = serial)")
 
     def scopes(self) -> list[str]:
         wanted = [s.strip() for s in self.scope.split(",") if s.strip()]
@@ -102,9 +116,9 @@ def _load_config_file(path: str) -> dict[str, str]:
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    valid = {f.name: f.type for f in fields(RunConfig)}
+    settings = fields(RunConfig)
     for key, value in file_values.items():
-        if key not in valid:
+        if key not in {f.name for f in settings}:
             raise ConfigError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
         if isinstance(current, bool):
@@ -118,13 +132,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             except ValueError:
                 raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from None
         setattr(cfg, key, value)
-    for key in valid:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    for key, low in LOWER_BOUNDS.items():
-        if getattr(cfg, key) < low:
-            raise ConfigError(f"{key} must be at least {low}, got {getattr(cfg, key)}")
+    for f in settings:
+        if (flag := getattr(args, f.name, None)) is not None:
+            setattr(cfg, f.name, flag)
+        if (low := f.metadata["low"]) is not None and getattr(cfg, f.name) < low:
+            raise ConfigError(f"{f.name} must be at least {low}, got {getattr(cfg, f.name)}")
     return cfg
 
 
@@ -391,42 +403,20 @@ def cmd_correlate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# flag -> add_argument keywords; --config, --out and --seed go on every subcommand
-FLAGS = {
-    "--config": {"help": "key=value config file"},
-    "--out": {},
-    "--seed": {"type": int},
-    "--manifest": {},
-    "--peak-normalize": {"action": "store_const", "const": True},
-    "--features": {"help": "directory holding features_<scope>.csv"},
-    "--scope": {"help": "comma-separated scopes like a_s,all_ls"},
-    "--target": {},
-    "--mrmr-k": {"type": int},
-    "--sffs-patience": {"type": int},
-    "--trees": {"type": int},
-    "--min-leaf": {"type": int},
-    "--workers": {"type": int, "help": "extraction processes (default: usable CPUs; 1 = serial)"},
-}
-SUBCOMMAND_FLAGS = {
-    "synth": ("--target",),
-    "extract": ("--manifest", "--scope", "--peak-normalize", "--workers"),
-    "classify": ("--features", "--scope", "--mrmr-k", "--sffs-patience", "--trees"),
-    "regress": ("--features", "--scope", "--target", "--mrmr-k", "--sffs-patience",
-                "--min-leaf"),
-    "correlate": ("--features", "--scope"),
-}
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phonassess",
                                      description="Vowel-phonation biomarker pipeline")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in SUBCOMMAND_FLAGS.items():
+    defaults = RunConfig()
+    for name in SUBCOMMANDS:
         p = sub.add_parser(name, help="generate a synthetic cohort" if name == "synth"
                            else f"run the {name} stage")
-        for flag in ("--config", "--out", "--seed", *flags):
-            p.add_argument(flag, **FLAGS[flag])
+        p.add_argument("--config", help="key=value config file")
+        for f in fields(RunConfig):
+            if name in f.metadata["on"]:
+                p.add_argument(f"--{f.name.replace('_', '-')}", help=f.metadata["help"],
+                               **FLAG_KINDS[type(getattr(defaults, f.name))])
 
     p_synth = sub.choices["synth"]
     p_synth.add_argument("--mode", choices=("regress", "classify"), default="regress")

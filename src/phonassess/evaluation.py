@@ -229,10 +229,11 @@ def loo_validate(X, y, learner: LearnerSpec, stop=None) -> LooResult:
 
     ``y`` is coded once and the rows must be complete
     (``models.check_complete``): a missing cell in ``X``, a missing or infinite
-    value in a numeric ``y`` or a third label raises ``PhonassessError`` before
-    any fold is built. The lanes of all folds go through one call of the
-    learner's router (``LearnerSpec.route``, where a forest refuses a numeric
-    ``y``), in ``fold_order``. It grows them lazily, in batches under its byte
+    value in a numeric ``y``, a third label, or a numeric ``y`` given to a
+    forest (``LearnerSpec.refuse``, the one place it is refused) raises
+    ``PhonassessError`` before any fold is built. The lanes of all folds go
+    through one call of the learner's router (``LearnerSpec.route``), in
+    ``fold_order``. It grows them lazily, in batches under its byte
     budget (``models.LANE_BUDGET_BYTES``), and carries each fold's held-out row
     down the splits as they are made; the folds' leaves are read one fold at a
     time. A fold predicts its CART's leaf, or the class most of its forest's
@@ -255,6 +256,7 @@ def loo_validate(X, y, learner: LearnerSpec, stop=None) -> LooResult:
     if n < 3:
         raise PhonassessError("need >= 3 rows for leave-one-out")
     X, classes, target = check_complete(X, y)
+    learner.refuse(classes)
     folds = {}
     for i in fold_order(classes, target).tolist():
         try:

@@ -10,7 +10,8 @@ target's dtype picks the task (``is_regression_target``): numbers are
 regressed, anything else is classified. ``code_target`` is the one coder
 (sorted labels, each row's code among them) and ``check_complete`` the one
 check (two labels at most: the paper's PD and HC); the grower and
-leave-one-out work on the codes. A forest refuses a numeric target.
+leave-one-out work on the codes. A forest refuses a numeric target in
+``LearnerSpec.refuse`` alone, before it trains anything.
 
 One grower does it all, and it builds no tree. A *lane* is one tree on its
 own row sample (a CART, or one of a forest's bootstrapped trees) with one
@@ -283,7 +284,7 @@ def _grow(X, target, n_classes, min_leaf, n_candidates, lanes, held_out, proceed
 
     ``X`` and ``target`` come from ``check_complete``, the one check, whose
     ``code_target`` is the one coder: class codes below ``n_classes``, or
-    floats when it is 0 (a forest refused those in ``LearnerSpec.route``);
+    floats when it is 0 (a forest refused those in ``LearnerSpec.refuse``);
     nothing is coded or converted here. ``lanes`` yields ``(rows, stream)``
     pairs: the training rows as indices into ``X`` (in order, repeats allowed)
     and, for a forest tree, its (seed, tree) stream, which bootstraps ``rows``
@@ -546,7 +547,7 @@ class LearnerSpec:
     Its methods take the target as ``check_complete`` codes it
     (``code_target``, the one coder). A CART regresses a numeric target and
     classifies class codes; a forest classifies only and refuses a numeric
-    target (``route``). A forest's trees grow to purity (``min_leaf`` 1) on
+    target (``refuse``). A forest's trees grow to purity (``min_leaf`` 1) on
     bootstrap samples with sqrt(p) candidate columns per node. ``min_leaf``
     applies to a single CART only; ``seed`` is the leave-one-out seed.
     """
@@ -577,19 +578,22 @@ class LearnerSpec:
             raise PhonassessError("need at least two classes to train a forest")
         return [(rows, (seed, tree)) for tree in range(self.n_trees)]
 
+    def refuse(self, classes: list[str]) -> None:
+        """Raises ``PhonassessError`` for a forest given a numeric target (no
+        ``classes``): the one place a forest refuses it, called once a target
+        is coded, before anything is trained (``_train``, ``loo_validate``)."""
+        if self.kind == "forest" and not classes:
+            raise PhonassessError("a forest classifies class labels, got a numeric target")
+
     def route(self, X, classes: list[str], target, lanes, held_out, proceed=None):
         """The leaf each of ``lanes`` sends its row ``X[held_out[i]]`` to, in
         order: its value, a class code for class labels. ``X``, ``classes``
-        and ``target`` are what ``check_complete`` returns; the held-out rows
-        must miss no value. A forest given a numeric target raises
-        ``PhonassessError`` here. The lanes grow lazily, a batch at a time;
-        ``proceed`` (see ``_grow``) may end them between two batches."""
-        if self.kind == "cart":
-            grower = self.min_leaf, None
-        elif classes:
-            grower = 1, max(1, int(np.sqrt(X.shape[1])))
-        else:
-            raise PhonassessError("a forest classifies class labels, got a numeric target")
+        and ``target`` are what ``check_complete`` returns, for a learner that
+        takes them (``refuse``); the held-out rows must miss no value. The
+        lanes grow lazily, a batch at a time; ``proceed`` (see ``_grow``) may
+        end them between two batches."""
+        grower = ((self.min_leaf, None) if self.kind == "cart"
+                  else (1, max(1, int(np.sqrt(X.shape[1])))))
         return _grow(X, target, len(classes), *grower, lanes,
                      np.asarray(held_out, dtype=np.intp), proceed)
 
@@ -620,6 +624,7 @@ class Model:
 
 def _train(spec: LearnerSpec, X, y, seed: int) -> Model:
     X, classes, target = check_complete(X, y)
+    spec.refuse(classes)
     return Model(spec, X, classes, target, spec.lanes(target, np.arange(len(X)), seed))
 
 
@@ -632,8 +637,8 @@ def train_cart(X, y, min_leaf: int = MIN_LEAF_DEFAULT) -> Model:
 def train_forest(X, y, n_trees: int = N_TREES_DEFAULT, seed: int = 0) -> Model:
     """Bagged classification CARTs, sqrt(p) candidate features per node.
 
-    ``y`` holds class labels, two at most; a numeric ``y`` raises when the
-    model routes a row. Tree t draws from the stream
+    ``y`` holds class labels, two at most; a numeric ``y`` raises here
+    (``LearnerSpec.refuse``). Tree t draws from the stream
     ``SeedSequence(seed).spawn(n_trees)[t]``. Trees grow to purity
     (``min_leaf=1``) on a bootstrap sample.
     """

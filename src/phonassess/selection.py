@@ -184,8 +184,9 @@ def mrmr_rank(X, y, k: int) -> list[int]:
         j = int(remaining[best_pos])
         remaining = np.delete(remaining, best_pos)
         selected.append(j)
-        redundancy_sum[remaining] += _mutual_information(codes, finite, remaining,
-                                                         codes[:, j], finite[:, j])
+        if len(selected) < k:  # no later step reads the k-th pick's redundancy
+            redundancy_sum[remaining] += _mutual_information(codes, finite, remaining,
+                                                             codes[:, j], finite[:, j])
     return selected
 
 

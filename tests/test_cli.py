@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 
@@ -365,6 +366,53 @@ def test_subcommand_flags_parse(argv):
     """The benchmark's command lines and each subcommand's own flags parse."""
     args = make_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+# each subcommand's own flags, as in README.md's table
+OWN_FLAGS = {
+    "synth": {"--mode", "--subjects", "--vowels", "--tasks", "--target"},
+    "extract": {"--manifest", "--scope", "--peak-normalize", "--workers"},
+    "classify": {"--features", "--scope", "--mrmr-k", "--sffs-patience", "--trees"},
+    "regress": {"--features", "--scope", "--target", "--mrmr-k", "--sffs-patience",
+                "--min-leaf"},
+    "correlate": {"--features", "--scope"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    """Every subcommand takes --config, --out and --seed, then its own flags only."""
+    subparsers = next(a for a in make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(OWN_FLAGS)
+    for command, own in OWN_FLAGS.items():
+        taken = {flag for action in subparsers.choices[command]._actions
+                 for flag in action.option_strings}
+        assert taken == {"-h", "--help", "--config", "--out", "--seed"} | own, command
+
+
+# (subcommand, config key, floor): each bounded setting on each subcommand taking its flag
+BOUNDED = ([(command, "seed", 0) for command in OWN_FLAGS]
+           + [(command, key, 1) for command in ("classify", "regress")
+              for key in ("mrmr_k", "sffs_patience")]
+           + [("classify", "trees", 1), ("regress", "min_leaf", 1), ("extract", "workers", 1)])
+
+
+@pytest.mark.parametrize("command, key, low", BOUNDED)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_every_bound_refuses_a_value_below_its_floor(tmp_path, caplog, command, key, low,
+                                                     source):
+    """The floor itself is taken; one below it is a configuration error, from a
+    flag or a config file, before anything is written."""
+    def argv(value):
+        if source == "flag":
+            return [command, "--out", str(tmp_path / "o"), f"--{key.replace('_', '-')}", value]
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        return [command, "--out", str(tmp_path / "o"), "--config", str(tmp_path / "run.cfg")]
+
+    assert getattr(cli.build_config(make_parser().parse_args(argv(str(low)))), key) == low
+    assert main(argv(str(low - 1))) == EXIT_CONFIG
+    assert f"{key} must be at least {low}, got {low - 1}" in caplog.text
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -141,3 +141,15 @@ def test_forest_refuses_a_numeric_target(y):
         loo_validate(X, y, LearnerSpec(kind="forest", n_trees=3))
     with pytest.raises(PhonassessError, match="a forest classifies class labels"):
         predict(train_forest(X, y, n_trees=3), X[0])
+
+
+@pytest.mark.parametrize("stop", [None, lambda result: True], ids=["run", "stopped_at_once"])
+def test_forest_refuses_a_numeric_target_before_any_fold(stop):
+    """One value leaves every forest fold a single class, so no fold trains
+    and nothing is routed; the target is still refused, not scored as nine
+    failed folds, and so it is when ``stop`` would end the LOO at once."""
+    X = np.random.default_rng(7).uniform(0, 1, (9, 2))
+    with pytest.raises(PhonassessError, match="a forest classifies class labels"):
+        loo_validate(X, np.full(9, 2.0), LearnerSpec(kind="forest", n_trees=3), stop=stop)
+    with pytest.raises(PhonassessError, match="a forest classifies class labels"):
+        train_forest(X, np.full(9, 2.0), n_trees=3)

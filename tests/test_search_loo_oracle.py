@@ -8,17 +8,16 @@ the path the report took before it reused the search's LOO.
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phonassess.evaluation import loo_validate
 from phonassess.models import LearnerSpec
 from phonassess.selection import drop_incomplete_rows, sffs
 
 
-def reference(X, y, sel, spec):
-    """(rows, LOO result) of the selected subset, worked out again from scratch."""
-    rows = drop_incomplete_rows(X, y, sel.selected_indices)
-    return rows, loo_validate(X[np.ix_(rows, sel.selected_indices)], y[rows], spec)
+def reference_loo(X, y, rows, sel, spec):
+    """The selected subset's LOO on ``rows``, worked out again from scratch."""
+    return loo_validate(X[np.ix_(rows, sel.selected_indices)], y[rows], spec)
 
 
 def bits(preds):
@@ -48,17 +47,24 @@ def tied_searches(draw):
     return X, y, spec
 
 
+# two rated rows of six: no subset can be scored, and a LOO on those rows raises
+FEW_RATED = (np.arange(18.0).reshape(6, 3), np.array([-1.3, np.nan, np.nan, np.nan, np.nan, 0.7]),
+             LearnerSpec(kind="cart", min_leaf=1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(tied_searches(), st.integers(0, 1000), st.integers(1, 3))
+@example(FEW_RATED, 0, 1)
 def test_search_loo_is_the_selected_subsets_loo(problem, seed, patience):
     X, y, spec = problem
     spec = replace(spec, seed=seed)
     sel = sffs(X, y, [f"c{j}" for j in range(X.shape[1])], spec, patience=patience)
-    rows, loo = reference(X, y, sel, spec)
+    rows = drop_incomplete_rows(X, y, sel.selected_indices)
     assert sel.rows.dtype == bool and sel.rows.tobytes() == rows.tobytes()
     if sel.predictions is None:  # no subset scored: nothing was selected
         assert sel.selected_indices == [] and sel.objective == -np.inf
         assert all(value == -np.inf for *_, value in sel.trace)
         return
+    loo = reference_loo(X, y, rows, sel, spec)
     assert np.isfinite(sel.objective) and not loo.failed_folds
     assert bits(sel.predictions) == bits(loo.predictions)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from itertools import combinations
 
+from phonassess import selection
 from phonassess.errors import PhonassessError
 from phonassess.selection import (LearnerSpec, _masked_objective, drop_incomplete_rows,
                                   loo_objective, mrmr_rank, quantile_discretize, sffs)
@@ -76,6 +77,20 @@ class TestMrmr:
         X2[:, 1] = np.exp(X2[:, 1])
         b = mrmr_rank(X2, np.array(["PD" if v else "HC" for v in y]), k=4)
         assert a == b
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_one_mutual_information_pass_per_ranking_step(self, monkeypatch, k):
+        """Relevance, then the redundancy of each pick but the k-th, which no
+        later step reads: k passes, and the same ranking."""
+        rng = np.random.default_rng(48)
+        X = rng.normal(0, 1, (40, 6))
+        y = X[:, 1] + rng.normal(0, 0.5, 40)
+        want = mrmr_rank(X, y, k=k)
+        mutual_information, calls = selection._mutual_information, []
+        monkeypatch.setattr(selection, "_mutual_information",
+                            lambda *args: calls.append(1) or mutual_information(*args))
+        assert mrmr_rank(X, y, k=k) == want
+        assert len(calls) == k
 
     def test_constant_target_error(self):
         X = np.random.default_rng(45).normal(0, 1, (20, 3))
